@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -37,130 +36,6 @@ void RateProvider::rates_into(const graph::CommGraph& active,
 std::vector<int> RateProvider::coupling_keys(topo::NodeId /*src*/,
                                              topo::NodeId /*dst*/) const {
   return {};
-}
-
-bool RateProvider::covers_all(std::span<const graph::CommId> subset,
-                              int size) {
-  if (static_cast<int>(subset.size()) != size) return false;
-  for (size_t k = 0; k < subset.size(); ++k)
-    if (subset[k] != static_cast<graph::CommId>(k)) return false;
-  return true;
-}
-
-std::vector<graph::CommId> RateProvider::coupling_closure(
-    const graph::CommGraph& active,
-    std::span<const graph::CommId> subset) const {
-  const int n = active.size();
-  util::Arena& arena = util::Arena::thread_local_instance();
-  util::Arena::Frame frame(arena);
-
-  // Node incidence as sorted-bucket arrays in the arena (the former
-  // unordered_map<NodeId, vector> table). Intra-node comms contribute their
-  // node once, matching the previous dedup of src == dst.
-  auto node_buf =
-      arena.make_span_uninit<topo::NodeId>(2 * static_cast<size_t>(n));
-  size_t nn = 0;
-  for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
-    node_buf[nn++] = c.src;
-    if (c.dst != c.src) node_buf[nn++] = c.dst;
-  }
-  std::sort(node_buf.begin(), node_buf.begin() + nn);
-  const size_t m = static_cast<size_t>(
-      std::unique(node_buf.begin(), node_buf.begin() + nn) - node_buf.begin());
-  const auto nodes = node_buf.first(m);
-  const auto node_idx = [&](topo::NodeId v) {
-    return static_cast<size_t>(
-        std::lower_bound(nodes.begin(), nodes.end(), v) - nodes.begin());
-  };
-  auto node_off = arena.make_span<int>(m + 1);
-  for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
-    ++node_off[node_idx(c.src) + 1];
-    if (c.dst != c.src) ++node_off[node_idx(c.dst) + 1];
-  }
-  for (size_t k = 0; k < m; ++k) node_off[k + 1] += node_off[k];
-  auto at_node = arena.make_span_uninit<graph::CommId>(nn);
-  {
-    auto cur = arena.make_span_uninit<int>(m);
-    std::copy(node_off.begin(), node_off.begin() + static_cast<long>(m),
-              cur.begin());
-    for (graph::CommId i = 0; i < n; ++i) {
-      const auto& c = active.comm(i);
-      at_node[static_cast<size_t>(cur[node_idx(c.src)]++)] = i;
-      if (c.dst != c.src)
-        at_node[static_cast<size_t>(cur[node_idx(c.dst)]++)] = i;
-    }
-  }
-
-  // Per-comm coupling keys, flattened. coupling_keys is a virtual returning
-  // a vector — the one allocation this path keeps; the incidence table over
-  // the keys is arena-backed (sorted (key, comm) pairs, grouped by key).
-  struct KeyUse {
-    int key;
-    graph::CommId comm;
-    bool operator<(const KeyUse& o) const {
-      return key != o.key ? key < o.key : comm < o.comm;
-    }
-  };
-  std::vector<KeyUse> key_uses;
-  auto key_off = arena.make_span<int>(static_cast<size_t>(n) + 1);
-  for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
-    for (const int k : coupling_keys(c.src, c.dst))
-      key_uses.push_back({k, i});
-    key_off[static_cast<size_t>(i) + 1] = static_cast<int>(key_uses.size());
-  }
-  // key_uses is in comm order here: [key_off[i], key_off[i+1]) are comm i's
-  // keys. Keep that view and sort an arena copy into key-grouped order.
-  auto by_key = arena.make_span_uninit<KeyUse>(key_uses.size());
-  std::copy(key_uses.begin(), key_uses.end(), by_key.begin());
-  std::sort(by_key.begin(), by_key.end());
-  const auto key_bucket = [&](int key) {
-    const auto lo = std::lower_bound(
-        by_key.begin(), by_key.end(),
-        KeyUse{key, std::numeric_limits<graph::CommId>::min()});
-    auto hi = lo;
-    while (hi != by_key.end() && hi->key == key) ++hi;
-    return std::span<const KeyUse>{lo, hi};
-  };
-
-  auto in = arena.make_span<char>(static_cast<size_t>(n));
-  auto stack = arena.make_span_uninit<graph::CommId>(static_cast<size_t>(n));
-  size_t top = 0;
-  for (const graph::CommId id : subset) {
-    BWS_CHECK(id >= 0 && id < n, "subset comm id out of range");
-    if (!in[static_cast<size_t>(id)]) {
-      in[static_cast<size_t>(id)] = 1;
-      stack[top++] = id;
-    }
-  }
-  while (top > 0) {
-    const graph::CommId i = stack[--top];
-    const auto visit = [&](graph::CommId j) {
-      if (in[static_cast<size_t>(j)]) return;
-      in[static_cast<size_t>(j)] = 1;
-      stack[top++] = j;
-    };
-    const auto& c = active.comm(i);
-    const size_t s = node_idx(c.src);
-    for (int p = node_off[s]; p < node_off[s + 1]; ++p)
-      visit(at_node[static_cast<size_t>(p)]);
-    if (c.dst != c.src) {
-      const size_t d = node_idx(c.dst);
-      for (int p = node_off[d]; p < node_off[d + 1]; ++p)
-        visit(at_node[static_cast<size_t>(p)]);
-    }
-    for (int p = key_off[static_cast<size_t>(i)];
-         p < key_off[static_cast<size_t>(i) + 1]; ++p)
-      for (const KeyUse& u : key_bucket(key_uses[static_cast<size_t>(p)].key))
-        visit(u.comm);
-  }
-
-  std::vector<graph::CommId> closed;
-  for (graph::CommId i = 0; i < n; ++i)
-    if (in[static_cast<size_t>(i)]) closed.push_back(i);
-  return closed;
 }
 
 FluidRateProvider::FluidRateProvider(topo::NetworkCalibration cal,
@@ -484,29 +359,6 @@ std::vector<int> FluidRateProvider::coupling_keys(topo::NodeId src,
     keys.push_back(l);
   }
   return keys;
-}
-
-std::vector<double> FluidRateProvider::rates(
-    const graph::CommGraph& active,
-    std::span<const graph::CommId> subset) const {
-  if (subset.empty()) return {};
-  // Common fast path (the engine hands us a self-contained component
-  // graph): no induction needed.
-  if (covers_all(subset, active.size())) return rates(active);
-
-  // Expand to the coupling closure — shared endpoints, plus shared fat-tree
-  // inner links when a topology is attached (via coupling_keys) — solve the
-  // closed set in isolation, and project back. Never ignore a shared link.
-  const auto closed = coupling_closure(active, subset);
-  std::vector<size_t> pos_of(static_cast<size_t>(active.size()), 0);
-  for (size_t p = 0; p < closed.size(); ++p)
-    pos_of[static_cast<size_t>(closed[p])] = p;
-  const auto closed_rates = rates(graph::induced_subgraph(active, closed));
-  std::vector<double> out;
-  out.reserve(subset.size());
-  for (const graph::CommId id : subset)
-    out.push_back(closed_rates[pos_of[static_cast<size_t>(id)]]);
-  return out;
 }
 
 std::vector<double> measure_scheme(const graph::CommGraph& graph,

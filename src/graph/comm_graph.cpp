@@ -106,19 +106,4 @@ bool CommGraph::is_intra_node(CommId id) const {
   return c.src == c.dst;
 }
 
-CommGraph induced_subgraph(const CommGraph& graph,
-                           std::span<const CommId> ids) {
-  CommGraph sub;
-  sub.reserve(static_cast<int>(ids.size()));
-  for (const CommId id : ids) {
-    const Comm& c = graph.comm(id);
-    const std::string_view lbl = graph.label(id);
-    if (lbl.empty())
-      sub.add(c.src, c.dst, c.bytes);
-    else
-      sub.add(std::string(lbl), c.src, c.dst, c.bytes);
-  }
-  return sub;
-}
-
 }  // namespace bwshare::graph

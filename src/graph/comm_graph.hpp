@@ -7,7 +7,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -102,13 +101,5 @@ class CommGraph {
   std::unordered_map<std::string, CommId> by_label_;  // find()/dup check
   int num_nodes_ = 0;
 };
-
-/// Subgraph containing exactly the listed communications, in `ids` order,
-/// with labels and endpoints preserved. Degrees computed on the subgraph
-/// match the full graph whenever `ids` is closed under shared endpoints —
-/// the invariant behind component-restricted rate solving (see
-/// flowsim::RateProvider::rates(active, subset) and docs/PERFORMANCE.md).
-[[nodiscard]] CommGraph induced_subgraph(const CommGraph& graph,
-                                         std::span<const CommId> ids);
 
 }  // namespace bwshare::graph

@@ -19,9 +19,9 @@
 //   * the seed, when it cannot affect the replay (placement policy is
 //     deterministic and no churn/background script is drawn) — it is
 //     canonicalized to 0 so "seed":7 and "seed":9 share a cache line;
-//   * execution strategy (refresh/queue/solve modes, thread counts): the
-//     engine contract makes those bit-identical, so caching across them is
-//     exactly as safe as caching across repeats.
+//   * execution strategy (the verify oracles, the solve memo, thread
+//     counts): the engine contract makes those bit-identical, so caching
+//     across them is exactly as safe as caching across repeats.
 //
 // Stability: fingerprints inherit the util::StructuralHash contract — stable
 // within one build, NOT across releases. Never persist them.

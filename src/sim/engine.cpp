@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <span>
 #include <type_traits>
 
@@ -14,7 +13,6 @@
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/strings.hpp"
-#include "util/threadpool.hpp"
 
 namespace bwshare::sim {
 
@@ -122,8 +120,8 @@ struct Transfer {
   bool background = false;       // task-less injected flow; src/dst unused
   bool alive = false;
   int component = -1;
-  /// Entry in the finish-time queue (QueueMode::kHeap). Stable across
-  /// component dissolve/regroup — only a re-solve that changes finish_pred
+  /// Entry in the finish-time queue. Stable across component
+  /// dissolve/regroup — only a re-solve that changes finish_pred
   /// re-keys it, and only completion erases it.
   core::EventHandle qh = core::kNullEventHandle;
 };
@@ -131,9 +129,9 @@ static_assert(std::is_trivially_copyable_v<Transfer>,
               "Transfer is snapshotted by value on the hot path");
 
 /// Per-thread solve scratch: the component's induced communication graph
-/// plus the memo path's rate buffers. One instance per thread (pool workers
-/// included) so parallel component solves never share or allocate — the
-/// graph and vectors keep their capacity across solves.
+/// plus the memo path's rate buffers. One instance per thread, because
+/// sweep cells and served queries run engines concurrently; the graph and
+/// vectors keep their capacity across solves.
 struct SolveScratch {
   graph::CommGraph sub;
   std::vector<double> memo_rates;
@@ -168,8 +166,7 @@ struct Component {
 
 /// One scripted scenario event, merged from Scenario::churn and
 /// Scenario::background in declaration order. Replayed off a dedicated
-/// core::EventQueue keyed by (time, script index) — the same sequence under
-/// every RefreshMode / QueueMode / SolveMode.
+/// core::EventQueue keyed by (time, script index).
 struct ScriptEvent {
   enum class Kind { kJoin, kLeave, kFail, kFlow };
   Kind kind = Kind::kFlow;
@@ -256,32 +253,23 @@ class Engine {
   SimResult run() {
     // Drive every task as far as it can go, then hop to the next event.
     for (TaskId t = 0; t < trace_.num_tasks(); ++t) advance_task(t);
-    const bool heap = cfg_.queue == QueueMode::kHeap;
     while (num_done_ < trace_.num_tasks()) {
       // Flush point: solve every component the last event cascade dirtied,
       // before any prediction below is read. The clock has not moved since
       // they turned dirty, so deferring the solves to here is unobservable.
-      flush_refresh();
-      // A predicted finish can sit in the past (a barrier cost overshot
-      // it); the transfer then completes, late, at the current time.
-      const double next_compute =
-          heap ? (compute_q_.empty()
-                      ? kInf
-                      : std::max(compute_q_.top_time(), now()))
-               : earliest_compute_end();
-      const double next_transfer =
-          heap ? (transfer_q_.empty()
-                      ? kInf
-                      : std::max(transfer_q_.top_time(), now()))
-               : earliest_transfer_end();
-      // Scenario scripts ride their own queue in both QueueModes; like a
-      // predicted finish, a scripted time can sit in the past after a
-      // barrier cost overshot it.
-      const double next_script =
-          script_q_.empty() ? kInf : std::max(script_q_.top_time(), now());
-      if (heap && cfg_.refresh == RefreshMode::kCrossCheck) {
-        // Queue-order equivalence: the heap's next-event times must match
-        // the legacy scans exactly, at every event.
+      flush();
+      // A predicted finish, wake-up or scripted time can sit in the past (a
+      // barrier cost overshot it); the event then fires, late, at the
+      // current time.
+      const auto next_of = [&](const auto& q) {
+        return q.empty() ? kInf : std::max(q.top_time(), now());
+      };
+      const double next_compute = next_of(compute_q_);
+      const double next_transfer = next_of(transfer_q_);
+      const double next_script = next_of(script_q_);
+      if (cfg_.verify) {
+        // Queue-order oracle: the heaps' next-event times must match linear
+        // scans over every task and transfer exactly, at every event.
         BWS_CHECK(earliest_compute_end() == next_compute,
                   strformat("event queue diverged from scan on the next "
                             "compute wake-up: heap %.17g vs scan %.17g at "
@@ -297,7 +285,7 @@ class Engine {
       BWS_CHECK(next <= cfg_.max_time, "simulation exceeded max_time");
       clock_.advance_to(next);
       // Script events fire first at equal times: a failure at t aborts
-      // transfers before a same-t completion is chosen, in every mode.
+      // transfers before a same-t completion is chosen.
       if (next_script <= next) {
         process_script_event();
       } else if (next_transfer <= next_compute) {
@@ -319,14 +307,13 @@ class Engine {
   // --- task stepping -------------------------------------------------------
 
   /// Put `t` to sleep until `until` (a compute burst, or modelled receive
-  /// latency): the state bookkeeping plus, in heap mode, the wake-up queue
-  /// entry. A computing task owns exactly one compute_q_ entry, popped when
-  /// it wakes — nothing ever re-keys it.
+  /// latency): the state bookkeeping plus the wake-up queue entry. A
+  /// computing task owns exactly one compute_q_ entry, popped when it
+  /// wakes — nothing ever re-keys it.
   void begin_compute(TaskId t, double until) {
     state_[static_cast<size_t>(t)] = TaskState::kComputing;
     ready_at_[static_cast<size_t>(t)] = until;
-    if (cfg_.queue == QueueMode::kHeap)
-      compute_q_.push(until, static_cast<uint64_t>(t), t);
+    compute_q_.push(until, static_cast<uint64_t>(t), t);
   }
 
   void advance_task(TaskId t) {
@@ -480,7 +467,7 @@ class Engine {
     // component a completion dirtied earlier in this event must re-solve
     // now — its members would otherwise integrate bytes across the cost
     // interval at stale rates.
-    flush_refresh();
+    flush();
     clock_.advance_by(cfg_.barrier_cost);
     for (TaskId u = 0; u < trace_.num_tasks(); ++u)
       if (state_[static_cast<size_t>(u)] == TaskState::kReady) advance_task(u);
@@ -539,20 +526,17 @@ class Engine {
     tr.alive = true;
     set_slot_keys(slot);
     // The finish-time index entry lives as long as the transfer does; the
-    // refresh below re-keys it to the first real prediction.
-    if (cfg_.queue == QueueMode::kHeap)
-      tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
+    // next flush re-keys it to the first real prediction.
+    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
     result_.comms[ps.record].start = now();
     ++num_active_;
     attach_transfer(slot);
-    refresh_rates();
   }
 
   // --- scenario scripts ----------------------------------------------------
 
   /// Pop and apply the next scripted event. One event per main-loop turn, so
-  /// every flush point between same-time script events is honoured exactly
-  /// the same way in all refresh modes.
+  /// a flush runs between same-time script events.
   void process_script_event() {
     BWS_ASSERT(!script_q_.empty(), "no script event pending");
     const size_t idx = script_q_.top();
@@ -578,8 +562,8 @@ class Engine {
   }
 
   /// Crash semantics: every in-flight transfer with an endpoint on the
-  /// failed node aborts at the event time, in posting (record) order so all
-  /// refresh/queue/solve modes observe the same cascade.
+  /// failed node aborts at the event time, in posting (record) order, so
+  /// the cascade is deterministic.
   void fail_node(int node) {
     aborting_.clear();
     for (size_t s = 0; s < transfers_.size(); ++s) {
@@ -613,10 +597,7 @@ class Engine {
     rec.penalty = ref > 0.0 ? (rec.finish - rec.start) / ref : 1.0;
     ++result_.aborted_comms;
 
-    if (tr.background) {
-      refresh_rates();
-      return;
-    }
+    if (tr.background) return;
     if (tr.rendezvous) {
       auto& stats = result_.tasks[static_cast<size_t>(tr.src)];
       rec.sender_time = now() - rec.send_post;
@@ -636,7 +617,6 @@ class Engine {
       state_[static_cast<size_t>(tr.dst)] = TaskState::kReady;
     }
 
-    refresh_rates();
     if (state_[static_cast<size_t>(tr.src)] == TaskState::kReady)
       advance_task(tr.src);
     if (state_[static_cast<size_t>(tr.dst)] == TaskState::kReady)
@@ -676,11 +656,9 @@ class Engine {
     tr.advance_time = now();
     tr.alive = true;
     set_slot_keys(slot);
-    if (cfg_.queue == QueueMode::kHeap)
-      tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
+    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
     ++num_active_;
     attach_transfer(slot);
-    refresh_rates();
   }
 
   // --- component tracking --------------------------------------------------
@@ -814,10 +792,8 @@ class Engine {
     const int c = tr.component;
     auto& members = components_[static_cast<size_t>(c)].members;
     members.erase(std::find(members.begin(), members.end(), slot));
-    if (cfg_.queue == QueueMode::kHeap) {
-      transfer_q_.erase(tr.qh);
-      tr.qh = core::kNullEventHandle;
-    }
+    transfer_q_.erase(tr.qh);
+    tr.qh = core::kNullEventHandle;
     tr.alive = false;
     tr.component = -1;
     slot_keys_[slot].clear();  // keeps capacity for reuse
@@ -865,127 +841,49 @@ class Engine {
     for (const size_t s : loose_) attach_transfer(s);
   }
 
-  /// Event handlers call this after mutating the active set. Only kFull
-  /// re-solves immediately (the reference behaviour). The incremental modes
-  /// defer: dirty components accumulate until the next flush point — the
-  /// top of the event loop, or just before a barrier cost advances the
-  /// clock. The clock cannot move in between, so deferral is unobservable;
-  /// what it buys is batching, e.g. a barrier release posting N transfers
-  /// yields ONE flush with N disjoint dirty components, which is the fan-out
-  /// SolveMode::kParallel feeds to the pool.
-  void refresh_rates() {
-    if (cfg_.refresh == RefreshMode::kFull) refresh_full();
-  }
-
-  /// Solve everything dirtied since the last flush. See refresh_rates().
-  void flush_refresh() {
-    switch (cfg_.refresh) {
-      case RefreshMode::kFull:
-        break;  // refresh_rates() already re-solved eagerly
-      case RefreshMode::kIncremental:
-        resolve_dirty();
-        break;
-      case RefreshMode::kCrossCheck:
-        resolve_dirty();
-        cross_check();
-        check_queue_keys();
-        break;
+  /// Flush point: solve everything dirtied since the last flush (the top of
+  /// the event loop, or just before a barrier cost advances the clock).
+  /// Event handlers only mark components dirty; the clock cannot move
+  /// between dirtying and flushing, so deferral is unobservable, and a
+  /// barrier release posting N transfers yields ONE flush over N disjoint
+  /// dirty components.
+  void flush() {
+    resolve_dirty();
+    if (cfg_.verify) {
+      cross_check();
+      check_queue_keys();
     }
   }
 
-  /// Regroup the dirty components, then solve each one and commit the
-  /// results. The two phases are explicit: the *compute* phase reads shared
-  /// engine state (transfers, components, the provider) strictly const and
-  /// writes only its own staging slot — under SolveMode::kParallel each
-  /// component is an independent pool task; components are disjoint by
-  /// closure, and providers are const-safe over disjoint subsets (see
-  /// flowsim::RateProvider). The *commit* phase then writes rates back,
-  /// re-keys the finish-time queue and clears dirty flags sequentially, in
-  /// ascending component id, so the engine state after a flush is
-  /// bit-identical to kSerial at any thread count.
+  /// Regroup the dirty components, then solve each one and commit its rates
+  /// in ascending component id.
   void resolve_dirty() {
     rebuild_dirty_components();
-    solve_list_.clear();
+    // A recycled component id can sit in dirty_ twice; the dirty flag makes
+    // the second entry a no-op.
+    std::sort(dirty_.begin(), dirty_.end());
     for (const int c : dirty_) {
       auto& comp = components_[static_cast<size_t>(c)];
       if (!comp.alive || !comp.dirty) continue;
       comp.dirty = false;
       if (comp.members.empty()) continue;
-      // Members in posting (record) order: the restricted problem's flow
-      // ordering then matches refresh_full()'s, keeping the two refresh
-      // modes' arithmetic identical.
+      // Members in posting (record) order: the solve's flow ordering is then
+      // a pure function of the component's content.
       std::sort(comp.members.begin(), comp.members.end(),
                 [&](size_t a, size_t b) {
                   return transfers_[a].record < transfers_[b].record;
                 });
-      solve_list_.push_back(c);
+      rates_.resize(comp.members.size());
+      compute_component_rates(c, rates_);
+      commit_component(c, rates_);
     }
     dirty_.clear();
-    if (solve_list_.empty()) return;
-    std::sort(solve_list_.begin(), solve_list_.end());
-    // Flat staging: one shared rate buffer with per-component offsets, sized
-    // once per flush. Replaces a vector-of-vectors whose inner buffers were
-    // reallocated whenever the component mix shifted.
-    staged_off_.assign(1, 0);
-    for (const int c : solve_list_)
-      staged_off_.push_back(
-          staged_off_.back() +
-          components_[static_cast<size_t>(c)].members.size());
-    if (staged_rates_.size() < staged_off_.back())
-      staged_rates_.resize(staged_off_.back());
-    const auto staged = [&](size_t i) {
-      return std::span<double>(staged_rates_.data() + staged_off_[i],
-                               staged_off_[i + 1] - staged_off_[i]);
-    };
-
-    const bool parallel =
-        cfg_.solve == SolveMode::kParallel && solve_list_.size() > 1;
-    if (parallel) {
-      util::ThreadPool& pool = solve_pool();
-      util::TaskGroup group(pool);
-      // Chunked round-robin: enough tasks to balance uneven component
-      // sizes, few enough to keep per-task overhead negligible.
-      const size_t chunks =
-          std::min(solve_list_.size(),
-                   static_cast<size_t>(pool.num_threads()) * 4);
-      for (size_t chunk = 0; chunk < chunks; ++chunk) {
-        group.run([this, chunk, chunks, &staged] {
-          for (size_t i = chunk; i < solve_list_.size(); i += chunks)
-            compute_component_rates(solve_list_[i], staged(i));
-        });
-      }
-      group.wait();  // rethrows the first provider failure, if any
-    } else {
-      for (size_t i = 0; i < solve_list_.size(); ++i)
-        compute_component_rates(solve_list_[i], staged(i));
-    }
-
-    if (parallel && cfg_.refresh == RefreshMode::kCrossCheck) {
-      // Parallel-solve oracle: every component the pool solved is re-solved
-      // serially on this thread; any bit of divergence fails the replay.
-      for (size_t i = 0; i < solve_list_.size(); ++i) {
-        const std::span<const double> got = staged(i);
-        oracle_rates_.resize(got.size());
-        compute_component_rates(solve_list_[i], oracle_rates_);
-        for (size_t k = 0; k < got.size(); ++k) {
-          BWS_CHECK(got[k] == oracle_rates_[k],
-                    strformat("parallel solve diverged from serial: "
-                              "component %d member %zu rate %.17g vs %.17g "
-                              "at t=%.9g",
-                              solve_list_[i], k, got[k], oracle_rates_[k],
-                              now()));
-        }
-      }
-    }
-
-    for (size_t i = 0; i < solve_list_.size(); ++i)
-      commit_component(solve_list_[i], staged(i));
   }
 
-  /// Compute phase of one component solve: build the induced communication
-  /// graph of the component's members and hand it to the provider's
-  /// component-restricted entry point. Reads shared state strictly const —
-  /// safe to run concurrently with other components' compute phases.
+  /// Solve one component: build the induced communication graph of its
+  /// members and hand it to the provider's full-graph entry point (a
+  /// component is closed under shared endpoints and coupling keys, so
+  /// solving it in isolation is exact).
   ///
   /// With EngineConfig::solve_memo set, the induced subproblem is first
   /// hashed — (salt, then per member: src node, dst node, remaining-bytes
@@ -1003,10 +901,7 @@ class Engine {
       // The induced graph and the provider's solver state are both reused
       // per-thread scratch: the CommGraph keeps its capacity across solves
       // (unlabeled adds — the memo key and the provider ignore labels) and
-      // the arena serves the max-min problem construction. The engine always
-      // hands the provider a whole closed component, so the full-graph entry
-      // point applies; it is bit-identical to the subset overload, which
-      // takes the covers_all shortcut to the very same code.
+      // the arena serves the max-min problem construction.
       graph::CommGraph& sub = scratch.sub;
       sub.clear();
       sub.reserve(static_cast<int>(comp.members.size()));
@@ -1056,8 +951,8 @@ class Engine {
     memo->stage(key, hit);
   }
 
-  /// Commit phase: write one component's staged rates back into its
-  /// transfers and re-key their finish-time queue entries. Sequential only.
+  /// Write one component's solved rates back into its transfers and re-key
+  /// their finish-time queue entries.
   void commit_component(int c, std::span<const double> rates) {
     const auto& comp = components_[static_cast<size_t>(c)];
     for (size_t k = 0; k < comp.members.size(); ++k) {
@@ -1065,22 +960,12 @@ class Engine {
       Transfer& tr = transfers_[comp.members[k]];
       tr.rate = rates[k];
       tr.finish_pred = tr.advance_time + tr.remaining / tr.rate;
-      if (cfg_.queue == QueueMode::kHeap)
-        transfer_q_.update(tr.qh, tr.finish_pred);
+      transfer_q_.update(tr.qh, tr.finish_pred);
     }
   }
 
-  /// The pool parallel flushes run on: the injected one, else a lazily
-  /// created private pool (solve_threads workers).
-  util::ThreadPool& solve_pool() {
-    if (cfg_.solve_pool != nullptr) return *cfg_.solve_pool;
-    if (!owned_pool_)
-      owned_pool_ = std::make_unique<util::ThreadPool>(cfg_.solve_threads);
-    return *owned_pool_;
-  }
-
-  /// Alive transfer slots in posting (record) order — the deterministic
-  /// ordering both refresh modes share.
+  /// Alive transfer slots in posting (record) order (the verify oracle's
+  /// whole-set problem).
   [[nodiscard]] std::vector<size_t> active_slots_by_record() const {
     std::vector<size_t> slots;
     slots.reserve(num_active_);
@@ -1102,43 +987,10 @@ class Engine {
     return active;
   }
 
-  /// Reference behaviour: re-solve the whole active set on every event,
-  /// trusting none of the incremental caching. Each alive component is
-  /// solved as its own restricted problem — the identical arithmetic
-  /// resolve_dirty() runs on a dirty component. Flows in different
-  /// components share no links or coupling keys, so the partition cannot
-  /// change the solution; and byte counts advance exactly where the
-  /// incremental path advances them (rebuild_dirty_components, i.e. only
-  /// when a component dissolves) so the drain integration steps at the
-  /// same instants. Together that makes kFull bit-identical to
-  /// kIncremental (the contract tests/sim/test_engine_churn.cpp asserts)
-  /// instead of merely 1e-9-close. cross_check() keeps the single
-  /// whole-set solve, so the 1e-9 oracle still compares genuinely
-  /// different arithmetic.
-  void refresh_full() {
-    rebuild_dirty_components();
-    for (const int c : dirty_) {
-      auto& comp = components_[static_cast<size_t>(c)];
-      if (comp.alive) comp.dirty = false;
-    }
-    dirty_.clear();
-    if (num_active_ == 0) return;
-    std::vector<double>& rates = oracle_rates_;  // reused serial scratch
-    for (size_t c = 0; c < components_.size(); ++c) {
-      auto& comp = components_[c];
-      if (!comp.alive || comp.members.empty()) continue;
-      std::sort(comp.members.begin(), comp.members.end(),
-                [&](size_t a, size_t b) {
-                  return transfers_[a].record < transfers_[b].record;
-                });
-      rates.resize(comp.members.size());
-      compute_component_rates(static_cast<int>(c), rates);
-      commit_component(static_cast<int>(c), rates);
-    }
-  }
-
-  /// kCrossCheck: after the incremental refresh, re-solve the full set and
-  /// fail loudly if any cached component rate drifts beyond 1e-9 relative.
+  /// Verify oracle: after the incremental refresh, re-solve the whole active
+  /// set as one unrestricted problem — genuinely different arithmetic from
+  /// the per-component solves — and fail loudly if any cached component rate
+  /// drifts beyond 1e-9 relative.
   void cross_check() const {
     if (num_active_ == 0) return;
     const auto slots = active_slots_by_record();
@@ -1155,11 +1007,10 @@ class Engine {
     }
   }
 
-  /// kCrossCheck under kHeap: every alive transfer's queue key must equal
-  /// its cached finish prediction — a commit that re-keyed the wrong entry
-  /// (or forgot one) surfaces here instead of as a silent mis-ordering.
+  /// Verify oracle: every alive transfer's queue key must equal its cached
+  /// finish prediction — a commit that re-keyed the wrong entry (or forgot
+  /// one) surfaces here instead of as a silent mis-ordering.
   void check_queue_keys() const {
-    if (cfg_.queue != QueueMode::kHeap) return;
     for (const auto& tr : transfers_) {
       if (!tr.alive) continue;
       BWS_CHECK(transfer_q_.time_of(tr.qh) == tr.finish_pred,
@@ -1189,8 +1040,8 @@ class Engine {
     return std::max(best, now());
   }
 
-  /// Legacy selection: linear argmin over every transfer slot. Drives
-  /// QueueMode::kScan and the kCrossCheck order assertion under kHeap.
+  /// Verify oracle: the completing transfer by linear argmin over every
+  /// slot, with the finish-time queue's (finish_pred, record) order.
   [[nodiscard]] size_t scan_next_transfer() const {
     size_t done = transfers_.size();
     for (size_t s = 0; s < transfers_.size(); ++s) {
@@ -1208,24 +1059,18 @@ class Engine {
 
   void complete_one_transfer() {
     // Finish the transfer with the earliest predicted completion; ties go to
-    // the one posted first (lowest record — the tie key the finish-time heap
-    // shares with the legacy scan, so both select identically). Only its own
-    // component needs its bytes advanced.
-    size_t done;
-    if (cfg_.queue == QueueMode::kHeap) {
-      BWS_ASSERT(!transfer_q_.empty(), "no transfer completed");
-      done = transfer_q_.top();
-      if (cfg_.refresh == RefreshMode::kCrossCheck) {
-        const size_t scan = scan_next_transfer();
-        BWS_CHECK(scan == done,
-                  strformat("event queue diverged from scan on the completing "
-                            "transfer: heap slot %zu (record %zu) vs scan "
-                            "slot %zu (record %zu) at t=%.9g",
-                            done, transfers_[done].record, scan,
-                            transfers_[scan].record, now()));
-      }
-    } else {
-      done = scan_next_transfer();
+    // the one posted first (lowest record). Only its own component needs its
+    // bytes advanced.
+    BWS_ASSERT(!transfer_q_.empty(), "no transfer completed");
+    const size_t done = transfer_q_.top();
+    if (cfg_.verify) {
+      const size_t scan = scan_next_transfer();
+      BWS_CHECK(scan == done,
+                strformat("event queue diverged from scan on the completing "
+                          "transfer: heap slot %zu (record %zu) vs scan "
+                          "slot %zu (record %zu) at t=%.9g",
+                          done, transfers_[done].record, scan,
+                          transfers_[scan].record, now()));
     }
     advance(transfers_[done]);
     BWS_ASSERT(
@@ -1242,11 +1087,9 @@ class Engine {
     const double ref = reference_duration(rec);
     rec.penalty = ref > 0.0 ? (rec.finish - rec.start) / ref : 1.0;
 
-    // A background flow blocks nobody: record it and re-solve the remnant.
-    if (tr.background) {
-      refresh_rates();
-      return;
-    }
+    // A background flow blocks nobody: its remnant component re-solves at
+    // the next flush.
+    if (tr.background) return;
 
     // Unblock the sender (rendezvous) at drain time.
     if (tr.rendezvous) {
@@ -1276,7 +1119,6 @@ class Engine {
       }
     }
 
-    refresh_rates();
     if (state_[static_cast<size_t>(tr.src)] == TaskState::kReady)
       advance_task(tr.src);
     if (state_[static_cast<size_t>(tr.dst)] == TaskState::kReady)
@@ -1302,38 +1144,22 @@ class Engine {
     }
   }
 
-  void wake_computers() {
-    if (cfg_.queue == QueueMode::kHeap) {
-      wake_computers_heap();
-      return;
-    }
-    for (TaskId t = 0; t < trace_.num_tasks(); ++t) {
-      if (state_[static_cast<size_t>(t)] == TaskState::kComputing &&
-          ready_at_[static_cast<size_t>(t)] <= now() + 1e-15) {
-        state_[static_cast<size_t>(t)] = TaskState::kReady;
-        advance_task(t);
-      }
-    }
-  }
-
-  /// Heap-mode replica of the legacy ascending-id wake sweep above. The
-  /// sweep wakes eligible computing tasks in increasing task id, re-checking
+  /// Wake eligible computing tasks in increasing task id, re-checking
   /// eligibility after every wake — a wake can cascade into a barrier
   /// release that advances the clock past more deadlines, or start
   /// zero-length computes. Tasks that become eligible *behind* the sweep
-  /// position are re-queued for the next main-loop turn, exactly like the
-  /// scan (which never revisits lower indices mid-sweep).
-  void wake_computers_heap() {
-    // `eligible_` is a reused vector kept sorted by task id — it replaces a
-    // std::set that node-allocated on every insert. Task ids are unique here
-    // (one compute_q_ entry per computing task), so id order is total and
-    // the in-place std::sort after each drain reproduces the set's iteration
-    // order exactly; insert/erase churn is a memmove, never an allocation.
+  /// position wait for the next main-loop turn: the sweep replicates one
+  /// ascending-id pass over every task, which never revisits lower ids.
+  void wake_computers() {
+    // `eligible_` is reused scratch kept sorted by task id. Woken entries
+    // are marked done rather than erased (an erase is a memmove, which made
+    // a sweep over N same-time wake-ups quadratic); they all sit at or below
+    // `last`, where upper_bound never looks, so they never wake twice.
     const auto drain = [&] {
       bool grew = false;
       while (!compute_q_.empty() &&
              compute_q_.top_time() <= now() + 1e-15) {
-        eligible_.push_back({compute_q_.top(), compute_q_.top_time()});
+        eligible_.push_back({compute_q_.top_time(), compute_q_.top(), false});
         compute_q_.pop();
         grew = true;
       }
@@ -1344,24 +1170,39 @@ class Engine {
     eligible_.clear();
     drain();
     TaskId last = -1;
-    while (!eligible_.empty()) {
+    for (;;) {
       const auto it = std::upper_bound(
           eligible_.begin(), eligible_.end(), last,
           [](TaskId id, const Wake& e) { return id < e.task; });
+      const TaskId t = it == eligible_.end() ? trace_.num_tasks() : it->task;
+      if (cfg_.verify) check_wake_order(last, t);
       if (it == eligible_.end()) break;
-      const TaskId t = it->task;
-      eligible_.erase(it);
+      it->done = true;
       last = t;
       state_[static_cast<size_t>(t)] = TaskState::kReady;
       advance_task(t);
       drain();
     }
-    // Entries behind the sweep position (or beyond a break) are re-queued,
-    // ascending id, for the next main-loop turn — the heap's pop order is
-    // key-determined, so the push order is immaterial.
+    // Entries behind the sweep position are re-queued for the next
+    // main-loop turn — the heap's pop order is key-determined, so the push
+    // order is immaterial.
     for (const auto& e : eligible_)
-      compute_q_.push(e.when, static_cast<uint64_t>(e.task), e.task);
+      if (!e.done)
+        compute_q_.push(e.when, static_cast<uint64_t>(e.task), e.task);
     eligible_.clear();
+  }
+
+  /// Verify oracle for the wake sweep: an ascending-id scan over every task
+  /// would wake nothing strictly between `last` and `next` (the sweep's next
+  /// wake, or the task count when the sweep ends).
+  void check_wake_order(TaskId last, TaskId next) const {
+    for (TaskId u = last + 1; u < next; ++u) {
+      BWS_CHECK(state_[static_cast<size_t>(u)] != TaskState::kComputing ||
+                    ready_at_[static_cast<size_t>(u)] > now() + 1e-15,
+                strformat("wake sweep skipped eligible task %d (woke %d after "
+                          "%d) at t=%.9g",
+                          u, next, last, now()));
+    }
   }
 
   // --- helpers -------------------------------------------------------------
@@ -1428,16 +1269,17 @@ class Engine {
   core::EventQueue<size_t> script_q_;
   std::vector<size_t> aborting_;  // fail_node victim snapshot
 
-  // The event-core indices (QueueMode::kHeap): alive transfers keyed by
-  // predicted finish time (tie: posting record), computing tasks keyed by
-  // wake-up time (tie: task id).
+  // The event-core indices: alive transfers keyed by predicted finish time
+  // (tie: posting record), computing tasks keyed by wake-up time (tie: task
+  // id).
   core::EventQueue<size_t> transfer_q_;
   core::EventQueue<TaskId> compute_q_;
 
-  /// One drained compute_q_ entry awaiting its wake (wake_computers_heap).
+  /// One drained compute_q_ entry awaiting its wake (wake_computers).
   struct Wake {
-    TaskId task;
     double when;
+    TaskId task;
+    bool done;  // woken this sweep
   };
   std::vector<Wake> eligible_;  // wake sweep scratch, sorted by task id
 
@@ -1450,11 +1292,7 @@ class Engine {
   std::vector<int> dirty_;                        // dirty component ids
   std::vector<size_t> loose_;                     // rebuild scratch
   std::vector<int> kept_;                         // rebuild scratch
-  std::vector<int> solve_list_;                   // flush work list
-  std::vector<double> staged_rates_;              // staged rates, flat
-  std::vector<size_t> staged_off_;                // per-component offsets
-  std::vector<double> oracle_rates_;              // serial re-solve scratch
-  std::unique_ptr<util::ThreadPool> owned_pool_;  // lazy kParallel fallback
+  std::vector<double> rates_;                     // flush solve scratch
   // Component ownership as dense arrays: node_owner_ is sized to the cluster
   // up front; key_owner_ grows to the high-water coupling-key id. -1 = free.
   // Entries are erased (reset to -1) exactly once, at dissolve, so plain

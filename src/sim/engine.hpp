@@ -17,26 +17,21 @@
 //     earliest posted pending send (the paper's MPI_ANY_SOURCE method).
 //   * Barriers release when every task has arrived.
 //
-// Rate refresh is incremental and component-scoped by default: when a
-// transfer starts or finishes, only the connected component(s) of the
-// conflict structure it touches are re-solved, and untouched components keep
-// their cached rates with lazily advanced byte counts. Dirty components are
-// not solved mid-event but at the next *flush point* (the top of the event
-// loop, or just before a barrier cost advances the clock) — the clock cannot
-// move in between, so deferral is unobservable, and it batches all the
-// components a same-time event cascade touched into one multi-component
-// solve. That batch is what EngineConfig::solve fans out:
-// SolveMode::kParallel computes each component's rates on a shared
-// util::ThreadPool (components are disjoint by construction, and providers
-// are const-safe over disjoint subsets), then commits them sequentially in
-// component-id order, so completion times are bit-identical to kSerial at
-// any thread count. The event loop itself runs on the shared event-core
-// (core::EventQueue): predicted finish times and compute wake-ups are
-// indexed heap entries, re-keyed in O(log n) when a component re-solve
-// changes a prediction, so finding the next event never scans the active
-// set. See docs/PERFORMANCE.md for the invariants and
-// bench/engine_scaling.cpp for the measured speedups; EngineConfig::refresh,
-// ::queue and ::solve select the strategies.
+// Rate refresh is incremental and component-scoped: when a transfer starts
+// or finishes, only the connected component(s) of the conflict structure it
+// touches are re-solved, and untouched components keep their cached rates
+// with lazily advanced byte counts. Dirty components are not solved
+// mid-event but at the next *flush point* (the top of the event loop, or
+// just before a barrier cost advances the clock) — the clock cannot move in
+// between, so deferral is unobservable, and it batches all the components a
+// same-time event cascade touched into one flush, solved and committed in
+// ascending component id. The event loop itself runs on the shared
+// event-core (core::EventQueue): predicted finish times and compute
+// wake-ups are indexed heap entries, re-keyed in O(log n) when a component
+// re-solve changes a prediction, so finding the next event never scans the
+// active set. See docs/PERFORMANCE.md for the invariants and
+// bench/engine_scaling.cpp for the measurements; EngineConfig::verify arms
+// the oracles that check every one of those shortcuts.
 #pragma once
 
 #include <string>
@@ -48,55 +43,9 @@
 #include "sim/schedule.hpp"
 #include "topo/cluster.hpp"
 
-namespace bwshare::util {
-class ThreadPool;
-}
-
 namespace bwshare::sim {
 
 class SolveMemo;
-
-/// Rate-refresh strategy (docs/PERFORMANCE.md).
-enum class RefreshMode {
-  /// Re-solve every alive component on every event, trusting none of the
-  /// incremental caching (the reference behaviour; O(events x active-set
-  /// solve)). Bit-identical to kIncremental, not merely 1e-9-close
-  /// (docs/PERFORMANCE.md, tests/sim/test_engine_churn.cpp).
-  kFull,
-  /// Re-solve only the dirty conflict components an event touched;
-  /// untouched components keep cached rates and advance bytes lazily.
-  kIncremental,
-  /// Run incrementally, but re-solve the full set after every refresh and
-  /// throw if any cached rate drifts from the full solution by more than
-  /// 1e-9 relative. Under QueueMode::kHeap it additionally re-derives every
-  /// event choice by the legacy linear scan and throws if heap order ever
-  /// diverges from scan order. Equivalence harness for tests and benchmarks.
-  kCrossCheck,
-};
-
-/// How the event loop finds the next completion / wake-up
-/// (docs/PERFORMANCE.md, "The event-core").
-enum class QueueMode {
-  /// Indexed finish-time heap (core::EventQueue): O(log n) per event.
-  kHeap,
-  /// Legacy per-event linear scans over every transfer slot and task (the
-  /// pre-event-core behaviour). Kept for A/B benchmarking — both modes are
-  /// bit-identical, which kCrossCheck asserts at every event.
-  kScan,
-};
-
-/// Where the per-component rate solves of a flush run
-/// (docs/PERFORMANCE.md, "The parallel component solver").
-enum class SolveMode {
-  /// One component after another on the calling thread.
-  kSerial,
-  /// Each component's rates are computed as an independent task on a
-  /// util::ThreadPool (components are disjoint, providers const-safe), then
-  /// committed sequentially in component-id order. Bit-identical to kSerial
-  /// at any thread count — which RefreshMode::kCrossCheck asserts by
-  /// re-solving every component serially after the parallel pass.
-  kParallel,
-};
 
 struct EngineConfig {
   /// Messages at least this long use rendezvous (sender blocks).
@@ -105,21 +54,19 @@ struct EngineConfig {
   double barrier_cost = 0.0;
   /// Abort if simulated time exceeds this (deadlock safety net).
   double max_time = 1e9;
-  /// How rates are refreshed when the active transfer set changes.
-  RefreshMode refresh = RefreshMode::kIncremental;
-  /// How the next event is selected.
-  QueueMode queue = QueueMode::kHeap;
-  /// Where a flush runs its per-component solves.
-  SolveMode solve = SolveMode::kSerial;
-  /// Pool for SolveMode::kParallel (not owned; must outlive the
-  /// simulation). Inject one shared pool per process so concurrent engines
-  /// (e.g. sweep cells) don't oversubscribe the machine. When null and
-  /// solve == kParallel, the engine lazily creates a private pool with
-  /// `solve_threads` workers.
-  util::ThreadPool* solve_pool = nullptr;
-  /// Worker count for the lazily created private pool (0 = hardware).
-  /// Ignored when `solve_pool` is injected.
-  int solve_threads = 0;
+  /// Oracle mode for tests and benchmarks: replay exactly as by default
+  /// (the result is bit-identical) while re-deriving every shortcut the
+  /// engine takes and throwing bwshare::Error on the first divergence:
+  ///   * after every flush, the whole active set is re-solved as one
+  ///     unrestricted problem and every cached component rate must agree
+  ///     to 1e-9 relative;
+  ///   * every finish-time queue key must equal its cached prediction;
+  ///   * the next wake-up, the next completion and the completing transfer
+  ///     are re-derived by linear scans and must match the queues exactly;
+  ///   * the wake sweep must wake tasks in the order an ascending-id scan
+  ///     over every task would.
+  /// Costs O(active set) or more per event.
+  bool verify = false;
   /// Cross-query component-solution memo (sim/solve_memo.hpp; not owned,
   /// must outlive the simulation). When set, every component rate solve
   /// first consults the memo — a hit returns the cached bits, which the
@@ -187,8 +134,8 @@ struct SimResult {
 
 /// Exact equality over everything a replay derives: makespan, the scenario
 /// counters, and every per-comm / per-task field, compared bit for bit
-/// (no epsilon). The predicate behind the engine's mode-equivalence suites
-/// and the serving layer's conformance contract (docs/SERVING.md); the
+/// (no epsilon). The predicate behind the engine's verify-equivalence
+/// suites and the serving layer's conformance contract (docs/SERVING.md); the
 /// gtest twin with per-field diagnostics lives in
 /// tests/common/result_expect.hpp.
 [[nodiscard]] bool bit_identical(const SimResult& a, const SimResult& b);

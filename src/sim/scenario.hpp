@@ -27,8 +27,8 @@
 //     replays and reports per-job interference.
 //
 // Script events are replayed on the engine's core::EventQueue keyed by
-// (time, script order) — identical under every RefreshMode / QueueMode /
-// SolveMode, which tests/sim/test_engine_churn.cpp enforces bit-exactly.
+// (time, script order); tests/sim/test_engine_churn.cpp checks scripted
+// replays against the EngineConfig::verify oracles bit-exactly.
 #pragma once
 
 #include <vector>

@@ -9,8 +9,8 @@
 // purity is what makes cross-query reuse safe by construction: a memo hit
 // returns exactly the bits a fresh solve would have produced, so warm-started
 // replays are bit-identical to cold ones — the cache only ever saves work,
-// never changes an answer. RefreshMode-style paranoia is still available:
-// a SolveMemo built with verify=true re-solves every hit against the provider
+// never changes an answer. Paranoia is still available: a SolveMemo built
+// with verify=true re-solves every hit against the provider
 // and throws on the first diverging bit (the serve suite's oracle mode).
 //
 // Keying: the engine hashes (salt, then per member in record order: src node,
@@ -21,19 +21,20 @@
 // Slot indices, record ids and display labels are deliberately excluded:
 // they vary across replays of equivalent subproblems.
 //
-// Concurrency: one SolveMemo belongs to one replay. Its *frozen* store (the
-// cross-query SolveStore) is read-only for the whole replay; fresh solutions
-// are staged privately and only published by the owner after the replay
-// completes. Lookups and stages are mutex-guarded so SolveMode::kParallel
-// flushes stay race-free. Within a replay two distinct components can share
-// a key (same structure); whichever solves first stages the entry and the
-// other may hit it — either way the bits are identical (purity again), so
-// replay results never depend on thread timing.
+// Concurrency: one SolveMemo belongs to one replay and is driven by that
+// replay's thread alone, so it needs no lock; the owner reads its counters
+// and staged entries only after the replay has joined. Its *frozen* store
+// (the cross-query SolveStore) is read-only for the whole replay and may be
+// shared by concurrent replays; fresh solutions are staged privately and
+// only published by the owner after the replay completes. Within a replay
+// two distinct components can share a key (same structure); the first
+// stages the entry and the second hits it — the bits are identical (purity
+// again).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <vector>
 
 namespace bwshare::sim {
@@ -68,8 +69,8 @@ class SolveMemo {
   /// Returns true on a hit; `from_frozen` reports which tier answered.
   bool lookup(uint64_t key, std::vector<double>& rates, bool& from_frozen);
 
-  /// Record a fresh solution; insert-if-absent (a concurrent duplicate of
-  /// the same key necessarily carries identical bits, see header comment).
+  /// Record a fresh solution; insert-if-absent (a duplicate of the same key
+  /// necessarily carries identical bits, see header comment).
   void stage(uint64_t key, const std::vector<double>& rates);
 
   /// This replay's fresh solutions, ordered by key — the deterministic
@@ -82,17 +83,16 @@ class SolveMemo {
   /// earlier queries" signal. Deterministic for a given frozen store: every
   /// component solve performs exactly one lookup and the solve sequence is
   /// part of the engine's bit-identical contract.
-  [[nodiscard]] size_t frozen_hits() const;
+  [[nodiscard]] size_t frozen_hits() const { return frozen_hits_; }
   /// Hits answered by this replay's own staged entries.
-  [[nodiscard]] size_t staged_hits() const;
-  [[nodiscard]] size_t misses() const;
+  [[nodiscard]] size_t staged_hits() const { return staged_hits_; }
+  [[nodiscard]] size_t misses() const { return misses_; }
 
  private:
   const SolveStore* frozen_;
   const uint64_t salt_;
   const bool verify_;
 
-  mutable std::mutex mu_;
   std::map<uint64_t, std::vector<double>> staged_;
   size_t frozen_hits_ = 0;
   size_t staged_hits_ = 0;

@@ -114,7 +114,7 @@ class Arena {
   std::size_t in_use() const;    // bytes handed out since the last full rewind
 
   // One arena per thread, created on first use. Pool workers each get their
-  // own, so parallel component solves never contend on scratch.
+  // own, so concurrent replays never contend on scratch.
   static Arena& thread_local_instance();
 
  private:

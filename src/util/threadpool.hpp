@@ -1,12 +1,11 @@
-// Fixed-size worker pool for CPU-bound fan-out (the eval::Sweep campaign
-// runner and the engine's parallel component solver). Deliberately minimal:
+// Fixed-size worker pool for CPU-bound fan-out (the eval::Sweep and
+// eval::Campaign runners and serve::QueryService). Deliberately minimal:
 // submit void() jobs, wait until the queue drains — or scope a batch with a
 // TaskGroup and wait for just that batch, which lets several clients share
 // one pool without waiting on each other's work. Determinism is the
 // caller's job — sweep jobs write results into pre-allocated slots keyed by
-// job index, the engine stages per-component rates and commits them
-// sequentially, so output never depends on completion order or thread
-// count.
+// job index and the query service commits its replays in job order, so
+// output never depends on completion order or thread count.
 #pragma once
 
 #include <condition_variable>
@@ -65,7 +64,7 @@ class ThreadPool {
 /// A waitable batch of jobs on a shared ThreadPool. Unlike
 /// ThreadPool::wait_idle — which waits for *every* job in the pool —
 /// TaskGroup::wait blocks only until this group's own tasks finish, so
-/// independent clients (e.g. one engine flush per sweep cell) can share a
+/// independent clients (e.g. concurrent parallel_for batches) can share a
 /// pool without serializing on each other.
 ///
 /// Semantics:

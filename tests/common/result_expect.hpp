@@ -1,7 +1,7 @@
 // Shared bitwise SimResult comparison for every suite that pins the
-// engine's determinism contract: the sim equivalence fuzzes (heap vs scan,
-// parallel vs serial, incremental vs full) and the serving conformance
-// suite (cached/warm/coalesced answers vs fresh replays).
+// engine's determinism contract: the sim verify-oracle fuzzes (verify vs
+// default replays) and the serving conformance suite (cached/warm/coalesced
+// answers vs fresh replays).
 //
 // Two layers on purpose:
 //   * sim::bit_identical (src/sim/engine.hpp) is the product-side one-bool

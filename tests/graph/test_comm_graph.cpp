@@ -135,21 +135,6 @@ TEST(CommGraph, ClearKeepsCapacityAndDropsLabels) {
   EXPECT_EQ(util::alloc_count(), a0);
 }
 
-TEST(CommGraph, InducedSubgraphPreservesLabelsAndGaps) {
-  CommGraph g;
-  g.add("a", 0, 1, 1.0);
-  g.add(1, 2, 2.0);  // unlabelled
-  g.add("c", 2, 3, 3.0);
-  const std::vector<CommId> ids = {2, 1, 0};
-  const CommGraph sub = induced_subgraph(g, ids);
-  ASSERT_EQ(sub.size(), 3);
-  EXPECT_EQ(sub.label(0), "c");
-  EXPECT_EQ(sub.label(1), "");
-  EXPECT_EQ(sub.label(2), "a");
-  EXPECT_EQ(sub.find("a"), std::optional<CommId>(2));
-  EXPECT_DOUBLE_EQ(sub.comm(1).bytes, 2.0);
-}
-
 TEST(CommGraph, DotOutputUsesInternedLabels) {
   CommGraph g;
   g.add("east", 0, 1, 1.0);

@@ -1,8 +1,10 @@
-// Shared fuzz machinery for the engine equivalence suites
-// (test_engine_queue.cpp: heap vs scan; test_engine_parallel.cpp: parallel
-// vs serial solve; test_engine_churn.cpp: dynamic-cluster scenarios). All
-// compare whole replays bit-for-bit, and all want the same churning
-// workload: staggered hotspot fan-ins force mid-flight re-predictions in
+// Shared fuzz machinery for the engine's verify-oracle suites
+// (test_engine_queue.cpp: churning traces; test_engine_incremental.cpp:
+// generator families and random traces; test_engine_churn.cpp:
+// dynamic-cluster scenarios). All replay a workload twice — by default and
+// under EngineConfig::verify, which re-derives every shortcut the engine
+// takes and throws on the first divergence — and compare the two replays
+// bit for bit. The churning workload forces mid-flight re-predictions in
 // both directions (joins shrink rates, completions grow them), mixed with
 // eager and rendezvous sizes, zero-length computes and barriers.
 #pragma once
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/result_expect.hpp"
+#include "flowsim/fluid_network.hpp"
 #include "graph/generator.hpp"
 #include "sim/engine.hpp"
 #include "sim/events.hpp"
@@ -22,6 +25,25 @@
 #include "util/rng.hpp"
 
 namespace bwshare::sim {
+
+/// The engine's oracle contract on one workload: a verify replay must not
+/// throw, and must be bit-identical to the default replay.
+inline void expect_verify_matches_default(const AppTrace& trace,
+                                          const topo::ClusterSpec& cluster,
+                                          const Placement& placement,
+                                          const flowsim::RateProvider& provider,
+                                          const Scenario& scenario = {},
+                                          double barrier_cost = 0.0) {
+  EngineConfig cfg;
+  cfg.barrier_cost = barrier_cost;
+  const SimResult plain =
+      run_simulation(trace, cluster, placement, provider, scenario, cfg);
+  cfg.verify = true;
+  SimResult verified;
+  ASSERT_NO_THROW(verified = run_simulation(trace, cluster, placement,
+                                            provider, scenario, cfg));
+  expect_bit_identical(plain, verified);
+}
 
 /// Staggered trace with heavy prediction churn: rounds of hotspot fan-ins
 /// (everyone funnels into a rotating sink) mixed with random pairs, eager

@@ -2,14 +2,14 @@
 // (docs/PERFORMANCE.md "Memory layout").
 //
 // The engine's warm replay must never call the global allocator: transfer
-// slots, components, match queues, staging buffers and the per-thread solve
-// scratch (graph + util::Arena) are all reused storage. The test measures it
-// the way the bench's alloc_per_event column does — the allocation-count
-// delta between an R-round replay and a 1-round twin of the same schedule,
-// both run after a warm-up replay so thread-local scratch is built. Setup
-// costs (engine state, reserves) are identical for both and cancel; any
-// remaining delta is a per-event allocation on the steady path, and the
-// assertion is exact: zero.
+// slots, components, match queues, the flush's rate buffer and the
+// per-thread solve scratch (graph + util::Arena) are all reused storage.
+// The test measures it the way the bench's alloc_per_event column does —
+// the allocation-count delta between an R-round replay and a 1-round twin
+// of the same schedule, both run after a warm-up replay so thread-local
+// scratch is built. Setup costs (engine state, reserves) are identical for
+// both and cancel; any remaining delta is a per-event allocation on the
+// steady path, and the assertion is exact: zero.
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -50,9 +50,7 @@ AppTrace matching_trace(int nodes, int rounds, uint64_t seed) {
   return trace;
 }
 
-class EngineAllocTest : public ::testing::TestWithParam<QueueMode> {};
-
-TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
+TEST(EngineAlloc, WarmReplayMakesZeroSteadyStateAllocations) {
   constexpr int kNodes = 32;
   constexpr int kRounds = 6;
   const auto cal = topo::gigabit_ethernet_calibration();
@@ -61,9 +59,7 @@ TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
                                         cluster, kNodes);
   const flowsim::FluidRateProvider provider(cal);
   const Scenario scenario;
-  EngineConfig cfg;
-  cfg.refresh = RefreshMode::kIncremental;
-  cfg.queue = GetParam();
+  const EngineConfig cfg;
 
   const auto trace1 = matching_trace(kNodes, 1, /*seed=*/7);
   const auto trace = matching_trace(kNodes, kRounds, /*seed=*/7);
@@ -88,13 +84,6 @@ TEST_P(EngineAllocTest, WarmReplayMakesZeroSteadyStateAllocations) {
       << (many_rounds - one_round) << " times; the steady-state event loop "
       << "must not touch the global allocator";
 }
-
-INSTANTIATE_TEST_SUITE_P(Queues, EngineAllocTest,
-                         ::testing::Values(QueueMode::kHeap, QueueMode::kScan),
-                         [](const auto& info) {
-                           return info.param == QueueMode::kHeap ? "Heap"
-                                                                 : "Scan";
-                         });
 
 }  // namespace
 }  // namespace bwshare::sim

@@ -1,16 +1,13 @@
-// Fault-injection determinism suite for dynamic-cluster scenarios
-// (sim/scenario.hpp): node join/leave/fail churn and background
-// cross-traffic scripted onto a replay. The scenario machinery must not
-// disturb any of the engine's equivalence contracts — under a scripted
-// trace, RefreshMode::kIncremental stays bit-identical to kFull,
-// QueueMode::kScan to kHeap, SolveMode::kParallel to kSerial at 1/2/8
-// workers, and a RefreshMode::kCrossCheck replay (which re-solves every
-// refresh fully and re-derives every event choice by linear scan) finishes
-// without throwing. Fuzzed over the shared churn workload and over every
-// generator family under the fluid, gige-model and myrinet-model
-// providers, plus targeted semantic tests for the fail/leave/join and
-// background-admission rules. Runs under the TSan CI job next to
-// test_engine_parallel.cpp.
+// Fault-injection suite for dynamic-cluster scenarios (sim/scenario.hpp):
+// node join/leave/fail churn and background cross-traffic scripted onto a
+// replay. The scenario machinery must not disturb the engine's oracle
+// contract — under a scripted trace, an EngineConfig::verify replay (which
+// re-solves the whole active set after every flush and re-derives every
+// event choice by linear scan) finishes without throwing and is
+// bit-identical to the default replay. Fuzzed over the shared churn
+// workload and over every generator family under the fluid, gige-model and
+// myrinet-model providers, plus targeted semantic tests for the
+// fail/leave/join and background-admission rules.
 #include <cstdint>
 #include <tuple>
 
@@ -27,74 +24,15 @@
 #include "topo/fattree.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace bwshare::sim {
 namespace {
 
-SimResult run_scenario(const AppTrace& trace, const topo::ClusterSpec& cluster,
-                       const Placement& placement,
-                       const flowsim::RateProvider& provider,
-                       const Scenario& scenario, RefreshMode refresh,
-                       QueueMode queue = QueueMode::kHeap,
-                       SolveMode solve = SolveMode::kSerial,
-                       util::ThreadPool* pool = nullptr,
-                       double barrier_cost = 0.0) {
-  EngineConfig cfg;
-  cfg.refresh = refresh;
-  cfg.queue = queue;
-  cfg.solve = solve;
-  cfg.solve_pool = pool;
-  cfg.barrier_cost = barrier_cost;
-  return run_simulation(trace, cluster, placement, provider, scenario, cfg);
-}
-
-/// The full determinism cross-product under one scripted scenario:
-/// kFull/kHeap/kSerial is the reference; incremental (heap and scan),
-/// parallel pools of 1, 2 and 8, and a kCrossCheck replay per pool size
-/// must all reproduce it bit for bit.
-void check_churn_determinism(const AppTrace& trace,
-                             const topo::ClusterSpec& cluster,
-                             const Placement& placement,
-                             const flowsim::RateProvider& provider,
-                             const Scenario& scenario,
-                             double barrier_cost = 0.0) {
-  const auto full =
-      run_scenario(trace, cluster, placement, provider, scenario,
-                   RefreshMode::kFull, QueueMode::kHeap, SolveMode::kSerial,
-                   nullptr, barrier_cost);
-  const auto incremental =
-      run_scenario(trace, cluster, placement, provider, scenario,
-                   RefreshMode::kIncremental, QueueMode::kHeap,
-                   SolveMode::kSerial, nullptr, barrier_cost);
-  expect_bit_identical(full, incremental);
-  const auto scan =
-      run_scenario(trace, cluster, placement, provider, scenario,
-                   RefreshMode::kIncremental, QueueMode::kScan,
-                   SolveMode::kSerial, nullptr, barrier_cost);
-  expect_bit_identical(full, scan);
-  for (const int threads : {1, 2, 8}) {
-    util::ThreadPool pool(threads);
-    const auto parallel =
-        run_scenario(trace, cluster, placement, provider, scenario,
-                     RefreshMode::kIncremental, QueueMode::kHeap,
-                     SolveMode::kParallel, &pool, barrier_cost);
-    expect_bit_identical(full, parallel);
-    SimResult crosschecked;
-    EXPECT_NO_THROW(
-        crosschecked = run_scenario(trace, cluster, placement, provider,
-                                    scenario, RefreshMode::kCrossCheck,
-                                    QueueMode::kHeap, SolveMode::kParallel,
-                                    &pool, barrier_cost));
-    expect_bit_identical(full, crosschecked);
-  }
-}
-
 // --- scripted scenario fuzz ------------------------------------------------
 
-class ParallelChurnScenarioFuzz : public ::testing::TestWithParam<int> {};
+class ChurnScenarioFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(ParallelChurnScenarioFuzz, AllModesBitIdenticalUnderChurn) {
+TEST_P(ChurnScenarioFuzz, VerifyReplayIsBitIdenticalUnderChurn) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 700001 + 29);
   const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace = churn_trace(static_cast<uint64_t>(GetParam()), tasks);
@@ -111,11 +49,11 @@ TEST_P(ParallelChurnScenarioFuzz, AllModesBitIdenticalUnderChurn) {
   // A positive barrier cost on odd seeds overshoots in-flight predictions,
   // stacking the pre-barrier-cost flush point on top of the script events.
   const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
-  check_churn_determinism(trace, cluster, placement, provider, scenario,
-                          barrier_cost);
+  expect_verify_matches_default(trace, cluster, placement, provider,
+                                scenario, barrier_cost);
 }
 
-TEST_P(ParallelChurnScenarioFuzz, FatTreeCouplingStaysDeterministic) {
+TEST_P(ChurnScenarioFuzz, FatTreeCouplingVerifiesUnderChurn) {
   // Oversubscribed inner links merge endpoint-disjoint transfers — aborts
   // and background injections then dirty a large coupled component plus
   // small independent ones, the worst case for the flush batching.
@@ -136,11 +74,11 @@ TEST_P(ParallelChurnScenarioFuzz, FatTreeCouplingStaysDeterministic) {
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, tasks);
   const auto scenario =
       churn_scenario(static_cast<uint64_t>(GetParam()) + 71, tasks);
-  check_churn_determinism(trace, cluster, placement, provider, scenario);
+  expect_verify_matches_default(trace, cluster, placement, provider,
+                                scenario);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelChurnScenarioFuzz,
-                         ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, ChurnScenarioFuzz, ::testing::Range(0, 6));
 
 // --- generator families x providers under churn ----------------------------
 
@@ -152,15 +90,15 @@ void check_scheme_churn(const graph::CommGraph& scheme,
   const auto cluster =
       topo::ClusterSpec::uniform("churnequiv", scheme.num_nodes(), 1, cal);
   const auto scenario = churn_scenario(seed + 5, scheme.num_nodes());
-  check_churn_determinism(trace, cluster,
-                          identity_placement(scheme.num_nodes()), provider,
-                          scenario);
+  expect_verify_matches_default(trace, cluster,
+                                identity_placement(scheme.num_nodes()),
+                                provider, scenario);
 }
 
-class ParallelChurnGeneratedSchemes
+class ChurnGeneratedSchemes
     : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
 
-TEST_P(ParallelChurnGeneratedSchemes, FluidProviderDeterministicUnderChurn) {
+TEST_P(ChurnGeneratedSchemes, FluidProviderVerifiesUnderChurn) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
   const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
   const auto cal = topo::gigabit_ethernet_calibration();
@@ -168,8 +106,7 @@ TEST_P(ParallelChurnGeneratedSchemes, FluidProviderDeterministicUnderChurn) {
   check_scheme_churn(scheme, provider, cal, std::get<1>(GetParam()));
 }
 
-TEST_P(ParallelChurnGeneratedSchemes,
-       GigeModelProviderDeterministicUnderChurn) {
+TEST_P(ChurnGeneratedSchemes, GigeModelProviderVerifiesUnderChurn) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
   const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
   const auto cal = topo::gigabit_ethernet_calibration();
@@ -177,8 +114,7 @@ TEST_P(ParallelChurnGeneratedSchemes,
   check_scheme_churn(scheme, provider, cal, std::get<1>(GetParam()));
 }
 
-TEST_P(ParallelChurnGeneratedSchemes,
-       MyrinetModelProviderDeterministicUnderChurn) {
+TEST_P(ChurnGeneratedSchemes, MyrinetModelProviderVerifiesUnderChurn) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
   const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
   const auto cal = topo::myrinet2000_calibration();
@@ -187,7 +123,7 @@ TEST_P(ParallelChurnGeneratedSchemes,
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, ParallelChurnGeneratedSchemes,
+    AllFamilies, ChurnGeneratedSchemes,
     ::testing::Combine(::testing::Values("ring:nodes=8",
                                          "hotspot:nodes=9,bytes=2M",
                                          "random:nodes=10,comms=18,spread=1",

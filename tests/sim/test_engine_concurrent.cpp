@@ -1,0 +1,355 @@
+// Concurrent replays: eval::Sweep cells and serve::QueryService queries run
+// many engines at once on a util::ThreadPool, all sharing one const
+// RateProvider, while each worker thread keeps its own solve scratch and
+// arena. Every replay must stay bit-identical to the same replay run alone
+// on the calling thread — no arithmetic may depend on which worker ran it,
+// on what that worker solved before, or on what ran beside it. Exercised
+// over the shared churn fuzz (barrier-heavy batching, positive barrier
+// cost), fat-tree coupling, and every generator family under the fluid,
+// gige-model and myrinet-model providers, on pools of 1, 2 and 8 workers,
+// plus EngineConfig::verify replays (whose whole-set re-solves run through
+// the same per-thread scratch) and per-replay SolveMemos over a shared
+// frozen store. This suite is the TSan CI target for concurrent engines:
+// any data race between replays sharing a provider surfaces here.
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "engine_fuzz_util.hpp"
+#include "flowsim/fluid_network.hpp"
+#include "graph/generator.hpp"
+#include "models/registry.hpp"
+#include "sim/engine.hpp"
+#include "sim/rate_model.hpp"
+#include "sim/schedule.hpp"
+#include "sim/solve_memo.hpp"
+#include "topo/cluster.hpp"
+#include "topo/fattree.hpp"
+#include "util/rng.hpp"
+#include "util/threadpool.hpp"
+
+namespace bwshare::sim {
+namespace {
+
+/// Replays of one workload launched per batch; more than the largest pool
+/// so workers run several replays back to back on warm scratch.
+constexpr int kReplays = 10;
+
+/// `n` replays of one workload fanned out over `pool`, each into its own
+/// slot — the sweep's pattern.
+std::vector<SimResult> replay_concurrently(
+    util::ThreadPool& pool, int n, const AppTrace& trace,
+    const topo::ClusterSpec& cluster, const Placement& placement,
+    const flowsim::RateProvider& provider, const EngineConfig& cfg) {
+  std::vector<SimResult> results(static_cast<size_t>(n));
+  util::parallel_for(pool, n, [&](int i) {
+    results[static_cast<size_t>(i)] =
+        run_simulation(trace, cluster, placement, provider, cfg);
+  });
+  return results;
+}
+
+/// The concurrency contract: a serial replay on this thread, then batches
+/// of concurrent replays sharing `provider` on pools of 1, 2 and 8 workers
+/// — every one bit-identical to the serial replay — then a batch of verify
+/// replays, which must not throw and must match too.
+void check_concurrent_matches_serial(const AppTrace& trace,
+                                     const topo::ClusterSpec& cluster,
+                                     const Placement& placement,
+                                     const flowsim::RateProvider& provider,
+                                     double barrier_cost = 0.0) {
+  EngineConfig cfg;
+  cfg.barrier_cost = barrier_cost;
+  const SimResult serial =
+      run_simulation(trace, cluster, placement, provider, cfg);
+  for (const int threads : {1, 2, 8}) {
+    util::ThreadPool pool(threads);
+    for (const auto& result : replay_concurrently(
+             pool, kReplays, trace, cluster, placement, provider, cfg))
+      expect_bit_identical(serial, result);
+  }
+  cfg.verify = true;
+  util::ThreadPool pool(2);
+  std::vector<SimResult> verified;
+  ASSERT_NO_THROW(verified = replay_concurrently(pool, 4, trace, cluster,
+                                                 placement, provider, cfg));
+  for (const auto& result : verified) expect_bit_identical(serial, result);
+}
+
+// --- staggered churn fuzz --------------------------------------------------
+
+class ConcurrentChurnFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ConcurrentChurnFuzz, ConcurrentReplaysAreBitIdenticalToSerial) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 500009 + 13);
+  const int tasks = 5 + static_cast<int>(rng.below(5));
+  const auto trace = churn_trace(static_cast<uint64_t>(GetParam()), tasks);
+  ASSERT_NO_THROW(trace.validate());
+  // A positive barrier cost on odd seeds overshoots in-flight predictions,
+  // exercising the pre-barrier-cost flush point.
+  const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
+  const auto cluster = topo::ClusterSpec::uniform(
+      "concfuzz", (tasks + 1) / 2, 2, topo::gigabit_ethernet_calibration());
+  const auto placement =
+      make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
+  const flowsim::FluidRateProvider provider(cluster.network());
+  check_concurrent_matches_serial(trace, cluster, placement, provider,
+                                  barrier_cost);
+}
+
+TEST_P(ConcurrentChurnFuzz, ConcurrentReplaysMatchSerialUnderFatTreeCoupling) {
+  // Oversubscribed inner links merge endpoint-disjoint transfers into one
+  // component, so concurrent replays solve one big coupled problem beside
+  // small independent ones through their workers' scratch.
+  const int tasks = 8;
+  const auto trace =
+      churn_trace(static_cast<uint64_t>(GetParam()) + 900, tasks);
+  ASSERT_NO_THROW(trace.validate());
+  const auto cal = topo::gigabit_ethernet_calibration();
+  const auto cluster = topo::ClusterSpec::uniform("conctree", tasks, 1, cal);
+  topo::FatTree::Params params;
+  params.num_hosts = tasks;
+  params.radix = 4;
+  params.host_bandwidth = cal.link_bandwidth;
+  params.uplink_factor = 0.5;
+  params.num_core = 1;
+  const flowsim::FluidRateProvider provider(cal, topo::FatTree(params));
+  const auto placement =
+      make_placement(SchedulingPolicy::kRoundRobinNode, cluster, tasks);
+  check_concurrent_matches_serial(trace, cluster, placement, provider);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConcurrentChurnFuzz, ::testing::Range(0, 8));
+
+// --- generator families x providers ----------------------------------------
+
+void check_scheme_concurrent(const graph::CommGraph& scheme,
+                             const flowsim::RateProvider& provider,
+                             const topo::NetworkCalibration& cal) {
+  const auto trace = trace_from_scheme(scheme);
+  ASSERT_NO_THROW(trace.validate());
+  const auto cluster =
+      topo::ClusterSpec::uniform("concequiv", scheme.num_nodes(), 1, cal);
+  check_concurrent_matches_serial(trace, cluster,
+                                  identity_placement(scheme.num_nodes()),
+                                  provider);
+}
+
+class ConcurrentGeneratedSchemes
+    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+
+TEST_P(ConcurrentGeneratedSchemes, FluidProviderMatchesSerial) {
+  const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
+  const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
+  const auto cal = topo::gigabit_ethernet_calibration();
+  const flowsim::FluidRateProvider provider(cal);
+  check_scheme_concurrent(scheme, provider, cal);
+}
+
+TEST_P(ConcurrentGeneratedSchemes, GigeModelProviderMatchesSerial) {
+  const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
+  const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
+  const auto cal = topo::gigabit_ethernet_calibration();
+  const ModelRateProvider provider(models::make_model("gige"), cal);
+  check_scheme_concurrent(scheme, provider, cal);
+}
+
+TEST_P(ConcurrentGeneratedSchemes, MyrinetModelProviderMatchesSerial) {
+  const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
+  const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
+  const auto cal = topo::myrinet2000_calibration();
+  const ModelRateProvider provider(models::make_model("myrinet"), cal);
+  check_scheme_concurrent(scheme, provider, cal);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFamilies, ConcurrentGeneratedSchemes,
+    ::testing::Combine(::testing::Values("ring:nodes=8",
+                                         "hotspot:nodes=9,bytes=2M",
+                                         "random:nodes=10,comms=18,spread=1",
+                                         "alltoall:nodes=4"),
+                       ::testing::Values(1u, 2u)));
+
+// --- mixed workloads, shared pools, memos ----------------------------------
+
+/// One replayable workload with its own provider.
+struct Workload {
+  AppTrace trace;
+  topo::ClusterSpec cluster;
+  Placement placement;
+  std::unique_ptr<flowsim::RateProvider> provider;
+  SimResult serial;
+};
+
+/// Churn traces of different sizes under the fluid, fat-tree fluid,
+/// gige-model and myrinet-model providers, each with its serial replay.
+std::vector<Workload> mixed_workloads() {
+  std::vector<Workload> out;
+  const auto gige = topo::gigabit_ethernet_calibration();
+  const auto myri = topo::myrinet2000_calibration();
+  for (int k = 0; k < 4; ++k) {
+    const int tasks = 6 + 2 * k;
+    const auto cal = k == 3 ? myri : gige;
+    Workload w{churn_trace(static_cast<uint64_t>(k) + 4242, tasks),
+               topo::ClusterSpec::uniform("concmix", tasks, 1, cal),
+               identity_placement(tasks), nullptr, {}};
+    if (k == 0) {
+      w.provider = std::make_unique<flowsim::FluidRateProvider>(cal);
+    } else if (k == 1) {
+      topo::FatTree::Params params;
+      params.num_hosts = tasks;
+      params.radix = 4;
+      params.host_bandwidth = cal.link_bandwidth;
+      params.uplink_factor = 0.5;
+      params.num_core = 1;
+      w.provider = std::make_unique<flowsim::FluidRateProvider>(
+          cal, topo::FatTree(params));
+    } else {
+      w.provider = std::make_unique<ModelRateProvider>(
+          models::make_model(k == 2 ? "gige" : "myrinet"), cal);
+    }
+    w.serial = run_simulation(w.trace, w.cluster, w.placement, *w.provider);
+    out.push_back(std::move(w));
+  }
+  return out;
+}
+
+TEST(ConcurrentReplays, DistinctWorkloadsShareWorkersWithoutCrosstalk) {
+  // Round-robin over the workloads, so each worker's scratch is reused
+  // across problems of different sizes and provider kinds, with other
+  // workloads solving beside it.
+  const auto workloads = mixed_workloads();
+  const int n = 6 * static_cast<int>(workloads.size());
+  std::vector<SimResult> results(static_cast<size_t>(n));
+  util::ThreadPool pool(3);
+  util::parallel_for(pool, n, [&](int i) {
+    const auto& w = workloads[static_cast<size_t>(i) % workloads.size()];
+    results[static_cast<size_t>(i)] =
+        run_simulation(w.trace, w.cluster, w.placement, *w.provider);
+  });
+  for (int i = 0; i < n; ++i)
+    expect_bit_identical(
+        workloads[static_cast<size_t>(i) % workloads.size()].serial,
+        results[static_cast<size_t>(i)]);
+}
+
+TEST(ConcurrentReplays, ClientsSharingOnePoolGetIdenticalReplays) {
+  // Several client threads fan their batches out on one shared pool at the
+  // same time, as concurrent QueryService clients do; each client waits
+  // only for its own batch and every replay matches its serial twin.
+  const auto workloads = mixed_workloads();
+  constexpr int kPerClient = 5;
+  util::ThreadPool pool(4);
+  std::vector<std::vector<SimResult>> per_client(workloads.size());
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < workloads.size(); ++c) {
+    clients.emplace_back([&, c] {
+      const auto& w = workloads[c];
+      per_client[c] = replay_concurrently(pool, kPerClient, w.trace,
+                                          w.cluster, w.placement,
+                                          *w.provider, EngineConfig{});
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (size_t c = 0; c < workloads.size(); ++c) {
+    ASSERT_EQ(per_client[c].size(), static_cast<size_t>(kPerClient));
+    for (const auto& result : per_client[c])
+      expect_bit_identical(workloads[c].serial, result);
+  }
+}
+
+/// Read-only frozen store built from one memo's staged solutions.
+class MapStore : public SolveStore {
+ public:
+  explicit MapStore(std::map<uint64_t, std::vector<double>> entries)
+      : entries_(std::move(entries)) {}
+  bool lookup(uint64_t key, std::vector<double>& rates) const override {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return false;
+    rates = it->second;
+    return true;
+  }
+
+ private:
+  std::map<uint64_t, std::vector<double>> entries_;
+};
+
+/// Concurrent replays of `w`, each driving its own SolveMemo over `frozen`;
+/// the memos are read only after the batch joins.
+std::vector<std::unique_ptr<SolveMemo>> memo_replays(
+    util::ThreadPool& pool, const Workload& w, const SolveStore* frozen,
+    std::vector<SimResult>& results) {
+  std::vector<std::unique_ptr<SolveMemo>> memos;
+  for (int i = 0; i < kReplays; ++i)
+    memos.push_back(std::make_unique<SolveMemo>(frozen));
+  results.assign(static_cast<size_t>(kReplays), SimResult{});
+  util::parallel_for(pool, kReplays, [&](int i) {
+    EngineConfig cfg;
+    cfg.solve_memo = memos[static_cast<size_t>(i)].get();
+    results[static_cast<size_t>(i)] =
+        run_simulation(w.trace, w.cluster, w.placement, *w.provider, cfg);
+  });
+  return memos;
+}
+
+TEST(ConcurrentReplays, PrivateMemosRecordIdenticallyUnderConcurrency) {
+  // A memo belongs to one replay thread; concurrent replays, each with its
+  // own memo, must replay bit-identically to a memo-less run and record
+  // the same solve sequence: equal counters and equal staged solutions.
+  const auto workloads = mixed_workloads();
+  util::ThreadPool pool(4);
+  for (const auto& w : workloads) {
+    std::vector<SimResult> results;
+    const auto memos = memo_replays(pool, w, nullptr, results);
+    for (const auto& result : results) expect_bit_identical(w.serial, result);
+    const SolveMemo& first = *memos.front();
+    EXPECT_GT(first.misses(), 0u);
+    EXPECT_EQ(first.frozen_hits(), 0u);
+    for (const auto& memo : memos) {
+      EXPECT_EQ(memo->misses(), first.misses());
+      EXPECT_EQ(memo->staged_hits(), first.staged_hits());
+      EXPECT_EQ(memo->frozen_hits(), 0u);
+      EXPECT_EQ(memo->staged(), first.staged());
+    }
+  }
+}
+
+TEST(ConcurrentReplays, SharedFrozenStoreWarmStartsConcurrentReplays) {
+  // One replay's staged solutions, frozen into a read-only store shared by
+  // every concurrent replay: each replay answers every component solve
+  // from the store (no misses, nothing staged) and still matches the
+  // memo-less replay bit for bit.
+  const auto workloads = mixed_workloads();
+  util::ThreadPool pool(4);
+  for (const auto& w : workloads) {
+    SolveMemo recorder;
+    EngineConfig cfg;
+    cfg.solve_memo = &recorder;
+    expect_bit_identical(
+        w.serial,
+        run_simulation(w.trace, w.cluster, w.placement, *w.provider, cfg));
+    const size_t lookups = recorder.misses() + recorder.staged_hits();
+    ASSERT_GT(lookups, 0u);
+    const MapStore frozen(recorder.staged());
+
+    std::vector<SimResult> results;
+    const auto memos = memo_replays(pool, w, &frozen, results);
+    for (const auto& result : results) expect_bit_identical(w.serial, result);
+    for (const auto& memo : memos) {
+      EXPECT_EQ(memo->frozen_hits(), lookups);
+      EXPECT_EQ(memo->misses(), 0u);
+      EXPECT_EQ(memo->staged_hits(), 0u);
+      EXPECT_TRUE(memo->staged().empty());
+    }
+  }
+}
+
+}  // namespace
+}  // namespace bwshare::sim

@@ -1,13 +1,18 @@
-// Equivalence of the incremental component-scoped rate refresh with the
-// full per-event re-solve (sim::RefreshMode, docs/PERFORMANCE.md): identical
-// completion times to 1e-9 relative tolerance on randomized schedules from
-// every graph::generator family, with and without fat-tree inner-link
-// coupling, plus the component-restricted provider entry points themselves.
-#include <cmath>
+// The incremental component-scoped rate refresh under EngineConfig::verify
+// (docs/PERFORMANCE.md): after every flush a verify replay re-solves the
+// whole active set as one unrestricted problem and throws if any cached
+// component rate drifts beyond 1e-9 relative; it must otherwise be
+// bit-identical to the default replay. Fuzzed over randomized schedules
+// from every graph::generator family under the fluid, gige-model and
+// myrinet-model providers, with and without fat-tree inner-link coupling,
+// plus the provider entry points themselves.
+#include <cstdint>
 #include <memory>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "engine_fuzz_util.hpp"
 #include "flowsim/fluid_network.hpp"
 #include "graph/generator.hpp"
 #include "models/registry.hpp"
@@ -15,64 +20,13 @@
 #include "sim/rate_model.hpp"
 #include "sim/schedule.hpp"
 #include "topo/fattree.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace bwshare::sim {
 namespace {
 
-constexpr double kTol = 1e-9;
-
-/// One maximally concurrent phase: every communication of the scheme is
-/// posted non-blocking, then everyone waits.
-AppTrace trace_from_scheme(const graph::CommGraph& scheme) {
-  AppTrace trace(scheme.num_nodes());
-  for (graph::CommId i = 0; i < scheme.size(); ++i) {
-    const auto& c = scheme.comm(i);
-    trace.push(c.dst, Event::irecv(c.src, c.bytes));
-  }
-  for (graph::CommId i = 0; i < scheme.size(); ++i) {
-    const auto& c = scheme.comm(i);
-    trace.push(c.src, Event::isend(c.dst, c.bytes));
-  }
-  for (TaskId t = 0; t < trace.num_tasks(); ++t)
-    trace.push(t, Event::wait_all());
-  return trace;
-}
-
-Placement identity_placement(int n) {
-  std::vector<topo::NodeId> nodes(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) nodes[static_cast<size_t>(i)] = i;
-  return Placement(std::move(nodes));
-}
-
-SimResult run_mode(const AppTrace& trace, const topo::ClusterSpec& cluster,
-                   const Placement& placement,
-                   const flowsim::RateProvider& provider, RefreshMode mode) {
-  EngineConfig cfg;
-  cfg.refresh = mode;
-  return run_simulation(trace, cluster, placement, provider, cfg);
-}
-
-void expect_equivalent(const SimResult& full, const SimResult& inc) {
-  ASSERT_EQ(full.comms.size(), inc.comms.size());
-  const auto rel = [](double a, double b) {
-    const double scale = std::max(std::abs(a), std::abs(b));
-    return scale == 0.0 ? 0.0 : std::abs(a - b) / scale;
-  };
-  EXPECT_LE(rel(full.makespan, inc.makespan), kTol);
-  for (size_t i = 0; i < full.comms.size(); ++i) {
-    EXPECT_LE(rel(full.comms[i].start, inc.comms[i].start), kTol) << i;
-    EXPECT_LE(rel(full.comms[i].finish, inc.comms[i].finish), kTol) << i;
-  }
-  for (size_t t = 0; t < full.tasks.size(); ++t) {
-    EXPECT_NEAR(full.tasks[t].send_blocked_seconds,
-                inc.tasks[t].send_blocked_seconds,
-                kTol * (1.0 + full.tasks[t].send_blocked_seconds))
-        << t;
-  }
-}
-
-/// Full vs incremental vs cross-check on one scheme under one provider.
+/// Default vs verify on one maximally concurrent scheme under one provider.
 void check_scheme(const graph::CommGraph& scheme,
                   const flowsim::RateProvider& provider,
                   const topo::NetworkCalibration& cal) {
@@ -80,22 +34,15 @@ void check_scheme(const graph::CommGraph& scheme,
   ASSERT_NO_THROW(trace.validate());
   const auto cluster =
       topo::ClusterSpec::uniform("equiv", scheme.num_nodes(), 1, cal);
-  const auto placement = identity_placement(scheme.num_nodes());
-  const auto full =
-      run_mode(trace, cluster, placement, provider, RefreshMode::kFull);
-  const auto inc =
-      run_mode(trace, cluster, placement, provider, RefreshMode::kIncremental);
-  expect_equivalent(full, inc);
-  // The cross-check mode re-solves the full problem after every refresh and
-  // throws on any per-event rate divergence beyond 1e-9 relative.
-  EXPECT_NO_THROW(run_mode(trace, cluster, placement, provider,
-                           RefreshMode::kCrossCheck));
+  expect_verify_matches_default(trace, cluster,
+                                identity_placement(scheme.num_nodes()),
+                                provider);
 }
 
 class GeneratedSchemes
     : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
 
-TEST_P(GeneratedSchemes, FluidProviderMatchesFullRefresh) {
+TEST_P(GeneratedSchemes, FluidProviderPassesVerify) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
   const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
   const auto cal = topo::gigabit_ethernet_calibration();
@@ -103,7 +50,7 @@ TEST_P(GeneratedSchemes, FluidProviderMatchesFullRefresh) {
   check_scheme(scheme, provider, cal);
 }
 
-TEST_P(GeneratedSchemes, GigeModelProviderMatchesFullRefresh) {
+TEST_P(GeneratedSchemes, GigeModelProviderPassesVerify) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
   const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
   const auto cal = topo::gigabit_ethernet_calibration();
@@ -111,7 +58,7 @@ TEST_P(GeneratedSchemes, GigeModelProviderMatchesFullRefresh) {
   check_scheme(scheme, provider, cal);
 }
 
-TEST_P(GeneratedSchemes, MyrinetModelProviderMatchesFullRefresh) {
+TEST_P(GeneratedSchemes, MyrinetModelProviderPassesVerify) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
   const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
   const auto cal = topo::myrinet2000_calibration();
@@ -119,10 +66,11 @@ TEST_P(GeneratedSchemes, MyrinetModelProviderMatchesFullRefresh) {
   check_scheme(scheme, provider, cal);
 }
 
-TEST_P(GeneratedSchemes, FatTreeCoupledFluidMatchesFullRefresh) {
+TEST_P(GeneratedSchemes, FatTreeCoupledFluidPassesVerify) {
   // An oversubscribed two-level tree: inner links constrain and *couple*
   // conflict components that share no endpoint. The engine must merge them
-  // via RateProvider::coupling_keys for the restricted solve to stay exact.
+  // via RateProvider::coupling_keys for the per-component solve to stay
+  // exact.
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
   const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
   const auto cal = topo::gigabit_ethernet_calibration();
@@ -149,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
 // the per-node shm engine — a coupling the conflict graph alone misses).
 class StaggeredFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(StaggeredFuzz, BothModesAgreeOnRandomTraces) {
+TEST_P(StaggeredFuzz, VerifyReplayIsBitIdenticalOnRandomTraces) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 7777777 + 5);
   const int tasks = 4 + static_cast<int>(rng.below(5));
   AppTrace trace(tasks);
@@ -182,18 +130,40 @@ TEST_P(StaggeredFuzz, BothModesAgreeOnRandomTraces) {
   const auto placement =
       make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
   const flowsim::FluidRateProvider provider(cluster.network());
-  const auto full =
-      run_mode(trace, cluster, placement, provider, RefreshMode::kFull);
-  const auto inc =
-      run_mode(trace, cluster, placement, provider, RefreshMode::kIncremental);
-  expect_equivalent(full, inc);
-  EXPECT_NO_THROW(run_mode(trace, cluster, placement, provider,
-                           RefreshMode::kCrossCheck));
+  expect_verify_matches_default(trace, cluster, placement, provider);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StaggeredFuzz, ::testing::Range(0, 12));
 
-// --- component-restricted provider entry points ---------------------------
+TEST(VerifyOracle, CatchesAComponentSolveThatDisagreesWithTheWholeSet) {
+  // A provider that breaks component locality: every flow's rate depends on
+  // how many flows the solved graph holds. The engine solves each disjoint
+  // pair alone, so only the verify oracle's whole-set re-solve can notice.
+  class CountingProvider final : public flowsim::RateProvider {
+   public:
+    using flowsim::RateProvider::rates;
+    [[nodiscard]] std::vector<double> rates(
+        const graph::CommGraph& active) const override {
+      return std::vector<double>(static_cast<size_t>(active.size()),
+                                 1e8 / static_cast<double>(active.size()));
+    }
+  };
+  graph::CommGraph scheme;
+  for (int v = 0; v < 8; v += 2) scheme.add(v, v + 1, 4e6);
+  const auto trace = trace_from_scheme(scheme);
+  const auto cal = topo::gigabit_ethernet_calibration();
+  const auto cluster = topo::ClusterSpec::uniform("lying", 8, 1, cal);
+  const auto placement = identity_placement(8);
+  const CountingProvider provider;
+  EngineConfig cfg;
+  EXPECT_NO_THROW(
+      (void)run_simulation(trace, cluster, placement, provider, cfg));
+  cfg.verify = true;
+  EXPECT_THROW((void)run_simulation(trace, cluster, placement, provider, cfg),
+               Error);
+}
+
+// --- provider entry points -------------------------------------------------
 
 TEST(RateProviderSubset, ModelProviderInducedSolveMatchesProjection) {
   // Two disjoint fans: each is endpoint-closed, so the restricted solve
@@ -220,8 +190,8 @@ TEST(RateProviderSubset, ModelProviderInducedSolveMatchesProjection) {
 
 TEST(RateProviderSubset, NonClosedSubsetsAreExpandedToClosure) {
   // A subset that is not endpoint-closed ({a} from the fan {a, b} sharing
-  // source 0) must still yield the full solve's rates: the providers expand
-  // to the coupling closure before solving, never solve `a` in isolation.
+  // source 0) must still yield the full solve's rates, never a solve of `a`
+  // in isolation.
   graph::CommGraph g;
   g.add("a", 0, 1, 4e6);
   g.add("b", 0, 2, 4e6);
@@ -243,8 +213,8 @@ TEST(RateProviderSubset, NonClosedSubsetsAreExpandedToClosure) {
 
 TEST(RateProviderSubset, FluidMergesTopologyCoupledComponents) {
   // Hosts 0->4 and 1->5 share no endpoint but cross the same oversubscribed
-  // edge-to-core uplink: a subset holding only one of them must be merged
-  // with the other before solving, never solved in isolation.
+  // edge-to-core uplink: a subset holding only one of them must still see
+  // the other, never be solved in isolation.
   const auto cal = topo::gigabit_ethernet_calibration();
   topo::FatTree::Params params;
   params.num_hosts = 8;

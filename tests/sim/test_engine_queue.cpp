@@ -1,16 +1,16 @@
-// Heap vs scan next-event selection (sim::QueueMode, the core::EventQueue
-// finish-time index vs the legacy per-event linear scans). The two must be
-// *bit-identical*: the heap keys on exactly the (finish_pred, record) order
-// the scan's argmin uses, and the arithmetic per event is unchanged.
+// The event-core under EngineConfig::verify on churning traces. A verify
+// replay re-derives every event choice (next wake-up, next completion,
+// completing transfer, wake-sweep order) by linear scans over every task and
+// transfer, re-checks every finish-time queue key, and re-solves the whole
+// active set after every flush; it throws on the first divergence and must
+// otherwise be bit-identical to the default replay.
 //
 // The staggered fuzz here deliberately forces mid-flight re-predictions in
 // both directions: hotspot fan-ins make every new transfer shrink its
 // component's rates (finish times grow, increase-key), every completion
 // grows them again (finish times shrink, decrease-key), and a positive
-// barrier cost overshoots predictions so late completions clamp. Under
-// RefreshMode::kCrossCheck the engine additionally re-derives every event
-// choice by the legacy scan and throws the moment heap order diverges from
-// scan order.
+// barrier cost overshoots predictions so late completions clamp. Same-time
+// barrier releases batch many disjoint components into one flush.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -26,61 +26,34 @@
 namespace bwshare::sim {
 namespace {
 
-SimResult run_cfg(const AppTrace& trace, const topo::ClusterSpec& cluster,
-                  const Placement& placement,
-                  const flowsim::RateProvider& provider, RefreshMode refresh,
-                  QueueMode queue, double barrier_cost) {
-  EngineConfig cfg;
-  cfg.refresh = refresh;
-  cfg.queue = queue;
-  cfg.barrier_cost = barrier_cost;
-  return run_simulation(trace, cluster, placement, provider, cfg);
-}
+class VerifyChurnFuzz : public ::testing::TestWithParam<int> {};
 
-class QueueFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(QueueFuzz, HeapIsBitIdenticalToScanOnChurningTraces) {
+TEST_P(VerifyChurnFuzz, VerifyReplayIsBitIdenticalOnChurningTraces) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 333331 + 7);
   const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace = churn_trace(static_cast<uint64_t>(GetParam()), tasks);
   ASSERT_NO_THROW(trace.validate());
   // A positive barrier cost overshoots in-flight predictions, exercising
-  // the clamped late-completion path of the queue.
+  // the clamped late-completion path of the queue and the flush point just
+  // before the cost advances the clock.
   const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
   const auto cluster = topo::ClusterSpec::uniform(
       "queuefuzz", (tasks + 1) / 2, 2, topo::gigabit_ethernet_calibration());
   const auto placement =
       make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
   const flowsim::FluidRateProvider provider(cluster.network());
-
-  const auto heap = run_cfg(trace, cluster, placement, provider,
-                            RefreshMode::kIncremental, QueueMode::kHeap,
-                            barrier_cost);
-  const auto scan = run_cfg(trace, cluster, placement, provider,
-                            RefreshMode::kIncremental, QueueMode::kScan,
-                            barrier_cost);
-  expect_bit_identical(heap, scan);
-
-  // kCrossCheck under the heap asserts heap-order == scan-order at every
-  // event (next wake-up, next completion, completing slot) on top of the
-  // per-event full-solve rate check; under the scan it is the legacy
-  // equivalence harness. Both must hold on the same churning trace.
-  const auto crosscheck_heap =
-      run_cfg(trace, cluster, placement, provider, RefreshMode::kCrossCheck,
-              QueueMode::kHeap, barrier_cost);
-  expect_bit_identical(heap, crosscheck_heap);
-  EXPECT_NO_THROW(run_cfg(trace, cluster, placement, provider,
-                          RefreshMode::kCrossCheck, QueueMode::kScan,
-                          barrier_cost));
+  expect_verify_matches_default(trace, cluster, placement, provider, {},
+                                barrier_cost);
 }
 
-TEST_P(QueueFuzz, HeapMatchesScanUnderFatTreeCoupling) {
+TEST_P(VerifyChurnFuzz, VerifyReplayIsBitIdenticalUnderFatTreeCoupling) {
   // Oversubscribed inner links couple endpoint-disjoint transfers into one
   // component: a single completion then re-predicts many finish times at
-  // once, all of which the heap must re-key before the next pop.
-  Rng rng(static_cast<uint64_t>(GetParam()) * 777001 + 3);
+  // once, all of which the heap must re-key before the next pop, and a
+  // flush mixes one big coupled component with small independent ones.
   const int tasks = 8;
-  const auto trace = churn_trace(static_cast<uint64_t>(GetParam()) + 100, tasks);
+  const auto trace =
+      churn_trace(static_cast<uint64_t>(GetParam()) + 100, tasks);
   ASSERT_NO_THROW(trace.validate());
   const auto cal = topo::gigabit_ethernet_calibration();
   const auto cluster = topo::ClusterSpec::uniform("queuetree", tasks, 1, cal);
@@ -93,29 +66,22 @@ TEST_P(QueueFuzz, HeapMatchesScanUnderFatTreeCoupling) {
   const flowsim::FluidRateProvider provider(cal, topo::FatTree(params));
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, tasks);
-
-  const auto heap = run_cfg(trace, cluster, placement, provider,
-                            RefreshMode::kIncremental, QueueMode::kHeap, 0.0);
-  const auto scan = run_cfg(trace, cluster, placement, provider,
-                            RefreshMode::kIncremental, QueueMode::kScan, 0.0);
-  expect_bit_identical(heap, scan);
-  EXPECT_NO_THROW(run_cfg(trace, cluster, placement, provider,
-                          RefreshMode::kCrossCheck, QueueMode::kHeap, 0.0));
+  expect_verify_matches_default(trace, cluster, placement, provider);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, QueueFuzz, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(Seeds, VerifyChurnFuzz, ::testing::Range(0, 10));
 
-TEST(QueueDeterminism, RepeatedHeapRunsAreIdentical) {
+TEST(ReplayDeterminism, RepeatedRunsAreIdentical) {
   const auto trace = churn_trace(42, 7);
   const auto cluster = topo::ClusterSpec::uniform(
       "queuedet", 4, 2, topo::myrinet2000_calibration());
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, 7);
   const flowsim::FluidRateProvider provider(cluster.network());
-  const auto a = run_cfg(trace, cluster, placement, provider,
-                         RefreshMode::kIncremental, QueueMode::kHeap, 1e-3);
-  const auto b = run_cfg(trace, cluster, placement, provider,
-                         RefreshMode::kIncremental, QueueMode::kHeap, 1e-3);
+  EngineConfig cfg;
+  cfg.barrier_cost = 1e-3;
+  const auto a = run_simulation(trace, cluster, placement, provider, cfg);
+  const auto b = run_simulation(trace, cluster, placement, provider, cfg);
   expect_bit_identical(a, b);
 }
 
