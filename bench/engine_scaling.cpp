@@ -22,10 +22,9 @@
 // allocation counters (util::alloc_count()): alloc_total over the timed
 // replay, and alloc_per_event — the allocation count delta between the
 // R-round replay and a warmed 1-round twin, divided by the completed-comm
-// delta. With the fluid provider the steady-state event loop is
-// allocation-free, so the per-event figure must stay 0 (CI gates it);
-// model providers (gige) go through the allocating rates() fallback and are
-// reported but exempt. Every cell up to --max-verify-nodes also replays the
+// delta. Every provider solves in the arena, so on churn-free rows the
+// steady-state event loop is allocation-free and the per-event figure must
+// stay 0 (CI gates it). Every cell up to --max-verify-nodes also replays the
 // schedule under EngineConfig::verify, whose oracles throw on any
 // divergence, and the bench exits non-zero unless that replay is
 // bit-identical to the timed one.

@@ -49,10 +49,12 @@ class RateProvider {
   /// transient solver state drawn from `scratch` (typically the calling
   /// thread's util::Arena::thread_local_instance()). Bit-identical to
   /// rates(active). The base default forwards to rates(active) and copies —
-  /// correct for any provider, but it allocates; providers on the hot path
-  /// override it (FluidRateProvider builds the max-min problem entirely in
-  /// the arena). The reentrancy contract above applies unchanged: the arena
-  /// is caller-owned per-thread state, not provider state.
+  /// correct for any provider, but it allocates. Both in-tree providers
+  /// override it and make rates() the wrapper: FluidRateProvider builds the
+  /// max-min problem in the arena, sim::ModelRateProvider evaluates its
+  /// model's penalties_into() there. The reentrancy contract above applies
+  /// unchanged: the arena is caller-owned per-thread state, not provider
+  /// state.
   virtual void rates_into(const graph::CommGraph& active, util::Arena& scratch,
                           std::span<double> out) const;
 

@@ -24,8 +24,8 @@ class LinearLogGPModel final : public PenaltyModel {
   explicit LinearLogGPModel(const Params& params) : params_(params) {}
 
   [[nodiscard]] std::string name() const override { return "loggp"; }
-  [[nodiscard]] std::vector<double> penalties(
-      const graph::CommGraph& graph) const override;
+  void penalties_into(const graph::CommGraph& graph, util::Arena& scratch,
+                      std::span<double> out) const override;
   [[nodiscard]] std::vector<double> predict_times(
       const graph::CommGraph& graph,
       const topo::NetworkCalibration& cal) const override;
@@ -41,8 +41,9 @@ class LinearLogGPModel final : public PenaltyModel {
 class KimLeeModel final : public PenaltyModel {
  public:
   [[nodiscard]] std::string name() const override { return "kimlee"; }
-  [[nodiscard]] std::vector<double> penalties(
-      const graph::CommGraph& graph) const override;
+  /// O(k log k): Δo and Δi come from one node table.
+  void penalties_into(const graph::CommGraph& graph, util::Arena& scratch,
+                      std::span<double> out) const override;
 };
 
 }  // namespace bwshare::models

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "graph/conflict.hpp"
+#include "models/node_table.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::models {
@@ -56,12 +57,72 @@ GigabitEthernetModel::Breakdown GigabitEthernetModel::breakdown(
   return b;
 }
 
-std::vector<double> GigabitEthernetModel::penalties(
-    const graph::CommGraph& graph) const {
-  std::vector<double> out(static_cast<size_t>(graph.size()), 1.0);
-  for (graph::CommId i = 0; i < graph.size(); ++i)
-    out[static_cast<size_t>(i)] = breakdown(graph, i).penalty;
-  return out;
+void GigabitEthernetModel::penalties_into(const graph::CommGraph& graph,
+                                          util::Arena& scratch,
+                                          std::span<double> out) const {
+  const size_t k = static_cast<size_t>(graph.size());
+  BWS_CHECK(out.size() == k, "penalties_into output span size mismatch");
+  util::Arena::Frame frame(scratch);
+  const NodeTable t = make_node_table(graph, scratch);
+  const size_t m = t.num_nodes();
+
+  // Definition 1 per node: at a source, the largest in-degree among its
+  // communications' destinations and how many communications reach it
+  // (|Cm_o|); at a destination, the same over its sources' out-degrees.
+  auto max_di = scratch.make_span<int>(m);
+  auto card_cm_o = scratch.make_span<int>(m);
+  auto max_do = scratch.make_span<int>(m);
+  auto card_cm_i = scratch.make_span<int>(m);
+  const auto track = [](int& best, int& count, int value) {
+    if (value > best) {
+      best = value;
+      count = 1;
+    } else if (value == best) {
+      ++count;
+    }
+  };
+  for (size_t i = 0; i < k; ++i) {
+    if (t.src[i] < 0) continue;
+    const auto s = static_cast<size_t>(t.src[i]);
+    const auto d = static_cast<size_t>(t.dst[i]);
+    track(max_di[s], card_cm_o[s], t.in_degree[d]);
+    track(max_do[d], card_cm_i[d], t.out_degree[s]);
+  }
+
+  // breakdown()'s expressions, in its order.
+  const double beta = params_.beta;
+  for (size_t i = 0; i < k; ++i) {
+    if (t.src[i] < 0) {
+      out[i] = 1.0;
+      continue;
+    }
+    const auto s = static_cast<size_t>(t.src[i]);
+    const auto d = static_cast<size_t>(t.dst[i]);
+    const int delta_o = t.out_degree[s];
+    const int delta_i = t.in_degree[d];
+
+    double p_out;
+    if (delta_o <= 1) {
+      p_out = 1.0;
+    } else if (delta_i == max_di[s]) {
+      p_out = delta_o * beta *
+              (1.0 + params_.gamma_o * (delta_o - card_cm_o[s]));
+    } else {
+      p_out = delta_o * beta * (1.0 - params_.gamma_o / card_cm_o[s]);
+    }
+
+    double p_in;
+    if (delta_i <= 1) {
+      p_in = 1.0;
+    } else if (delta_o == max_do[d]) {
+      p_in = delta_i * beta *
+             (1.0 + params_.gamma_i * (delta_i - card_cm_i[d]));
+    } else {
+      p_in = delta_i * beta * (1.0 - params_.gamma_i / card_cm_i[d]);
+    }
+
+    out[i] = std::max(1.0, std::max(p_out, p_in));
+  }
 }
 
 }  // namespace bwshare::models

@@ -12,7 +12,7 @@
 //
 // For a communication i with outgoing degree Δo = Δo(src(i)) and incoming
 // degree Δi = Δi(dst(i)), and strongly-slow sets Cm_o/Cm_i (Definition 1,
-// implemented in graph/conflict.hpp):
+// graph/conflict.hpp):
 //
 //   p_o = 1                                         if Δo = 1
 //       = Δo·β·(1 + γo·(Δo − |Cm_o|))               if i ∈ Cm_o
@@ -36,12 +36,18 @@ class GigabitEthernetModel final : public PenaltyModel {
   explicit GigabitEthernetModel(GigeParams params = {});
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::vector<double> penalties(
-      const graph::CommGraph& graph) const override;
+
+  /// O(k log k): one node table carries Δo, Δi and, per node, the largest
+  /// partner degree and how many communications reach it, which gives
+  /// |Cm_o|, |Cm_i| and membership in O(1) per communication.
+  void penalties_into(const graph::CommGraph& graph, util::Arena& scratch,
+                      std::span<double> out) const override;
 
   [[nodiscard]] const GigeParams& params() const { return params_; }
 
   /// Per-communication breakdown, exposed for tests and the fig-4 bench.
+  /// An independent O(k) evaluation of one communication through
+  /// graph::strongly_slow_sets: the reference penalties() is pinned to.
   struct Breakdown {
     double p_out = 1.0;
     double p_in = 1.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "models/node_table.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::models {
@@ -14,20 +15,26 @@ InfinibandModel::InfinibandModel(InfinibandParams params) : params_(params) {
 
 std::string InfinibandModel::name() const { return "infiniband"; }
 
-std::vector<double> InfinibandModel::penalties(
-    const graph::CommGraph& graph) const {
-  std::vector<double> out(static_cast<size_t>(graph.size()), 1.0);
+void InfinibandModel::penalties_into(const graph::CommGraph& graph,
+                                     util::Arena& scratch,
+                                     std::span<double> out) const {
+  const size_t k = static_cast<size_t>(graph.size());
+  BWS_CHECK(out.size() == k, "penalties_into output span size mismatch");
+  util::Arena::Frame frame(scratch);
+  const NodeTable t = make_node_table(graph, scratch);
   const double beta = params_.beta;
   const double w = params_.rx_weight;
   const double df = params_.duplex_factor;
 
-  for (graph::CommId i = 0; i < graph.size(); ++i) {
-    if (graph.is_intra_node(i)) continue;
-    const auto& c = graph.comm(i);
-    const int out_src = graph.out_degree(c.src);
-    const int in_src = graph.in_degree(c.src);
-    const int in_dst = graph.in_degree(c.dst);
-    const int out_dst = graph.out_degree(c.dst);
+  for (size_t i = 0; i < k; ++i) {
+    out[i] = 1.0;
+    if (t.src[i] < 0) continue;
+    const auto s = static_cast<size_t>(t.src[i]);
+    const auto d = static_cast<size_t>(t.dst[i]);
+    const int out_src = t.out_degree[s];
+    const int in_src = t.in_degree[s];
+    const int in_dst = t.in_degree[d];
+    const int out_dst = t.out_degree[d];
 
     // Source side: pure outgoing conflict shares the TX direction fairly;
     // a duplex conflict shares the weighted host bus.
@@ -47,9 +54,8 @@ std::vector<double> InfinibandModel::penalties(
       p_dst = beta * (w * in_dst + out_dst) / (df * w);
     }
 
-    out[static_cast<size_t>(i)] = std::max(1.0, std::max(p_src, p_dst));
+    out[i] = std::max(1.0, std::max(p_src, p_dst));
   }
-  return out;
 }
 
 }  // namespace bwshare::models

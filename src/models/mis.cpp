@@ -24,150 +24,173 @@ bool AdjacencyMatrix::adjacent(int a, int b) const {
   return adj_[static_cast<size_t>(a)][static_cast<size_t>(b)];
 }
 
+CompatibilityRows CompatibilityRows::make(int n, util::Arena& arena) {
+  BWS_CHECK(n >= 0, "vertex count must be non-negative");
+  const size_t words = (static_cast<size_t>(n) + 63) / 64;
+  return {n, words, arena.make_span<uint64_t>(static_cast<size_t>(n) * words)};
+}
+
+void CompatibilityRows::set_compatible(int a, int b) {
+  BWS_ASSERT(a >= 0 && a < n && b >= 0 && b < n && a != b,
+             "compatible pair out of range");
+  bits[static_cast<size_t>(a) * words + (static_cast<size_t>(b) >> 6)] |=
+      1ULL << (b & 63);
+  bits[static_cast<size_t>(b) * words + (static_cast<size_t>(a) >> 6)] |=
+      1ULL << (a & 63);
+}
+
 namespace {
 
-/// Dynamic bitset over uint64 words, sized for one graph.
-class Bits {
+/// Bron–Kerbosch with pivot on the complement graph. Level d of the
+/// recursion owns three bit rows (P, X and the candidate snapshot) in one
+/// arena block sized for the deepest possible level, so the search itself
+/// never allocates.
+class Enumerator {
  public:
-  explicit Bits(int n) : n_(n), words_((static_cast<size_t>(n) + 63) / 64) {}
+  Enumerator(const CompatibilityRows& cn, size_t max_sets,
+             util::Arena& scratch, MisVisitor& visitor)
+      : cn_(cn),
+        words_(cn.words),
+        max_sets_(max_sets),
+        visitor_(visitor),
+        levels_(scratch.make_span<uint64_t>(
+            3 * words_ * (static_cast<size_t>(cn.n) + 1))),
+        current_(scratch.make_span_uninit<int>(static_cast<size_t>(cn.n))) {}
 
-  void set(int i) { words_[static_cast<size_t>(i) >> 6] |= 1ULL << (i & 63); }
-  void reset(int i) {
-    words_[static_cast<size_t>(i) >> 6] &= ~(1ULL << (i & 63));
+  bool run() {
+    if (cn_.n == 0) {  // the empty graph has one (empty) maximal set
+      visitor_.visit({});
+      return true;
+    }
+    uint64_t* p = level(0, kP);
+    for (int v = 0; v < cn_.n; ++v) p[v >> 6] |= 1ULL << (v & 63);
+    expand(0);
+    return complete_;
   }
-  [[nodiscard]] bool test(int i) const {
-    return (words_[static_cast<size_t>(i) >> 6] >> (i & 63)) & 1ULL;
+
+ private:
+  enum Row : size_t { kP = 0, kX = 1, kCandidates = 2 };
+
+  uint64_t* level(int depth, Row row) {
+    return levels_.data() + (3 * static_cast<size_t>(depth) + row) * words_;
   }
-  [[nodiscard]] bool empty() const {
-    for (uint64_t w : words_)
-      if (w) return false;
+  const uint64_t* compatible(int v) const {
+    return cn_.bits.data() + static_cast<size_t>(v) * words_;
+  }
+  bool empty(const uint64_t* row) const {
+    for (size_t w = 0; w < words_; ++w)
+      if (row[w]) return false;
     return true;
   }
-  [[nodiscard]] int count() const {
-    int total = 0;
-    for (uint64_t w : words_) total += __builtin_popcountll(w);
-    return total;
-  }
-  [[nodiscard]] Bits and_with(const Bits& other) const {
-    Bits out(n_);
-    for (size_t i = 0; i < words_.size(); ++i)
-      out.words_[i] = words_[i] & other.words_[i];
-    return out;
-  }
-  [[nodiscard]] Bits and_not(const Bits& other) const {
-    Bits out(n_);
-    for (size_t i = 0; i < words_.size(); ++i)
-      out.words_[i] = words_[i] & ~other.words_[i];
-    return out;
-  }
-  [[nodiscard]] int first() const {
-    for (size_t w = 0; w < words_.size(); ++w)
-      if (words_[w]) return static_cast<int>(w * 64) + __builtin_ctzll(words_[w]);
-    return -1;
-  }
-  /// Iterate set bits.
   template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t word = words_[w];
+  void for_each(const uint64_t* row, Fn&& fn) const {
+    for (size_t w = 0; w < words_; ++w) {
+      uint64_t word = row[w];
       while (word) {
-        const int bit = __builtin_ctzll(word);
-        fn(static_cast<int>(w * 64) + bit);
+        fn(static_cast<int>(w * 64) + __builtin_ctzll(word));
         word &= word - 1;
       }
     }
   }
 
- private:
-  int n_;
-  std::vector<uint64_t> words_;
-};
-
-/// Bron–Kerbosch with pivot on the complement graph.
-class Enumerator {
- public:
-  Enumerator(const AdjacencyMatrix& graph, size_t max_sets)
-      : n_(graph.size()), max_sets_(max_sets) {
-    // Complement neighbourhoods: cn_[v] = vertices *compatible* with v
-    // (non-adjacent in the conflict graph, excluding v itself).
-    cn_.reserve(static_cast<size_t>(n_));
-    for (int v = 0; v < n_; ++v) {
-      Bits row(n_);
-      for (int w = 0; w < n_; ++w)
-        if (w != v && !graph.adjacent(v, w)) row.set(w);
-      cn_.push_back(row);
-    }
-  }
-
-  MisResult run() {
-    MisResult result;
-    if (n_ == 0) {
-      result.sets.push_back({});  // the empty graph has one (empty) MIS
-      return result;
-    }
-    Bits p(n_);
-    for (int v = 0; v < n_; ++v) p.set(v);
-    Bits x(n_);
-    std::vector<int> current;
-    expand(p, x, current, result);
-    std::sort(result.sets.begin(), result.sets.end());
-    return result;
-  }
-
- private:
-  void expand(Bits p, Bits x, std::vector<int>& current, MisResult& result) {
-    if (!result.complete) return;
-    if (p.empty() && x.empty()) {
-      if (result.sets.size() >= max_sets_) {
-        result.complete = false;
+  void expand(int depth) {
+    uint64_t* const p = level(depth, kP);
+    uint64_t* const x = level(depth, kX);
+    if (empty(p) && empty(x)) {
+      if (found_ >= max_sets_) {
+        complete_ = false;
         return;
       }
-      std::vector<int> set = current;
-      std::sort(set.begin(), set.end());
-      result.sets.push_back(std::move(set));
+      ++found_;
+      visitor_.visit(std::span<const int>(current_.data(),
+                                          static_cast<size_t>(depth)));
       return;
     }
     // Pivot: vertex of P ∪ X with the most compatible vertices inside P.
     int pivot = -1;
     int best = -1;
-    auto consider = [&](int v) {
-      const int gain = p.and_with(cn_[static_cast<size_t>(v)]).count();
+    const auto consider = [&](int v) {
+      const uint64_t* const row = compatible(v);
+      int gain = 0;
+      for (size_t w = 0; w < words_; ++w)
+        gain += __builtin_popcountll(p[w] & row[w]);
       if (gain > best) {
         best = gain;
         pivot = v;
       }
     };
-    p.for_each(consider);
-    x.for_each(consider);
+    for_each(p, consider);
+    for_each(x, consider);
 
-    // Candidates: P minus the pivot's compatible set.
-    Bits candidates = p.and_not(cn_[static_cast<size_t>(pivot)]);
-    std::vector<int> order;
-    candidates.for_each([&](int v) { order.push_back(v); });
+    // Candidates: P minus the pivot's compatible set, snapshotted before
+    // the loop mutates P.
+    uint64_t* const candidates = level(depth, kCandidates);
+    const uint64_t* const pivot_row = compatible(pivot);
+    for (size_t w = 0; w < words_; ++w) candidates[w] = p[w] & ~pivot_row[w];
 
-    for (int v : order) {
-      Bits new_p = p.and_with(cn_[static_cast<size_t>(v)]);
-      Bits new_x = x.and_with(cn_[static_cast<size_t>(v)]);
-      current.push_back(v);
-      expand(new_p, new_x, current, result);
-      current.pop_back();
-      if (!result.complete) return;
-      p.reset(v);
-      x.set(v);
+    for (size_t cw = 0; cw < words_; ++cw) {
+      uint64_t word = candidates[cw];
+      while (word) {
+        const int v = static_cast<int>(cw * 64) + __builtin_ctzll(word);
+        word &= word - 1;
+        const uint64_t* const row = compatible(v);
+        uint64_t* const next_p = level(depth + 1, kP);
+        uint64_t* const next_x = level(depth + 1, kX);
+        for (size_t w = 0; w < words_; ++w) {
+          next_p[w] = p[w] & row[w];
+          next_x[w] = x[w] & row[w];
+        }
+        current_[static_cast<size_t>(depth)] = v;
+        expand(depth + 1);
+        if (!complete_) return;
+        p[v >> 6] &= ~(1ULL << (v & 63));
+        x[v >> 6] |= 1ULL << (v & 63);
+      }
     }
   }
 
-  int n_;
+  const CompatibilityRows& cn_;
+  size_t words_;
   size_t max_sets_;
-  std::vector<Bits> cn_;
+  MisVisitor& visitor_;
+  std::span<uint64_t> levels_;  // (n + 1) levels x {P, X, candidates}
+  std::span<int> current_;      // the set under construction
+  size_t found_ = 0;
+  bool complete_ = true;
 };
 
 }  // namespace
 
+bool for_each_maximal_independent_set(const CompatibilityRows& compatible,
+                                      size_t max_sets, util::Arena& scratch,
+                                      MisVisitor& visitor) {
+  BWS_CHECK(max_sets > 0, "max_sets must be positive");
+  util::Arena::Frame frame(scratch);
+  return Enumerator(compatible, max_sets, scratch, visitor).run();
+}
+
 MisResult enumerate_maximal_independent_sets(const AdjacencyMatrix& graph,
                                              size_t max_sets) {
   BWS_CHECK(max_sets > 0, "max_sets must be positive");
-  return Enumerator(graph, max_sets).run();
+  util::Arena& scratch = util::Arena::thread_local_instance();
+  util::Arena::Frame frame(scratch);
+  auto rows = CompatibilityRows::make(graph.size(), scratch);
+  for (int v = 0; v < graph.size(); ++v)
+    for (int w = v + 1; w < graph.size(); ++w)
+      if (!graph.adjacent(v, w)) rows.set_compatible(v, w);
+
+  struct Collect final : MisVisitor {
+    MisResult result;
+    void visit(std::span<const int> set) override {
+      std::vector<int> sorted(set.begin(), set.end());
+      std::sort(sorted.begin(), sorted.end());
+      result.sets.push_back(std::move(sorted));
+    }
+  } collect;
+  collect.result.complete =
+      for_each_maximal_independent_set(rows, max_sets, scratch, collect);
+  std::sort(collect.result.sets.begin(), collect.result.sets.end());
+  return std::move(collect.result);
 }
 
 std::vector<uint64_t> emission_counts(const MisResult& result,

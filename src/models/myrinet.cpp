@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "models/node_table.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::models {
@@ -145,9 +146,145 @@ MyrinetModel::Analysis MyrinetModel::analyze(const graph::CommGraph& graph,
   return out;
 }
 
-std::vector<double> MyrinetModel::penalties(
-    const graph::CommGraph& graph) const {
-  return analyze(graph).penalty;
+namespace {
+
+int find_root(std::span<int> parent, int i) {
+  while (parent[static_cast<size_t>(i)] != i) {
+    parent[static_cast<size_t>(i)] =
+        parent[static_cast<size_t>(parent[static_cast<size_t>(i)])];
+    i = parent[static_cast<size_t>(i)];
+  }
+  return i;
+}
+
+/// Union `i` into the set of the first communication recorded in `first`.
+void join_first(std::span<int> parent, int& first, int i) {
+  if (first < 0) {
+    first = i;
+    return;
+  }
+  const int a = find_root(parent, first);
+  const int b = find_root(parent, i);
+  if (a != b) parent[static_cast<size_t>(std::max(a, b))] = std::min(a, b);
+}
+
+}  // namespace
+
+void MyrinetModel::penalties_into(const graph::CommGraph& graph,
+                                  util::Arena& scratch,
+                                  std::span<double> out) const {
+  const size_t k = static_cast<size_t>(graph.size());
+  BWS_CHECK(out.size() == k, "penalties_into output span size mismatch");
+  std::fill(out.begin(), out.end(), 1.0);
+  if (k < 2) return;
+  util::Arena::Frame frame(scratch);
+  const auto& comms = graph.comms();
+  const NodeTable t = make_node_table(graph, scratch);
+  const size_t m = t.num_nodes();
+  const bool shared_host = params_.rule == graph::ConflictRule::kSharedHost;
+
+  // Conflict components. Every communication leaving (entering) a node
+  // conflicts with every other one leaving (entering) it, so joining each
+  // to the first one seen there builds the same partition as the dense
+  // conflict graph. Under the shared-host rule any two communications at a
+  // node conflict, so one slot per node serves both directions.
+  auto parent = scratch.make_span_uninit<int>(k);
+  for (size_t i = 0; i < k; ++i) parent[i] = static_cast<int>(i);
+  auto first_from = scratch.make_span_uninit<int>(m);
+  std::fill(first_from.begin(), first_from.end(), -1);
+  auto first_to = first_from;
+  if (!shared_host) {
+    first_to = scratch.make_span_uninit<int>(m);
+    std::fill(first_to.begin(), first_to.end(), -1);
+  }
+  for (size_t i = 0; i < k; ++i) {
+    if (t.src[i] < 0) continue;
+    const int id = static_cast<int>(i);
+    join_first(parent, first_from[static_cast<size_t>(t.src[i])], id);
+    join_first(parent, first_to[static_cast<size_t>(t.dst[i])], id);
+  }
+
+  // Group by root; members are appended in ascending comm id, which is the
+  // local vertex order analyze() enumerates in (so a capped enumeration
+  // stops on the same sets).
+  auto size_of = scratch.make_span<int>(k);
+  for (size_t i = 0; i < k; ++i) {
+    parent[i] = find_root(parent, static_cast<int>(i));
+    ++size_of[static_cast<size_t>(parent[i])];
+  }
+  auto offset = scratch.make_span_uninit<int>(k + 1);
+  offset[0] = 0;
+  for (size_t r = 0; r < k; ++r) offset[r + 1] = offset[r] + size_of[r];
+  auto members = scratch.make_span_uninit<graph::CommId>(k);
+  {
+    auto cursor = scratch.make_span_uninit<int>(k);
+    std::copy(offset.begin(), offset.begin() + static_cast<long>(k),
+              cursor.begin());
+    for (size_t i = 0; i < k; ++i)
+      members[static_cast<size_t>(cursor[static_cast<size_t>(parent[i])]++)] =
+          static_cast<graph::CommId>(i);
+  }
+
+  // Per component: complement rows, then count the state sets and each
+  // member's emission coefficient without storing the sets.
+  struct Count final : MisVisitor {
+    std::span<const graph::CommId> comp;
+    std::span<uint64_t> emission;  // per comm id
+    uint64_t sets = 0;
+    void visit(std::span<const int> set) override {
+      ++sets;
+      for (const int v : set)
+        ++emission[static_cast<size_t>(comp[static_cast<size_t>(v)])];
+    }
+  } count;
+  count.emission = scratch.make_span<uint64_t>(k);
+  auto comp_sets = scratch.make_span<uint64_t>(k);  // per root
+  for (size_t r = 0; r < k; ++r) {
+    if (size_of[r] < 2) continue;  // a singleton's penalty is 1
+    const auto comp = std::span<const graph::CommId>(
+        members.data() + offset[r], static_cast<size_t>(size_of[r]));
+    const int n = static_cast<int>(comp.size());
+    util::Arena::Frame comp_frame(scratch);
+    auto rows = CompatibilityRows::make(n, scratch);
+    for (int a = 0; a < n; ++a) {
+      const auto& ca = comms[static_cast<size_t>(comp[static_cast<size_t>(a)])];
+      for (int b = a + 1; b < n; ++b) {
+        const auto& cb =
+            comms[static_cast<size_t>(comp[static_cast<size_t>(b)])];
+        bool conflict = ca.src == cb.src || ca.dst == cb.dst;
+        if (shared_host)
+          conflict = conflict || ca.src == cb.dst || ca.dst == cb.src;
+        if (!conflict) rows.set_compatible(a, b);
+      }
+    }
+    // A capped enumeration counts the sets it reached, as analyze() does.
+    count.comp = comp;
+    count.sets = 0;
+    for_each_maximal_independent_set(rows, params_.max_state_sets, scratch,
+                                     count);
+    comp_sets[r] = count.sets;
+  }
+
+  // Per-source-node minimum of the emission coefficient (fig 6 "Minimum"
+  // row); a node's outgoing communications all share one component.
+  auto min_emission = scratch.make_span_uninit<uint64_t>(m);
+  std::fill(min_emission.begin(), min_emission.end(),
+            std::numeric_limits<uint64_t>::max());
+  for (size_t i = 0; i < k; ++i) {
+    if (t.src[i] < 0) continue;
+    uint64_t& lo = min_emission[static_cast<size_t>(t.src[i])];
+    lo = std::min(lo, count.emission[i]);
+  }
+
+  // analyze()'s penalty expression: #sets / clamped emission.
+  for (size_t i = 0; i < k; ++i) {
+    const auto r = static_cast<size_t>(parent[i]);
+    if (size_of[r] < 2) continue;
+    const uint64_t lo = min_emission[static_cast<size_t>(t.src[i])];
+    out[i] = lo == 0 ? static_cast<double>(comp_sets[r])
+                     : static_cast<double>(comp_sets[r]) /
+                           static_cast<double>(lo);
+  }
 }
 
 }  // namespace bwshare::models

@@ -21,6 +21,11 @@
 // State-set counts multiply across connected components of the conflict
 // graph, and the penalty ratio only depends on the communication's own
 // component, so enumeration is done per component.
+//
+// penalties_into() finds the components by union-find over shared
+// endpoints and counts each component's sets without storing them;
+// analyze() is the independent reference it is pinned to (dense
+// graph::ConflictGraph, materialized sets, global emission scaling).
 #pragma once
 
 #include <cstdint>
@@ -43,8 +48,13 @@ class MyrinetModel final : public PenaltyModel {
   explicit MyrinetModel(MyrinetParams params = {});
 
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::vector<double> penalties(
-      const graph::CommGraph& graph) const override;
+
+  /// Near-linear outside the enumeration: O(k log k) for the node table
+  /// and union-find over shared endpoints, then per component of s
+  /// communications O(s²) pair checks for the complement rows plus the
+  /// Bron–Kerbosch search. Singleton components cost O(1).
+  void penalties_into(const graph::CommGraph& graph, util::Arena& scratch,
+                      std::span<double> out) const override;
 
   /// Full analysis exposed for tests and the fig-5/6 bench.
   struct Analysis {

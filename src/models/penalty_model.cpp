@@ -1,14 +1,17 @@
 #include "models/penalty_model.hpp"
 
-#include "util/error.hpp"
-
 namespace bwshare::models {
+
+std::vector<double> PenaltyModel::penalties(
+    const graph::CommGraph& graph) const {
+  std::vector<double> out(static_cast<size_t>(graph.size()));
+  penalties_into(graph, util::Arena::thread_local_instance(), out);
+  return out;
+}
 
 std::vector<double> PenaltyModel::predict_times(
     const graph::CommGraph& graph, const topo::NetworkCalibration& cal) const {
   const auto ps = penalties(graph);
-  BWS_ASSERT(ps.size() == static_cast<size_t>(graph.size()),
-             "model returned wrong number of penalties");
   std::vector<double> times(ps.size());
   for (size_t i = 0; i < ps.size(); ++i) {
     const auto& c = graph.comm(static_cast<graph::CommId>(i));

@@ -14,14 +14,20 @@ ModelRateProvider::ModelRateProvider(
 
 std::vector<double> ModelRateProvider::rates(
     const graph::CommGraph& active) const {
-  const auto penalties = model_->penalties(active);
-  std::vector<double> rates(penalties.size(), 0.0);
+  std::vector<double> out(static_cast<size_t>(active.size()));
+  rates_into(active, util::Arena::thread_local_instance(), out);
+  return out;
+}
+
+void ModelRateProvider::rates_into(const graph::CommGraph& active,
+                                   util::Arena& scratch,
+                                   std::span<double> out) const {
+  model_->penalties_into(active, scratch, out);
   for (graph::CommId i = 0; i < active.size(); ++i) {
     const double ref = active.is_intra_node(i) ? cal_.shm_bandwidth
                                                : cal_.reference_bandwidth();
-    rates[static_cast<size_t>(i)] = ref / penalties[static_cast<size_t>(i)];
+    out[static_cast<size_t>(i)] = ref / out[static_cast<size_t>(i)];
   }
-  return rates;
 }
 
 }  // namespace bwshare::sim

@@ -15,9 +15,9 @@ namespace bwshare::sim {
 
 /// Const-safe and reentrant like every RateProvider (see the base class
 /// contract): the penalty model is shared immutable state and all solve
-/// scratch is stack-local. The engine evaluates the model on one
-/// endpoint-closed component at a time, which is exact because every paper
-/// model is local to such a set — penalties depend on node degrees,
+/// scratch lives in the caller's arena. The engine evaluates the model on
+/// one endpoint-closed component at a time, which is exact because every
+/// paper model is local to such a set — penalties depend on node degrees,
 /// strongly-slow sets and conflict-graph components, all fully determined
 /// inside it (see docs/PERFORMANCE.md).
 class ModelRateProvider final : public flowsim::RateProvider {
@@ -25,9 +25,17 @@ class ModelRateProvider final : public flowsim::RateProvider {
   ModelRateProvider(std::shared_ptr<const models::PenaltyModel> model,
                     topo::NetworkCalibration cal);
 
+  /// Wrapper over rates_into() on the calling thread's arena.
   using RateProvider::rates;
   [[nodiscard]] std::vector<double> rates(
       const graph::CommGraph& active) const override;
+
+  /// The model's penalties_into() writes the penalties into `out`, then
+  /// each is replaced in place by reference_bandwidth / penalty (the
+  /// shared-memory bandwidth for intra-node copies). Allocation-free on a
+  /// warmed arena.
+  void rates_into(const graph::CommGraph& active, util::Arena& scratch,
+                  std::span<double> out) const override;
 
   [[nodiscard]] const topo::NetworkCalibration& calibration() const {
     return cal_;
