@@ -8,6 +8,37 @@
 // Rates are the weighted max-min fair allocation: all flows grow their rate
 // proportionally to their weight until a constraint saturates; saturated
 // flows freeze and the rest keep growing.
+//
+// Cost and exactness. Each round of progressive filling needs, per
+// unsaturated resource, the load of its frozen members and the weight of its
+// active ones — twice: once to find the next saturation time t, once to
+// freeze what is tight at t. The solver caches the two sums (and the
+// resource's own saturation time) and recomputes a resource only after one
+// of its members froze, found through a flow -> resource incidence built
+// once per call. It stays bit-identical to rescanning every member twice
+// per round, for three reasons:
+//   - A resource's sums depend only on its members' frozen flags, the rates
+//     of its frozen members and the weights, and a frozen flow's rate never
+//     changes again. So the sums of a resource none of whose members froze
+//     are what a rescan would compute, and a marked resource is recomputed
+//     with the same member-order loop before it is read — never patched
+//     incrementally, which would round differently.
+//   - The unfrozen capped flows and the unsaturated resources are walked as
+//     ascending-index lists compacted in place, so each pass applies the
+//     same expressions to the same items in the same order as a scan of all
+//     flows and all resources.
+//   - Two kinds of resource are never listed, because they cannot change
+//     the result: one without members, and one whose single member is
+//     capped at or below the resource's capacity. While that member is
+//     active the resource's saturation time c / w is no earlier than the
+//     member's cap time cap / w, which the same pass has already folded
+//     into the minimum; and whenever the resource is tight at t, so is the
+//     cap (w t >= c (1 - 1e-12) >= cap (1 - 1e-12)), which freezes the
+//     member first. On a host-bus problem this drops most host links.
+// tests/flowsim/test_fluid.cpp pins the result bit for bit against a
+// full-rescan transcription. A round now costs the live lists plus the
+// members of the resources whose membership changed, instead of every
+// membership twice.
 #pragma once
 
 #include <cstddef>

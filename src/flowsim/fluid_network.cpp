@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 
+#include "graph/endpoint_keys.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::flowsim {
@@ -161,102 +162,74 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
   std::fill(weights.begin(), weights.end(), 1.0);
   auto caps = scratch.make_span_uninit<double>(static_cast<size_t>(n));
   auto intra = scratch.make_span_uninit<char>(static_cast<size_t>(n));
-
-  // Sorted-unique endpoint node table — the arena stand-in for the three
-  // std::map<NodeId, vector<FlowIndex>> incidence maps of build_problem().
-  // Iterating node indices ascending reproduces the maps' ascending-key
-  // order exactly, which pins the resource ordering (and thus bitwise
-  // results) to the vector path.
-  auto node_buf =
-      scratch.make_span_uninit<topo::NodeId>(2 * static_cast<size_t>(n));
-  size_t nn = 0;
+  size_t n_net = 0;
   for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
     intra[static_cast<size_t>(i)] = active.is_intra_node(i) ? 1 : 0;
     if (intra[static_cast<size_t>(i)]) {
       caps[static_cast<size_t>(i)] = cal_.shm_bandwidth;
-      node_buf[nn++] = c.src;
     } else {
       caps[static_cast<size_t>(i)] = link * cal_.single_stream_efficiency;
-      node_buf[nn++] = c.src;
-      node_buf[nn++] = c.dst;
+      ++n_net;
     }
   }
-  std::sort(node_buf.begin(), node_buf.begin() + nn);
-  const size_t m = static_cast<size_t>(
-      std::unique(node_buf.begin(), node_buf.begin() + nn) - node_buf.begin());
-  const auto nodes = node_buf.first(m);
-  const auto node_idx = [&](topo::NodeId v) {
-    return static_cast<size_t>(
-        std::lower_bound(nodes.begin(), nodes.end(), v) - nodes.begin());
-  };
 
-  // Per-node member buckets (counts -> prefix offsets -> fill in comm order,
-  // matching the push_back order of the map-based construction).
-  auto tx_n = scratch.make_span<int>(m);
-  auto rx_n = scratch.make_span<int>(m);
-  auto shm_n = scratch.make_span<int>(m);
-  for (graph::CommId i = 0; i < n; ++i) {
-    const auto& c = active.comm(i);
-    if (intra[static_cast<size_t>(i)]) {
-      ++shm_n[node_idx(c.src)];
-    } else {
-      ++tx_n[node_idx(c.src)];
-      ++rx_n[node_idx(c.dst)];
-    }
-  }
-  auto tx_off = scratch.make_span_uninit<int>(m + 1);
-  auto rx_off = scratch.make_span_uninit<int>(m + 1);
-  auto shm_off = scratch.make_span_uninit<int>(m + 1);
-  tx_off[0] = rx_off[0] = shm_off[0] = 0;
-  for (size_t k = 0; k < m; ++k) {
-    tx_off[k + 1] = tx_off[k] + tx_n[k];
-    rx_off[k + 1] = rx_off[k] + rx_n[k];
-    shm_off[k + 1] = shm_off[k] + shm_n[k];
-  }
-  auto tx_members =
-      scratch.make_span_uninit<FlowIndex>(static_cast<size_t>(tx_off[m]));
-  auto rx_members =
-      scratch.make_span_uninit<FlowIndex>(static_cast<size_t>(rx_off[m]));
+  // Per-node member buckets — the arena stand-in for the three
+  // std::map<NodeId, vector<FlowIndex>> incidence maps of build_problem().
+  // One pass over the sorted endpoint keys numbers the nodes in ascending id
+  // order and fills each node's TX, RX and shm bucket in comm order, which
+  // pins the resource ordering (and thus bitwise results) to build_problem().
+  const auto keys = graph::sorted_endpoint_keys(active, scratch);
+  auto tx_members = scratch.make_span_uninit<FlowIndex>(n_net);
+  auto rx_members = scratch.make_span_uninit<FlowIndex>(n_net);
   auto shm_members =
-      scratch.make_span_uninit<FlowIndex>(static_cast<size_t>(shm_off[m]));
-  {
-    auto tx_cur = scratch.make_span_uninit<int>(m);
-    auto rx_cur = scratch.make_span_uninit<int>(m);
-    auto shm_cur = scratch.make_span_uninit<int>(m);
-    std::copy(tx_off.begin(), tx_off.begin() + static_cast<long>(m),
-              tx_cur.begin());
-    std::copy(rx_off.begin(), rx_off.begin() + static_cast<long>(m),
-              rx_cur.begin());
-    std::copy(shm_off.begin(), shm_off.begin() + static_cast<long>(m),
-              shm_cur.begin());
-    for (graph::CommId i = 0; i < n; ++i) {
-      const auto& c = active.comm(i);
-      if (intra[static_cast<size_t>(i)]) {
-        shm_members[static_cast<size_t>(shm_cur[node_idx(c.src)]++)] = i;
-      } else {
-        tx_members[static_cast<size_t>(tx_cur[node_idx(c.src)]++)] = i;
-        rx_members[static_cast<size_t>(rx_cur[node_idx(c.dst)]++)] = i;
-      }
+      scratch.make_span_uninit<FlowIndex>(static_cast<size_t>(n) - n_net);
+  // Bucket start per node index, plus an end sentinel; a node's bucket is
+  // [off[k], off[k + 1]). Sized for the worst case of one node per key.
+  auto tx_off = scratch.make_span_uninit<int>(keys.size() + 1);
+  auto rx_off = scratch.make_span_uninit<int>(keys.size() + 1);
+  auto shm_off = scratch.make_span_uninit<int>(keys.size() + 1);
+  size_t m = 0;
+  int tx_at = 0;
+  int rx_at = 0;
+  int shm_at = 0;
+  for (size_t p = 0; p < keys.size(); ++p) {
+    if (p == 0 || keys[p].node() != keys[p - 1].node()) {
+      tx_off[m] = tx_at;
+      rx_off[m] = rx_at;
+      shm_off[m] = shm_at;
+      ++m;
     }
+    const FlowIndex f = keys[p].comm();
+    if (keys[p].is_dst())
+      rx_members[static_cast<size_t>(rx_at++)] = f;
+    else if (intra[static_cast<size_t>(f)])
+      shm_members[static_cast<size_t>(shm_at++)] = f;
+    else
+      tx_members[static_cast<size_t>(tx_at++)] = f;
   }
+  tx_off[m] = tx_at;
+  rx_off[m] = rx_at;
+  shm_off[m] = shm_at;
+  const auto tx_n = [&](size_t k) { return tx_off[k + 1] - tx_off[k]; };
+  const auto rx_n = [&](size_t k) { return rx_off[k + 1] - rx_off[k]; };
+  const auto shm_n = [&](size_t k) { return shm_off[k + 1] - shm_off[k]; };
   const auto tx_bucket = [&](size_t k) {
     return std::span<const FlowIndex>(
-        tx_members.data() + tx_off[k], static_cast<size_t>(tx_n[k]));
+        tx_members.data() + tx_off[k], static_cast<size_t>(tx_n(k)));
   };
   const auto rx_bucket = [&](size_t k) {
     return std::span<const FlowIndex>(
-        rx_members.data() + rx_off[k], static_cast<size_t>(rx_n[k]));
+        rx_members.data() + rx_off[k], static_cast<size_t>(rx_n(k)));
   };
 
   // Host duplex saturation (see build_problem for the modelling rationale).
   auto sat = scratch.make_span_uninit<char>(m);
   for (size_t k = 0; k < m; ++k)
-    sat[k] = (tx_n[k] >= 1 && rx_n[k] >= 1 && tx_n[k] + rx_n[k] >= 4) ? 1 : 0;
+    sat[k] = (tx_n(k) >= 1 && rx_n(k) >= 1 && tx_n(k) + rx_n(k) >= 4) ? 1 : 0;
 
   // RX weighting at duplex-saturated hosts.
   for (size_t k = 0; k < m; ++k) {
-    if (!(rx_n[k] > 0 && sat[k])) continue;
+    if (!(rx_n(k) > 0 && sat[k])) continue;
     for (const FlowIndex f : rx_bucket(k))
       weights[static_cast<size_t>(f)] = cal_.rx_bus_weight;
   }
@@ -296,38 +269,38 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
   size_t n_res = n_link_groups;
   size_t dup_total = 0;
   for (size_t k = 0; k < m; ++k) {
-    if (tx_n[k] > 0) ++n_res;
-    if (rx_n[k] > 0) ++n_res;
-    if (tx_n[k] > 0 && sat[k]) {
+    if (tx_n(k) > 0) ++n_res;
+    if (rx_n(k) > 0) ++n_res;
+    if (tx_n(k) > 0 && sat[k]) {
       ++n_res;
-      dup_total += static_cast<size_t>(tx_n[k] + rx_n[k]);
+      dup_total += static_cast<size_t>(tx_n(k) + rx_n(k));
     }
-    if (shm_n[k] > 0) ++n_res;
+    if (shm_n(k) > 0) ++n_res;
   }
   auto resources = scratch.make_span<ResourceView>(n_res);
   auto dup_buf = scratch.make_span_uninit<FlowIndex>(dup_total);
   size_t res_at = 0;
   size_t dup_at = 0;
   for (size_t k = 0; k < m; ++k)
-    if (tx_n[k] > 0) resources[res_at++] = {link, tx_bucket(k)};
+    if (tx_n(k) > 0) resources[res_at++] = {link, tx_bucket(k)};
   for (size_t k = 0; k < m; ++k)
-    if (rx_n[k] > 0) resources[res_at++] = {link, rx_bucket(k)};
+    if (rx_n(k) > 0) resources[res_at++] = {link, rx_bucket(k)};
   for (size_t k = 0; k < m; ++k) {
-    if (!(tx_n[k] > 0 && sat[k])) continue;
+    if (!(tx_n(k) > 0 && sat[k])) continue;
     FlowIndex* const base = dup_buf.data() + dup_at;
     for (const FlowIndex f : tx_bucket(k)) dup_buf[dup_at++] = f;
     for (const FlowIndex f : rx_bucket(k)) dup_buf[dup_at++] = f;
     resources[res_at++] = {
         link * cal_.host_duplex_factor,
         std::span<const FlowIndex>(
-            base, static_cast<size_t>(tx_n[k] + rx_n[k]))};
+            base, static_cast<size_t>(tx_n(k) + rx_n(k)))};
   }
   for (size_t k = 0; k < m; ++k)
-    if (shm_n[k] > 0)
+    if (shm_n(k) > 0)
       resources[res_at++] = {
           cal_.shm_bandwidth,
           std::span<const FlowIndex>(
-              shm_members.data() + shm_off[k], static_cast<size_t>(shm_n[k]))};
+              shm_members.data() + shm_off[k], static_cast<size_t>(shm_n(k)))};
   for (size_t p = 0; p < link_uses.size();) {
     const topo::LinkId l = link_uses[p].link;
     size_t q = p;

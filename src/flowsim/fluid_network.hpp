@@ -89,7 +89,9 @@ class FluidRateProvider final : public RateProvider {
   /// Arena-backed full-graph solve: the incidence buckets, member lists,
   /// weights/caps and the max-min solver's own scratch all live in `scratch`;
   /// after arena warm-up a call makes zero global allocations (rates() is a
-  /// wrapper over this). Resource construction order replicates
+  /// wrapper over this). Hosts are numbered by one sort of packed endpoint
+  /// keys (graph/endpoint_keys.hpp), which also fills each host's member
+  /// lists in comm order. Resource construction order replicates
   /// build_problem() exactly (ascending node id, then ascending inner-link
   /// id), so results are bitwise equal to max_min_rates(build_problem()).
   void rates_into(const graph::CommGraph& active, util::Arena& scratch,

@@ -4,9 +4,10 @@
 // communication's endpoints, and the Myrinet model groups communications by
 // endpoint to find conflict components. CommGraph::out_degree/in_degree are
 // linear scans, so asking them once per communication costs O(k²). This
-// table answers every such lookup in O(1) after one O(k log k) build over
-// the sorted-unique endpoint array (the same technique as
-// FluidRateProvider::rates_into), entirely in caller-provided arena storage.
+// table answers every such lookup in O(1) after one O(k log k) build: a
+// sort of packed endpoint keys and one numbering pass
+// (graph/endpoint_keys.hpp, shared with FluidRateProvider::rates_into),
+// entirely in caller-provided arena storage.
 #pragma once
 
 #include <span>

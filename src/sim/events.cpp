@@ -66,7 +66,12 @@ AppTrace::AppTrace(int num_tasks) {
   programs_.resize(static_cast<size_t>(num_tasks));
 }
 
-void AppTrace::push(TaskId t, Event e) { program(t).push_back(e); }
+void AppTrace::push(TaskId t, Event e) {
+  BWS_CHECK(t >= 0 && t < num_tasks(),
+            strformat("task %d out of range [0,%d)", t, num_tasks()));
+  programs_[static_cast<size_t>(t)].push_back(e);
+  if (e.kind == EventKind::kSend || e.kind == EventKind::kIsend) ++sends_;
+}
 
 void AppTrace::push_barrier_all() {
   for (auto& p : programs_) p.push_back(Event::barrier());
@@ -91,14 +96,6 @@ double AppTrace::total_bytes_sent() const {
 size_t AppTrace::total_events() const {
   size_t total = 0;
   for (const auto& p : programs_) total += p.size();
-  return total;
-}
-
-size_t AppTrace::total_sends() const {
-  size_t total = 0;
-  for (const auto& p : programs_)
-    for (const auto& e : p)
-      if (e.kind == EventKind::kSend || e.kind == EventKind::kIsend) ++total;
   return total;
 }
 

@@ -66,11 +66,6 @@ class AppTrace {
               strformat("task %d out of range [0,%d)", t, num_tasks()));
     return programs_[static_cast<size_t>(t)];
   }
-  [[nodiscard]] TaskProgram& program(TaskId t) {
-    BWS_CHECK(t >= 0 && t < num_tasks(),
-              strformat("task %d out of range [0,%d)", t, num_tasks()));
-    return programs_[static_cast<size_t>(t)];
-  }
 
   /// Append an event to task `t`'s program.
   void push(TaskId t, Event e);
@@ -84,8 +79,9 @@ class AppTrace {
   [[nodiscard]] size_t total_events() const;
 
   /// Number of kSend/kIsend events — the communication-record count a replay
-  /// of this trace produces (the engine pre-sizes its result with it).
-  [[nodiscard]] size_t total_sends() const;
+  /// of this trace produces (the engine pre-sizes its result with it). O(1):
+  /// push() keeps the count, and programs are only reachable read-only.
+  [[nodiscard]] size_t total_sends() const { return sends_; }
 
   /// Sanity-check the trace: every send must have a matching receive
   /// (by task pair and order-insensitive multiset of sizes), barriers must
@@ -94,6 +90,7 @@ class AppTrace {
 
  private:
   std::vector<TaskProgram> programs_;
+  size_t sends_ = 0;
 };
 
 [[nodiscard]] std::string to_string(EventKind kind);

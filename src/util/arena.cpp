@@ -48,8 +48,14 @@ Arena::Marker Arena::mark() const {
   return Marker{active_, chunks_[active_].used};
 }
 
+void Arena::note_high_water() {
+  const std::size_t used_now = in_use();
+  if (used_now > high_water_) high_water_ = used_now;
+}
+
 void Arena::rewind(const Marker& m) {
   BWS_ASSERT(m.chunk <= active_, "arena rewind to a future mark");
+  note_high_water();
   // Chunks after m.chunk stay owned (as spares) but their contents are freed.
   for (std::size_t i = m.chunk + 1; i <= active_; ++i) chunks_[i].used = 0;
   active_ = m.chunk;
@@ -57,6 +63,7 @@ void Arena::rewind(const Marker& m) {
 }
 
 void Arena::reset() {
+  note_high_water();
   std::size_t want = std::max(high_water_, chunks_[0].size);
   if (chunks_.size() == 1 && chunks_[0].size >= want) {
     chunks_[0].used = 0;

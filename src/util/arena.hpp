@@ -52,8 +52,6 @@ class Arena {
           ((base + c.used + align - 1) & ~(align - 1)) - base;
       if (at + bytes <= c.size) {
         c.used = at + bytes;
-        const std::size_t used_now = in_use();
-        if (used_now > high_water_) high_water_ = used_now;
         return c.data.get() + at;
       }
       next_chunk(bytes + align);
@@ -127,6 +125,10 @@ class Arena {
   // Advance to a retained spare that fits `min_bytes`, or grow a new chunk.
   void next_chunk(std::size_t min_bytes);
   void grow(std::size_t min_bytes);
+
+  // Fold the current in_use() into high_water_. Called only where in_use()
+  // can fall (rewind, reset), so the bump path never pays the chunk loop.
+  void note_high_water();
 
   // chunks_[0..active_] are live; chunks past active_ are retained spares
   // (kept so rewind() can cheaply reactivate them).

@@ -47,6 +47,8 @@ TEST(HplTrace, RingCarriesEveryPanelToEveryTask) {
     for (const auto& e : trace.program(t))
       if (e.kind == sim::EventKind::kSend) ++sends;
   EXPECT_EQ(sends, num_panels(params) * (params.tasks - 1));
+  // The engine pre-sizes a replay's records with this running count.
+  EXPECT_EQ(trace.total_sends(), static_cast<size_t>(sends));
 }
 
 TEST(HplTrace, ComputeTimeMatchesFlopModel) {

@@ -61,6 +61,45 @@ TEST(AppTrace, ValidateRejectsUnbalancedBarriers) {
   EXPECT_NO_THROW(trace.validate());
 }
 
+// total_sends() is a running count kept by push(); walk the events to check
+// it against the definition.
+size_t walked_sends(const AppTrace& trace) {
+  size_t sends = 0;
+  for (TaskId t = 0; t < trace.num_tasks(); ++t)
+    for (const auto& e : trace.program(t))
+      if (e.kind == EventKind::kSend || e.kind == EventKind::kIsend) ++sends;
+  return sends;
+}
+
+TEST(AppTrace, TotalSendsCountsBlockingAndNonBlockingSends) {
+  AppTrace trace(3);
+  EXPECT_EQ(trace.total_sends(), 0u);
+  trace.push(0, Event::send(1, 10.0));
+  trace.push(0, Event::isend(2, 10.0));
+  trace.push(1, Event::recv(0, 10.0));
+  trace.push(2, Event::irecv(0, 10.0));
+  trace.push(0, Event::wait_all());
+  trace.push(2, Event::wait_all());
+  trace.push(1, Event::compute(1.0));
+  trace.push_barrier_all();
+  EXPECT_EQ(trace.total_sends(), 2u);
+  EXPECT_EQ(trace.total_sends(), walked_sends(trace));
+  // A rejected push must not count.
+  EXPECT_THROW(trace.push(3, Event::send(0, 1.0)), Error);
+  EXPECT_EQ(trace.total_sends(), 2u);
+}
+
+TEST(AppTrace, TotalSendsOfASchemeTraceIsItsCommCount) {
+  graph::CommGraph scheme;
+  scheme.add(0, 1, 4e6);
+  scheme.add(0, 2, 4e6);
+  scheme.add(2, 1, 1e6);
+  scheme.add(3, 0, 2e6);
+  const AppTrace trace = trace_from_scheme(scheme);
+  EXPECT_EQ(trace.total_sends(), static_cast<size_t>(scheme.size()));
+  EXPECT_EQ(trace.total_sends(), walked_sends(trace));
+}
+
 TEST(AppTrace, PushBarrierAll) {
   AppTrace trace(3);
   trace.push_barrier_all();

@@ -92,6 +92,9 @@ TEST(TraceIo, FileRoundTrip) {
   write_trace_file(original, path);
   const auto parsed = read_trace_file(path);
   EXPECT_EQ(parsed.total_events(), original.total_events());
+  // read_trace builds through AppTrace::push, which keeps the send count.
+  EXPECT_EQ(original.total_sends(), 3u);  // send, send, isend
+  EXPECT_EQ(parsed.total_sends(), original.total_sends());
   std::remove(path.c_str());
   EXPECT_THROW(read_trace_file("/nonexistent/trace.txt"), Error);
 }

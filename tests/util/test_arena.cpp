@@ -118,6 +118,22 @@ TEST(Arena, ResetConsolidationMakesRepeatWorkloadsAllocationFree) {
   EXPECT_EQ(arena.in_use(), 0u);
 }
 
+TEST(Arena, ResetCoversAllocationsThatWereNeverRewound) {
+  // The high-water mark is folded in when in_use() falls, and reset() is one
+  // of those points: a workload that never rewinds must still be covered by
+  // the consolidated chunk.
+  Arena arena(1024);
+  const auto workload = [&arena] {
+    for (int i = 0; i < 16; ++i) (void)arena.make_span<double>(300);
+  };
+  workload();  // grows chunk by chunk; nothing is rewound
+  arena.reset();
+  EXPECT_GE(arena.capacity(), 16 * 300 * sizeof(double));
+  const uint64_t a0 = alloc_count();
+  workload();
+  EXPECT_EQ(alloc_count(), a0);
+}
+
 TEST(Arena, ThreadLocalInstancesAreDistinct) {
   Arena* main_arena = &Arena::thread_local_instance();
   EXPECT_EQ(main_arena, &Arena::thread_local_instance());
