@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/scheme_lexer.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bwshare::graph {
 namespace {
@@ -112,6 +114,33 @@ TEST(SchemeParserErrors, FileErrorsCarryThePath) {
     EXPECT_NE(msg.find(path), std::string::npos) << msg;
     EXPECT_NE(msg.find("unknown statement 'flurb'"), std::string::npos) << msg;
   }
+}
+
+TEST(SchemeParserErrors, LexicalErrorsWinOverEarlierParseErrors) {
+  // The whole source is tokenized before any statement is parsed, so a bad
+  // character anywhere is reported ahead of a grammar error on an earlier
+  // line.
+  expect_parse_error("nodes x\ncomm a 0 -> 1 $\n",
+                     "line 2: unexpected character '$'");
+  expect_parse_error("flurb 3\nscheme \"unterminated\n",
+                     "line 2: unterminated string");
+  expect_parse_error("comm a 0 -> 1\ncomm a 0 -> 2\n@\n",
+                     "line 3: unexpected character '@'");
+}
+
+TEST(SchemeParserErrors, TokenTextAndLinesArePinned) {
+  const auto tokens = tokenize_scheme(
+      "\n\nscheme \"s 1\" # c\r\nsize 4MiB\n\n\ncomm a_1 3 <- 0 size 1.5e+6\n{,}");
+  std::string seen;
+  for (const Token& t : tokens)
+    seen += strformat("%d:%s:%s|", t.line, to_string(t.kind).c_str(),
+                      std::string(t.text).c_str());
+  EXPECT_EQ(seen,
+            "3:identifier:scheme|3:string:s 1|3:newline:\\n|"
+            "4:identifier:size|4:number:4MiB|4:newline:\\n|"
+            "7:identifier:comm|7:identifier:a_1|7:number:3|7:'<-':<-|"
+            "7:number:0|7:identifier:size|7:number:1.5e+6|7:newline:\\n|"
+            "8:'{':{|8:',':,|8:'}':}|8:newline:\\n|8:end of input:|");
 }
 
 }  // namespace
