@@ -50,6 +50,7 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -161,10 +162,8 @@ int main(int argc, char** argv) {
     sizes.push_back(static_cast<int>(parse_size(trim(tok))));
   std::vector<double> churn_rates;
   for (const auto& tok : split(args.get("churn", "0"), ',')) {
-    char* end = nullptr;
-    const std::string text{trim(tok)};
-    const double rate = std::strtod(text.c_str(), &end);
-    BWS_CHECK(end != text.c_str() && *end == '\0' && rate >= 0.0,
+    double rate = 0.0;
+    BWS_CHECK(try_parse_double(trim(tok), rate) && rate >= 0.0,
               "--churn expects comma-separated non-negative rates");
     churn_rates.push_back(rate);
   }

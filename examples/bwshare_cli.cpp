@@ -330,9 +330,8 @@ std::vector<double> split_double_list(const CliArgs& args,
                                       const std::string& fallback) {
   std::vector<double> out;
   for (const auto& item : split_list(args, flag, fallback)) {
-    char* end = nullptr;
-    const double value = std::strtod(item.c_str(), &end);
-    BWS_CHECK(end != item.c_str() && *end == '\0',
+    double value = 0.0;
+    BWS_CHECK(try_parse_double(item, value),
               "--" + flag + " expects comma-separated numbers, got '" + item +
                   "'");
     out.push_back(value);

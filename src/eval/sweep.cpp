@@ -15,6 +15,7 @@
 #include "topo/cluster.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
 #include "util/threadpool.hpp"
@@ -70,11 +71,11 @@ SweepShape parse_sweep_shape(const std::string& text) {
   // Range-checked on the long before the int cast, so 2^32+1 is rejected
   // instead of silently wrapping into a tiny cluster.
   long n = 0;
-  BWS_CHECK(try_parse_long(nodes, n, 1, 1000000) == ParseIntStatus::kOk,
+  BWS_CHECK(try_parse_long(nodes, n, 1, kMaxCount) == ParseIntStatus::kOk,
             "shape '" + text + "': bad node count '" + nodes + "'");
   shape.nodes = static_cast<int>(n);
   long c = 0;
-  BWS_CHECK(try_parse_long(cores, c, 1, 1000000) == ParseIntStatus::kOk,
+  BWS_CHECK(try_parse_long(cores, c, 1, kMaxCount) == ParseIntStatus::kOk,
             "shape '" + text + "': bad core count '" + cores + "'");
   shape.cores = static_cast<int>(c);
   return shape;

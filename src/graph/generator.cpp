@@ -1,11 +1,11 @@
 #include "graph/generator.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -77,7 +77,7 @@ GeneratorSpec parse_generator_spec(std::string_view text) {
       // wrap values like 2^32+2 into the valid range silently.
       const auto parse_int = [&value](const char* what) {
         long v = 0;
-        const auto st = try_parse_long(value, v, -1000000, 1000000);
+        const auto st = try_parse_long(value, v, -kMaxCount, kMaxCount);
         BWS_CHECK(st != ParseIntStatus::kMalformed,
                   strformat("generator: %s expects an integer, got '%s'",
                             what, value.c_str()));
@@ -93,9 +93,13 @@ GeneratorSpec parse_generator_spec(std::string_view text) {
       } else if (key == "bytes") {
         spec.bytes = parse_size(value);
       } else if (key == "spread") {
-        char* end = nullptr;
-        spec.spread = std::strtod(value.c_str(), &end);
-        BWS_CHECK(end && *end == '\0',
+        // An empty value reads as 0 and a NUL byte ends the value: spread
+        // keeps the set of spellings it accepted as a C string
+        // (tests/util/test_number_grammar.cpp).
+        const std::string_view number =
+            std::string_view(value).substr(0, value.find('\0'));
+        spec.spread = 0.0;
+        BWS_CHECK(number.empty() || try_parse_double(number, spec.spread),
                   "generator: spread expects a number, got '" + value + "'");
       } else {
         BWS_THROW("generator: unknown parameter '" + key +

@@ -37,24 +37,15 @@ bool is_number_char(char c) {
 }
 }  // namespace
 
-std::vector<Token> tokenize_scheme(std::string_view src) {
-  std::vector<Token> tokens;
-  int line = 1;
-  size_t i = 0;
-  auto push = [&](TokenKind kind, std::string text) {
-    tokens.push_back(Token{kind, std::move(text), line});
-  };
-  auto push_newline = [&]() {
-    if (!tokens.empty() && tokens.back().kind != TokenKind::kNewline)
-      push(TokenKind::kNewline, "\\n");
-  };
-
+Token SchemeLexer::next() {
+  const std::string_view src = src_;
+  size_t& i = pos_;
   while (i < src.size()) {
     const char c = src[i];
     if (c == '\n') {
-      push_newline();
-      ++line;
+      const int line = line_++;
       ++i;
+      if (last_ != TokenKind::kNewline) return emit(TokenKind::kNewline, "\\n", line);
       continue;
     }
     if (c == ' ' || c == '\t' || c == '\r') {
@@ -65,27 +56,30 @@ std::vector<Token> tokenize_scheme(std::string_view src) {
       while (i < src.size() && src[i] != '\n') ++i;
       continue;
     }
+    const size_t start = i;
     if (c == '-' && i + 1 < src.size() && src[i + 1] == '>') {
-      push(TokenKind::kArrow, "->");
       i += 2;
-      continue;
+      return emit(TokenKind::kArrow, src.substr(start, 2), line_);
     }
     if (c == '<' && i + 1 < src.size() && src[i + 1] == '-') {
-      push(TokenKind::kBackArrow, "<-");
       i += 2;
-      continue;
+      return emit(TokenKind::kBackArrow, src.substr(start, 2), line_);
     }
-    if (c == '{') { push(TokenKind::kLBrace, "{"); ++i; continue; }
-    if (c == '}') { push(TokenKind::kRBrace, "}"); ++i; continue; }
-    if (c == ',') { push(TokenKind::kComma, ","); ++i; continue; }
+    if (c == '{' || c == '}' || c == ',') {
+      ++i;
+      const TokenKind kind = c == '{'   ? TokenKind::kLBrace
+                             : c == '}' ? TokenKind::kRBrace
+                                        : TokenKind::kComma;
+      return emit(kind, src.substr(start, 1), line_);
+    }
     if (c == '"') {
       size_t j = i + 1;
       while (j < src.size() && src[j] != '"' && src[j] != '\n') ++j;
       BWS_CHECK(j < src.size() && src[j] == '"',
-                strformat("line %d: unterminated string", line));
-      push(TokenKind::kString, std::string(src.substr(i + 1, j - i - 1)));
+                strformat("line %d: unterminated string", line_));
       i = j + 1;
-      continue;
+      return emit(TokenKind::kString, src.substr(start + 1, j - start - 1),
+                  line_);
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
       size_t j = i;
@@ -96,21 +90,29 @@ std::vector<Token> tokenize_scheme(std::string_view src) {
           break;
         ++j;
       }
-      push(TokenKind::kNumber, std::string(src.substr(i, j - i)));
       i = j;
-      continue;
+      return emit(TokenKind::kNumber, src.substr(start, j - start), line_);
     }
     if (is_ident_start(c)) {
       size_t j = i;
       while (j < src.size() && is_ident_char(src[j])) ++j;
-      push(TokenKind::kIdent, std::string(src.substr(i, j - i)));
       i = j;
-      continue;
+      return emit(TokenKind::kIdent, src.substr(start, j - start), line_);
     }
-    BWS_THROW(strformat("line %d: unexpected character '%c'", line, c));
+    BWS_THROW(strformat("line %d: unexpected character '%c'", line_, c));
   }
-  push_newline();
-  push(TokenKind::kEnd, "");
+  // The last statement still ends with a newline token.
+  if (last_ != TokenKind::kNewline && last_ != TokenKind::kEnd)
+    return emit(TokenKind::kNewline, "\\n", line_);
+  return emit(TokenKind::kEnd, "", line_);
+}
+
+std::vector<Token> tokenize_scheme(std::string_view source) {
+  SchemeLexer lexer(source);
+  std::vector<Token> tokens;
+  do {
+    tokens.push_back(lexer.next());
+  } while (tokens.back().kind != TokenKind::kEnd);
   return tokens;
 }
 

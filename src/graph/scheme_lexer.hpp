@@ -6,6 +6,7 @@
 // '->', '<-', punctuation, newlines (significant), comments '#...'.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,14 +28,40 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;
+  /// The token's characters, borrowed from the source being lexed (a
+  /// string's content without its quotes), so only valid while that source
+  /// is; "\\n" for a newline and "" for the end of input.
+  std::string_view text;
   int line = 0;
 };
 
 [[nodiscard]] std::string to_string(TokenKind kind);
 
-/// Tokenize a scheme source. Throws bwshare::Error with line info on bad
-/// characters or unterminated strings. Consecutive newlines are collapsed.
+/// Pull lexer over a borrowed scheme source: each next() returns one token,
+/// with consecutive newlines collapsed and leading ones dropped, then a
+/// final newline and kEnd (repeated on every later call). Throws
+/// bwshare::Error with line info on bad characters or unterminated strings.
+class SchemeLexer {
+ public:
+  explicit SchemeLexer(std::string_view source) : src_(source) {}
+
+  [[nodiscard]] Token next();
+
+ private:
+  Token emit(TokenKind kind, std::string_view text, int line) {
+    last_ = kind;
+    return Token{kind, text, line};
+  }
+
+  std::string_view src_;
+  size_t pos_ = 0;
+  int line_ = 1;
+  // As if a newline came first, so leading blank lines yield no token.
+  TokenKind last_ = TokenKind::kNewline;
+};
+
+/// Tokenize a whole scheme source (the tokens view `source`). Throws
+/// bwshare::Error with line info on bad characters or unterminated strings.
 [[nodiscard]] std::vector<Token> tokenize_scheme(std::string_view source);
 
 }  // namespace bwshare::graph

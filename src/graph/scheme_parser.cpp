@@ -1,22 +1,26 @@
 #include "graph/scheme_parser.hpp"
 
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "graph/scheme_lexer.hpp"
 #include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
+#include "util/text_file.hpp"
 #include "util/units.hpp"
 
 namespace bwshare::graph {
 
 namespace {
 
+/// Recursive descent over a pull lexer: tokens are read one at a time and
+/// view the source, so a well-formed scheme allocates only its graph.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view source)
+      : lexer_(source), token_(lexer_.next()) {}
 
   ParsedScheme parse() {
     ParsedScheme out;
@@ -25,7 +29,7 @@ class Parser {
 
     skip_newlines();
     while (!at(TokenKind::kEnd)) {
-      const Token& head = expect(TokenKind::kIdent, "statement keyword");
+      const Token head = expect(TokenKind::kIdent, "statement keyword");
       if (head.text == "scheme") {
         BWS_CHECK(!seen_name, where() + "duplicate 'scheme' directive");
         out.name = expect(TokenKind::kString, "scheme name").text;
@@ -34,12 +38,16 @@ class Parser {
         out.declared_nodes = parse_int("node count");
         BWS_CHECK(out.declared_nodes > 0,
                   where() + "'nodes' must be positive");
+        BWS_CHECK(out.declared_nodes <= kMaxCount,
+                  where() + strformat("node count %d exceeds the limit of %d",
+                                      out.declared_nodes, kMaxCount));
       } else if (head.text == "size") {
         default_size = parse_size_token();
       } else if (head.text == "comm") {
         parse_comm(out, default_size);
       } else {
-        BWS_THROW(where() + "unknown statement '" + head.text + "'");
+        BWS_THROW(where() + "unknown statement '" + std::string(head.text) +
+                  "'");
       }
       end_statement();
     }
@@ -51,20 +59,29 @@ class Parser {
     return out;
   }
 
+  /// Lex the rest of the source, throwing its first lexical error if it has
+  /// one. A lexical error anywhere in a scheme is reported ahead of a
+  /// grammar error on an earlier line (tokenize_scheme and parse_scheme
+  /// agree on which inputs fail, and how), so call this before reporting
+  /// one.
+  void lex_to_end() {
+    while (!at(TokenKind::kEnd)) token_ = lexer_.next();
+  }
+
  private:
   void parse_comm(ParsedScheme& out, double default_size) {
-    const std::string label = expect(TokenKind::kIdent, "comm label").text;
-    const int first = parse_int("source node");
+    std::string label(expect(TokenKind::kIdent, "comm label").text);
+    const int first = parse_node("source node");
     int src = first;
     int dst = 0;
     if (at(TokenKind::kArrow)) {
       advance();
-      dst = parse_int("destination node");
+      dst = parse_node("destination node");
     } else if (at(TokenKind::kBackArrow)) {
       advance();
       // "a 3 <- 0" means node 0 sends to node 3.
       dst = first;
-      src = parse_int("source node");
+      src = parse_node("source node");
     } else {
       BWS_THROW(where() + "expected '->' or '<-' after node id");
     }
@@ -73,26 +90,27 @@ class Parser {
       advance();
       size = parse_size_token();
     }
-    out.graph.add(label, src, dst, size);
+    out.graph.add(std::move(label), src, dst, size);
   }
 
-  [[nodiscard]] const Token& peek() const { return tokens_[pos_]; }
-  [[nodiscard]] bool at(TokenKind kind) const { return peek().kind == kind; }
+  [[nodiscard]] const Token& peek() const { return token_; }
+  [[nodiscard]] bool at(TokenKind kind) const { return token_.kind == kind; }
   void advance() {
-    if (pos_ + 1 < tokens_.size()) ++pos_;
+    if (!at(TokenKind::kEnd)) token_ = lexer_.next();
   }
 
-  const Token& expect(TokenKind kind, const std::string& what) {
+  Token expect(TokenKind kind, const char* what) {
     BWS_CHECK(at(kind), where() + "expected " + what + " (" +
                             to_string(kind) + "), got " +
-                            to_string(peek().kind) + " '" + peek().text + "'");
-    const Token& token = peek();
+                            to_string(peek().kind) + " '" +
+                            std::string(peek().text) + "'");
+    const Token token = token_;
     advance();
     return token;
   }
 
-  int parse_int(const std::string& what) {
-    const Token& token = expect(TokenKind::kNumber, what);
+  int parse_int(const char* what) {
+    const Token token = expect(TokenKind::kNumber, what);
     long v = 0;
     switch (try_parse_long(token.text, v, std::numeric_limits<long>::min(),
                            std::numeric_limits<int>::max())) {
@@ -100,17 +118,26 @@ class Parser {
         BWS_CHECK(v >= 0, where() + what + " must be non-negative");
         return static_cast<int>(v);
       case ParseIntStatus::kMalformed:
-        BWS_THROW(where() + what + " must be an integer, got '" + token.text +
-                  "'");
+        BWS_THROW(where() + what + " must be an integer, got '" +
+                  std::string(token.text) + "'");
       case ParseIntStatus::kOutOfRange:
         break;
     }
-    BWS_THROW(where() + what + " out of range: '" + token.text + "'");
+    BWS_THROW(where() + what + " out of range: '" + std::string(token.text) +
+              "'");
+  }
+
+  /// A node id below kMaxCount, so no scheme needs more nodes than that.
+  int parse_node(const char* what) {
+    const int node = parse_int(what);
+    BWS_CHECK(node < kMaxCount,
+              where() + strformat("%s %d exceeds the limit of %d nodes", what,
+                                  node, kMaxCount));
+    return node;
   }
 
   double parse_size_token() {
-    const Token& token = expect(TokenKind::kNumber, "size literal");
-    return parse_size(token.text);
+    return parse_size(expect(TokenKind::kNumber, "size literal").text);
   }
 
   void end_statement() {
@@ -127,23 +154,26 @@ class Parser {
     return strformat("line %d: ", peek().line);
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  SchemeLexer lexer_;
+  Token token_;
 };
 
 }  // namespace
 
 ParsedScheme parse_scheme(std::string_view source) {
-  return Parser(tokenize_scheme(source)).parse();
+  Parser parser(source);
+  try {
+    return parser.parse();
+  } catch (const Error&) {
+    parser.lex_to_end();  // throws the first lexical error, if any
+    throw;
+  }
 }
 
 ParsedScheme parse_scheme_file(const std::string& path) {
-  std::ifstream in(path);
-  BWS_CHECK(in.good(), "cannot open scheme file '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::string text = read_text_file(path, "scheme");
   try {
-    return parse_scheme(buf.str());
+    return parse_scheme(text);
   } catch (const Error& e) {
     throw Error(path + ": " + e.what());
   }

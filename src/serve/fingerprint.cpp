@@ -12,6 +12,7 @@
 #include "sim/trace_io.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/limits.hpp"
 #include "util/strings.hpp"
 
 namespace bwshare::serve {
@@ -57,11 +58,11 @@ CanonicalQuery canonicalize(const Query& q) {
                   : models::make_model(q.model))
                  ->name();
 
-  BWS_CHECK(q.nodes >= 1 && q.nodes <= 1000000,
-            strformat("query: nodes must be in [1, 1000000], got %d",
+  BWS_CHECK(q.nodes >= 1 && q.nodes <= kMaxCount,
+            strformat("query: nodes must be in [1, %d], got %d", kMaxCount,
                       q.nodes));
-  BWS_CHECK(q.cores >= 1 && q.cores <= 1000000,
-            strformat("query: cores must be in [1, 1000000], got %d",
+  BWS_CHECK(q.cores >= 1 && q.cores <= kMaxCount,
+            strformat("query: cores must be in [1, %d], got %d", kMaxCount,
                       q.cores));
   cq.cores = q.cores;
   cq.policy = sim::scheduling_policy_from_string(q.schedule);

@@ -1,8 +1,8 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "util/csv.hpp"
@@ -153,10 +153,12 @@ class FlatJsonParser {
       return v;
     }
     if (tok == "null") return v;  // kNull
-    char* end = nullptr;
-    const double num = std::strtod(tok.c_str(), &end);
-    BWS_CHECK(!tok.empty() && end == tok.c_str() + tok.size() &&
-                  std::isfinite(num),
+    // Leading \v and \f, which are not JSON whitespace, are skipped: numbers
+    // keep the set of spellings they accepted through strtod.
+    std::string_view digits = tok;
+    while (!digits.empty() && is_space(digits.front())) digits.remove_prefix(1);
+    double num = 0.0;
+    BWS_CHECK(try_parse_double(digits, num) && std::isfinite(num),
               strformat("serve request: bad value '%s'", tok.c_str()));
     v.kind = JsonValue::Kind::kNumber;
     v.num = num;
@@ -182,10 +184,11 @@ double want_number(const JsonValue& v, const char* key) {
 
 int want_int(const JsonValue& v, const char* key) {
   const double d = want_number(v, key);
-  const int i = static_cast<int>(d);
-  BWS_CHECK(static_cast<double>(i) == d,
+  // Range first: casting a double beyond int's range is undefined.
+  BWS_CHECK(d >= std::numeric_limits<int>::min() &&
+                d <= std::numeric_limits<int>::max() && std::trunc(d) == d,
             strformat("serve request: \"%s\" must be an integer", key));
-  return i;
+  return static_cast<int>(d);
 }
 
 uint64_t want_u64(const JsonValue& v, const char* key) {

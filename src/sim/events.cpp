@@ -3,6 +3,7 @@
 #include <map>
 
 #include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/strings.hpp"
 
 namespace bwshare::sim {
@@ -63,6 +64,9 @@ Event Event::barrier() {
 
 AppTrace::AppTrace(int num_tasks) {
   BWS_CHECK(num_tasks >= 1, "trace needs at least one task");
+  BWS_CHECK(num_tasks <= kMaxCount,
+            strformat("trace: %d tasks exceeds the limit of %d", num_tasks,
+                      kMaxCount));
   programs_.resize(static_cast<size_t>(num_tasks));
 }
 

@@ -57,6 +57,7 @@ using TaskProgram = std::vector<Event>;
 class AppTrace {
  public:
   AppTrace() = default;
+  /// `num_tasks` empty programs; 1..kMaxCount (util/limits.hpp) tasks.
   explicit AppTrace(int num_tasks);
 
   [[nodiscard]] int num_tasks() const { return static_cast<int>(programs_.size()); }

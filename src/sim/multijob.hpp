@@ -1,4 +1,5 @@
-// Multi-job co-scheduling (ROADMAP item 4): replay N independently traced
+// Multi-job co-scheduling (the roadmap item "Scenario diversity: churn,
+// failures, and multi-job contention"): replay N independently traced
 // jobs on ONE shared cluster and quantify what sharing cost each of them.
 //
 // The merge is mechanical: task ids are offset per job, peer references

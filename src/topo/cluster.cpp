@@ -1,6 +1,7 @@
 #include "topo/cluster.hpp"
 
 #include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
@@ -19,6 +20,9 @@ ClusterSpec ClusterSpec::uniform(std::string name, int num_nodes,
                                  int cores_per_node,
                                  NetworkCalibration network) {
   BWS_CHECK(num_nodes >= 1, "cluster needs at least one node");
+  BWS_CHECK(num_nodes <= kMaxCount,
+            strformat("cluster: %d nodes exceeds the limit of %d", num_nodes,
+                      kMaxCount));
   std::vector<NodeSpec> nodes(static_cast<size_t>(num_nodes),
                               NodeSpec{cores_per_node, 4.0 * GiB});
   return ClusterSpec(std::move(name), std::move(nodes), network);

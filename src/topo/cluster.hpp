@@ -24,7 +24,8 @@ class ClusterSpec {
   ClusterSpec(std::string name, std::vector<NodeSpec> nodes,
               NetworkCalibration network);
 
-  /// Homogeneous cluster of `num_nodes` nodes with `cores_per_node` cores.
+  /// Homogeneous cluster of `num_nodes` nodes with `cores_per_node` cores;
+  /// `num_nodes` is at most kMaxCount (util/limits.hpp).
   static ClusterSpec uniform(std::string name, int num_nodes,
                              int cores_per_node, NetworkCalibration network);
 

@@ -1,7 +1,5 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
-
 #include "util/error.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
@@ -77,9 +75,12 @@ long CliArgs::get_int(const std::string& name, long fallback) const {
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  BWS_CHECK(end && *end == '\0',
+  // Leading whitespace is skipped and an empty value reads as 0: flags keep
+  // the set of spellings they accepted through strtod.
+  std::string_view text = it->second;
+  while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
+  double v = 0.0;
+  BWS_CHECK(it->second.empty() || try_parse_double(text, v),
             "flag --" + name + " expects a number, got '" + it->second + "'");
   return v;
 }

@@ -3,9 +3,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/units.hpp"
 
 namespace bwshare {
@@ -43,18 +43,6 @@ std::vector<std::string> split(std::string_view s, char sep) {
   }
 }
 
-std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string_view trim(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
@@ -86,11 +74,13 @@ std::string human_seconds(double seconds) {
 double parse_size(std::string_view text) {
   const std::string_view t = trim(text);
   BWS_CHECK(!t.empty(), "empty size literal");
-  char* end = nullptr;
-  const std::string buf(t);
-  const double value = std::strtod(buf.c_str(), &end);
-  BWS_CHECK(end != buf.c_str(), "malformed size literal: '" + buf + "'");
-  std::string_view suffix = trim(std::string_view(end));
+  double value = 0.0;
+  const size_t used = parse_double_prefix(t, value);
+  BWS_CHECK(used > 0, "malformed size literal: '" + std::string(t) + "'");
+  // A NUL byte ends the suffix: size literals keep the set of spellings
+  // they accepted as C strings (tests/util/test_number_grammar.cpp).
+  std::string_view suffix = t.substr(used);
+  suffix = trim(suffix.substr(0, suffix.find('\0')));
   if (suffix.empty()) return value;
   if (suffix == "k" || suffix == "K" || suffix == "KB") return value * KB;
   if (suffix == "M" || suffix == "MB") return value * MB;
@@ -99,8 +89,8 @@ double parse_size(std::string_view text) {
   if (suffix == "MiB") return value * MiB;
   if (suffix == "GiB") return value * GiB;
   if (suffix == "B") return value;
-  BWS_THROW("unknown size suffix '" + std::string(suffix) + "' in '" + buf +
-            "'");
+  BWS_THROW("unknown size suffix '" + std::string(suffix) + "' in '" +
+            std::string(t) + "'");
 }
 
 }  // namespace bwshare

@@ -19,9 +19,6 @@ namespace bwshare {
 /// Split `s` on `sep`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char sep);
 
-/// Split `s` on runs of whitespace, dropping empty fields.
-[[nodiscard]] std::vector<std::string> split_ws(std::string_view s);
-
 /// Strip leading and trailing whitespace.
 [[nodiscard]] std::string_view trim(std::string_view s);
 
@@ -36,7 +33,9 @@ namespace bwshare {
 
 /// Parse a size with optional suffix: "20M", "4MiB", "512k", "1G", "64".
 /// Decimal suffixes k/M/G are powers of ten; KiB/MiB/GiB are powers of two.
-/// Throws bwshare::Error on malformed input.
+/// The number is read with strtod's grammar (util/parse.hpp), so "0x10M"
+/// and "1e-400" parse; the value is not range-checked. Throws
+/// bwshare::Error on malformed input or an unknown suffix.
 [[nodiscard]] double parse_size(std::string_view text);
 
 }  // namespace bwshare

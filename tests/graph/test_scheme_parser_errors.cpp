@@ -116,6 +116,29 @@ TEST(SchemeParserErrors, FileErrorsCarryThePath) {
   }
 }
 
+TEST(SchemeParserErrors, NodeCountAboveTheCeiling) {
+  expect_parse_error("nodes 2147483647\n",
+                     "line 1: node count 2147483647 exceeds the limit of "
+                     "1000000");
+  expect_parse_error("scheme \"x\"\nnodes 1000001\n",
+                     "line 2: node count 1000001 exceeds the limit of 1000000");
+  EXPECT_EQ(parse_scheme("nodes 1000000\ncomm a 0 -> 1\n").declared_nodes,
+            1000000);
+}
+
+TEST(SchemeParserErrors, NodeIdAboveTheCeiling) {
+  expect_parse_error("comm a 0 -> 2147483646\n",
+                     "line 1: destination node 2147483646 exceeds the limit "
+                     "of 1000000 nodes");
+  expect_parse_error("comm a 0 -> 1\ncomm b 1000000 -> 1\n",
+                     "line 2: source node 1000000 exceeds the limit of "
+                     "1000000 nodes");
+  expect_parse_error("comm a 3 <- 2147483647\n",
+                     "line 1: source node 2147483647 exceeds the limit of "
+                     "1000000 nodes");
+  EXPECT_EQ(parse_scheme("comm a 0 -> 999999\n").graph.num_nodes(), 1000000);
+}
+
 TEST(SchemeParserErrors, LexicalErrorsWinOverEarlierParseErrors) {
   // The whole source is tokenized before any statement is parsed, so a bad
   // character anywhere is reported ahead of a grammar error on an earlier

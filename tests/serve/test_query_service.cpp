@@ -420,6 +420,31 @@ TEST(QueryService, MalformedQueriesErrorWithoutPoisoningTheBatch) {
   EXPECT_FALSE(service.query(bad).ok);
 }
 
+TEST(QueryService, SchemesBeyondTheNodeCeilingAreErrorResponses) {
+  // Without the ceiling either scheme sized a 2^31-entry allocation and the
+  // daemon died with std::bad_alloc.
+  QueryService service;
+  for (const char* text : {"nodes 2147483647\ncomm a 0 -> 1\n",
+                           "comm a 0 -> 2147483646\n"}) {
+    Query q;
+    q.id = "huge";
+    q.scheme_text = text;
+    const Response r = service.query(q);
+    EXPECT_FALSE(r.ok) << text;
+    EXPECT_EQ(r.source, Source::kError);
+    EXPECT_NE(r.error.find("exceeds the limit of 1000000"), std::string::npos)
+        << r.error;
+  }
+  Query big_trace;
+  big_trace.trace_text = "tasks 2147483647\n";
+  const Response r = service.query(big_trace);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("trace line 1: task count 2147483647 exceeds"),
+            std::string::npos)
+      << r.error;
+  EXPECT_EQ(service.stats().errors, 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Wire protocol.
 

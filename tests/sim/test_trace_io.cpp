@@ -10,11 +10,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "hpl/hpl_trace.hpp"
 #include "util/error.hpp"
@@ -85,6 +89,43 @@ TEST(TraceIo, Errors) {
   EXPECT_THROW(read_trace("tasks 4294967297\n0 barrier"), Error);  // int wrap
   EXPECT_THROW(read_trace("tasks 2\n0 compute nan"), Error);   // non-finite
   EXPECT_THROW(read_trace("tasks 2\n0 send 1 1e999"), Error);  // overflow
+  EXPECT_THROW(read_trace("tasks 2147483647\n0 barrier"), Error);  // ceiling
+  EXPECT_THROW(read_trace("tasks 1000001"), Error);              // ceiling
+  try {
+    (void)read_trace("# header\ntasks 2147483647\n");
+    ADD_FAILURE() << "a task count above the ceiling must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("trace line 2: task count "
+                                         "2147483647 exceeds the limit of "
+                                         "1000000"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(read_trace("tasks 1000000").num_tasks(), 1000000);
+  EXPECT_THROW(AppTrace(1000001), Error);
+}
+
+TEST(TraceIo, ReadsFromAPipe) {
+  // A FIFO has no size to read up front, so the reader takes it in chunks;
+  // 200 KiB of text crosses several of them.
+  AppTrace original(4);
+  for (int i = 0; i < 8000; ++i) {
+    original.push(i % 4, Event::compute(0.001 * i));
+    original.push(i % 4, Event::isend((i + 1) % 4, 1000.0 * i));
+  }
+  const std::string text = write_trace(original);
+  ASSERT_GT(text.size(), 200u * 1024);
+  const std::string path = ::testing::TempDir() + "/bwshare_trace_fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  });
+  const AppTrace parsed = read_trace_file(path);
+  writer.join();
+  std::remove(path.c_str());
+  EXPECT_EQ(write_trace(parsed), text);
 }
 
 TEST(TraceIo, StarAppliesEventToEveryTask) {

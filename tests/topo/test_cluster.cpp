@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace bwshare::topo {
@@ -41,6 +43,28 @@ TEST(Cluster, Validation) {
       ClusterSpec::uniform("test", 2, 1, gigabit_ethernet_calibration());
   EXPECT_THROW((void)c.node(2), Error);
   EXPECT_THROW((void)c.node(-1), Error);
+}
+
+TEST(Cluster, NodeCountCeiling) {
+  // Checked before the node vector is sized: 2^31 - 1 nodes used to abort
+  // with std::bad_alloc.
+  try {
+    (void)ClusterSpec::uniform("x", 2147483647, 2,
+                               gigabit_ethernet_calibration());
+    ADD_FAILURE() << "expected the ceiling to reject the cluster";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "cluster: 2147483647 nodes exceeds the limit of 1000000"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ClusterSpec::uniform("x", 1000001, 1,
+                                    gigabit_ethernet_calibration()),
+               Error);
+  EXPECT_EQ(ClusterSpec::uniform("x", 1000000, 1,
+                                 gigabit_ethernet_calibration())
+                .num_nodes(),
+            1000000);
 }
 
 }  // namespace

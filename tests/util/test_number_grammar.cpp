@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -24,6 +25,7 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/parse.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace bwshare {
@@ -399,6 +401,85 @@ TEST(NumberGrammarPins, ServeProtocolNumbers) {
         EXPECT_EQ(v.str, text) << "the raw spelling is kept";
         return v.num;
       });
+}
+
+// ----------------------------------------- parse_double_prefix vs strtod
+
+/// strtod on a NUL-terminated copy, as every entry point used to call it:
+/// the characters read (0 when nothing converts) and the value.
+size_t strtod_prefix(const std::string& text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return static_cast<size_t>(end - text.c_str());
+}
+
+/// parse_double_prefix must read exactly what strtod reads — the same
+/// characters and the same bits (NaN payloads aside) — on any text that
+/// does not start with whitespace, which strtod would skip.
+void expect_reads_like_strtod(const std::string& text) {
+  if (!text.empty() && is_space(text.front())) return;
+  double want = 0.0;
+  const size_t want_used = strtod_prefix(text, want);
+  double got = -7.0;
+  const size_t got_used = parse_double_prefix(text, got);
+  ASSERT_EQ(got_used, want_used) << "'" << text << "'";
+  if (want_used == 0) {
+    EXPECT_EQ(got, -7.0) << "out must be untouched: '" << text << "'";
+    return;
+  }
+  EXPECT_EQ(std::signbit(got), std::signbit(want)) << "'" << text << "'";
+  EXPECT_TRUE(same_bits(got, want))
+      << "'" << text << "': " << strformat("%a vs %a", got, want);
+}
+
+TEST(NumberGrammar, ParseDoublePrefixMatchesStrtodOnRandomText) {
+  // Every character strtod's grammar gives meaning to, plus a few it stops
+  // at, so most strings are partial numbers.
+  const std::string alphabet = "0123456789+-.eEpPxXaAfFiInNtTyY()_ 5";
+  Rng rng(31337);
+  for (int i = 0; i < 200000; ++i) {
+    std::string text;
+    const size_t len = rng.below(14);
+    for (size_t k = 0; k < len; ++k) text += alphabet[rng.below(alphabet.size())];
+    expect_reads_like_strtod(text);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(NumberGrammar, ParseDoublePrefixMatchesStrtodOnFormattedNumbers) {
+  Rng rng(4242);
+  const char* const formats[] = {"%.17g", "%.9g", "%.0f", "%a", "%.3e",
+                                 "%.25e", "%A", "%.1f", "%g"};
+  for (int i = 0; i < 30000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    for (const char* format : formats) {
+      expect_reads_like_strtod(strformat(format, v));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(NumberGrammar, ParseDoublePrefixMatchesStrtodAtTheEdges) {
+  const char* const cases[] = {
+      "1e-400", "-1e-400", "2e-324", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "3e-324", "1e-310", "1e999", "-1e999",
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "1.7976931348623159e308", "179769313486231580793728971405303415079934132710037826936173778980444968292764750946649017977587207096330286416692887910946555547851940402630657488671505820681908902000708383676273854845817711531764475730270069855571366959622842914819860834936475292719074168444365510704342711559699508093042880177904174497792",
+      "0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001",
+      "1e+99999999999999999999", "1e-99999999999999999999",
+      "0e99999", "0.0e-99999", "0x1p-1074", "0x1p-1075", "0x1p-1076",
+      "0x1.8p-1075", "0x1p1023", "0x1p1024", "-0x1p1024", "0x1.fffffffffffffp1023",
+      "0x1.fffffffffffff8p1023", "0x.8", "0X.8p1", "0x", "0x.", "0x.p1",
+      "0xg", "0x1p", "0x1p+", "0x1.", "-0x", "+0x10", "00x10",
+      "inf", "-inf", "+inf", "INFINITY", "infinit", "infx", "nan", "-nan",
+      "+nan", "nan()", "nan(abc_123)", "nan(a-b)", "nan(", "NAN(0x5)",
+      "+", "-", "+-1", "-+1", "--1", "++1", ".", "+.", "-.e1", ".e1",
+      "1.", "1.e5", "1.e", "1e+", "1e-", "1e+5x", "5.5.5", "1_000",
+  };
+  for (const char* text : cases) {
+    expect_reads_like_strtod(text);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

@@ -22,13 +22,6 @@ TEST(Strings, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[2], "b");
 }
 
-TEST(Strings, SplitWsDropsEmpty) {
-  const auto parts = split_ws("  a \t b\n c  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  x  "), "x");
   EXPECT_EQ(trim(""), "");
