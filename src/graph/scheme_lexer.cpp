@@ -1,7 +1,5 @@
 #include "graph/scheme_lexer.hpp"
 
-#include <cctype>
-
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -24,16 +22,18 @@ std::string to_string(TokenKind kind) {
 }
 
 namespace {
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// The C locale's character classes, whatever locale the process runs in.
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
+bool is_ident_start(char c) { return is_alpha(c) || c == '_'; }
 bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
+  return is_alpha(c) || is_digit(c) || c == '_' || c == '.';
 }
 bool is_number_char(char c) {
   // Keep suffixes attached: "20M", "4MiB", "1.5e6".
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
-         c == '+' || c == '-';
+  return is_alpha(c) || is_digit(c) || c == '.' || c == '+' || c == '-';
 }
 }  // namespace
 
@@ -81,7 +81,7 @@ Token SchemeLexer::next() {
       return emit(TokenKind::kString, src.substr(start + 1, j - start - 1),
                   line_);
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (is_digit(c)) {
       size_t j = i;
       while (j < src.size() && is_number_char(src[j])) {
         // '+'/'-' only valid right after an exponent 'e'/'E'.
