@@ -153,8 +153,8 @@ class FlatJsonParser {
       return v;
     }
     if (tok == "null") return v;  // kNull
-    // Leading \v and \f, which are not JSON whitespace, are skipped: numbers
-    // keep the set of spellings they accepted through strtod.
+    // Like strtod, skip a leading \v or \f, which JSON's whitespace
+    // excludes (pinned in tests/util/test_number_grammar.cpp).
     std::string_view digits = tok;
     while (!digits.empty() && is_space(digits.front())) digits.remove_prefix(1);
     double num = 0.0;

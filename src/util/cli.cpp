@@ -75,8 +75,8 @@ long CliArgs::get_int(const std::string& name, long fallback) const {
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  // Leading whitespace is skipped and an empty value reads as 0: flags keep
-  // the set of spellings they accepted through strtod.
+  // strtod's reading of a flag: leading whitespace is skipped and an empty
+  // value reads as 0 (pinned in tests/util/test_number_grammar.cpp).
   std::string_view text = it->second;
   while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
   double v = 0.0;
