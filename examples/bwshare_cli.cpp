@@ -61,6 +61,7 @@
 #include "topo/cluster.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -184,14 +185,24 @@ bool check_flags(const CliArgs& args, const std::string& subcommand,
   return unknown.empty();
 }
 
+/// --nodes or --cores as the int ClusterSpec::uniform takes, range-checked
+/// before the narrowing cast.
+int count_flag(const CliArgs& args, const std::string& name, long fallback) {
+  const long v = args.get_int(name, fallback);
+  BWS_CHECK(v >= 1 && v <= kMaxCount,
+            strformat("flag --%s must be in [1, %d], got %ld", name.c_str(),
+                      kMaxCount, v));
+  return static_cast<int>(v);
+}
+
 int run_scheme(const CliArgs& args, const std::string& path) {
   const auto parsed = graph::parse_scheme_file(path);
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
-  const int nodes = static_cast<int>(
-      args.get_int("nodes", std::max(16, parsed.declared_nodes)));
+  const int nodes =
+      count_flag(args, "nodes", std::max(16, parsed.declared_nodes));
+  const int cores = count_flag(args, "cores", 2);
   const auto cluster = topo::ClusterSpec::uniform(
-      "cli", nodes, static_cast<int>(args.get_int("cores", 2)),
-      topo::calibration_for(tech));
+      "cli", nodes, cores, topo::calibration_for(tech));
 
   const std::string model_name = args.get("model", "");
   const auto model = model_name.empty() ? models::model_for(tech)
@@ -249,9 +260,10 @@ int run_trace(const CliArgs& args, const std::string& path) {
   const auto trace = sim::read_trace_file(path);
   trace.validate();
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
+  const int nodes = count_flag(args, "nodes", 16);
+  const int cores = count_flag(args, "cores", 2);
   const auto cluster = topo::ClusterSpec::uniform(
-      "cli", static_cast<int>(args.get_int("nodes", 16)),
-      static_cast<int>(args.get_int("cores", 2)), topo::calibration_for(tech));
+      "cli", nodes, cores, topo::calibration_for(tech));
   const auto policy =
       sim::scheduling_policy_from_string(args.get("schedule", "RRN"));
   const auto placement =
@@ -282,9 +294,10 @@ int run_trace(const CliArgs& args, const std::string& path) {
 
 int run_multijob(const CliArgs& args, const std::vector<std::string>& paths) {
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
+  const int nodes = count_flag(args, "nodes", 16);
+  const int cores = count_flag(args, "cores", 2);
   const auto cluster = topo::ClusterSpec::uniform(
-      "cli", static_cast<int>(args.get_int("nodes", 16)),
-      static_cast<int>(args.get_int("cores", 2)), topo::calibration_for(tech));
+      "cli", nodes, cores, topo::calibration_for(tech));
   const auto policy =
       sim::scheduling_policy_from_string(args.get("schedule", "RRN"));
   std::vector<sim::JobSpec> jobs;

@@ -1,10 +1,10 @@
 // The event-core's time source and reactor. core::Clock is the one
 // monotone simulation clock both backends advance (sim::Engine hops it to
-// the next queue entry, flowsim::des charges scheduled handlers against
-// it); core::Reactor pairs a Clock with an EventQueue of handlers — the
-// classic discrete-event loop — and is what flowsim::des::Simulator now
-// wraps. See docs/ARCHITECTURE.md ("The event-core") for how the two
-// simulators share this layer.
+// the next queue entry, the packet substrate's handlers run against it);
+// core::Reactor pairs a Clock with an EventQueue of handlers — the
+// classic discrete-event loop — and is what flowsim/packet.cpp runs on.
+// See docs/ARCHITECTURE.md ("The event-core") for how the two simulators
+// share this layer.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +24,6 @@ class Clock {
   void advance_to(double t) {
     BWS_CHECK(t >= now_, "simulation clock cannot run backwards");
     now_ = t;
-  }
-
-  /// Advance by a non-negative duration.
-  void advance_by(double dt) {
-    BWS_CHECK(dt >= 0.0, "clock duration must be non-negative");
-    now_ += dt;
   }
 
  private:

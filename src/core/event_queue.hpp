@@ -1,7 +1,7 @@
 // The event-core's finish-time priority index: an indexed binary min-heap
 // over (time, tie) with stable, generation-tagged slot handles. Both event
 // loops in the repo run on it — sim::Engine keys in-flight transfers and
-// compute wake-ups by predicted finish time, flowsim::des::Simulator (via
+// compute wake-ups by predicted finish time, the packet substrate (via
 // core::Reactor) keys scheduled handlers — so O(log n) push/pop and
 // O(log n) decrease/increase-key replace the per-event linear scans the
 // engine used to do (docs/PERFORMANCE.md, "The event-core").

@@ -469,10 +469,6 @@ std::string SweepResult::to_csv() const {
   return cells_table(cells).render();
 }
 
-std::string SweepResult::marginals_to_csv() const {
-  return marginals_table(marginals).render();
-}
-
 std::string SweepResult::to_json() const {
   return "{\n\"cells\": " + util::rows_to_json(cells_table(cells)) +
          ",\n\"marginals\": " + util::rows_to_json(marginals_table(marginals)) +

@@ -193,8 +193,6 @@ struct SweepResult {
   /// Per-cell CSV (header in docs/EXPERIMENTS.md). Byte-identical for a
   /// given spec regardless of the thread count it ran with.
   [[nodiscard]] std::string to_csv() const;
-  /// Marginal-summary CSV.
-  [[nodiscard]] std::string marginals_to_csv() const;
   /// {"cells": [...], "marginals": [...]} carrying the same values.
   [[nodiscard]] std::string to_json() const;
 };

@@ -5,7 +5,7 @@
 #include <map>
 #include <memory>
 
-#include "flowsim/des.hpp"
+#include "core/clock.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::flowsim {
@@ -25,7 +25,7 @@ class FifoServer {
  public:
   using Sink = std::function<void(Packet)>;
 
-  FifoServer(Simulator& sim, double service_time, Sink sink)
+  FifoServer(core::Reactor& sim, double service_time, Sink sink)
       : sim_(sim), service_time_(service_time), sink_(std::move(sink)) {}
 
   void push(Packet p) {
@@ -51,7 +51,7 @@ class FifoServer {
     });
   }
 
-  Simulator& sim_;
+  core::Reactor& sim_;
   double service_time_;
   Sink sink_;
   std::deque<Packet> queue_;
@@ -66,7 +66,7 @@ class HostIoServer {
  public:
   using Sink = std::function<void(Packet, bool /*rx*/)>;
 
-  HostIoServer(Simulator& sim, double service_time, double rx_weight,
+  HostIoServer(core::Reactor& sim, double service_time, double rx_weight,
                Sink sink)
       : sim_(sim),
         service_time_(service_time),
@@ -128,7 +128,7 @@ class HostIoServer {
     });
   }
 
-  Simulator& sim_;
+  core::Reactor& sim_;
   double service_time_;
   double rx_weight_;
   Sink sink_;
@@ -373,7 +373,7 @@ class PacketSim {
 
   const graph::CommGraph& graph_;
   PacketSimConfig cfg_;
-  Simulator sim_;
+  core::Reactor sim_;
   double ser_link_ = 0.0;
   double ser_io_ = 0.0;
   double pace_ = 0.0;

@@ -42,7 +42,7 @@ std::vector<CommConflicts> classify_conflicts(const CommGraph& graph) {
   return out;
 }
 
-ConflictGraph::ConflictGraph(const CommGraph& graph, ConflictRule rule)
+ConflictGraph::ConflictGraph(const CommGraph& graph)
     : n_(graph.size()),
       adj_(static_cast<size_t>(n_),
            std::vector<bool>(static_cast<size_t>(n_), false)) {
@@ -52,10 +52,7 @@ ConflictGraph::ConflictGraph(const CommGraph& graph, ConflictRule rule)
       if (graph.is_intra_node(j)) continue;
       const auto& a = graph.comm(i);
       const auto& b = graph.comm(j);
-      bool conflict = a.src == b.src || a.dst == b.dst;
-      if (rule == ConflictRule::kSharedHost)
-        conflict = conflict || a.src == b.dst || a.dst == b.src;
-      if (conflict) {
+      if (a.src == b.src || a.dst == b.dst) {
         adj_[static_cast<size_t>(i)][static_cast<size_t>(j)] = true;
         adj_[static_cast<size_t>(j)][static_cast<size_t>(i)] = true;
       }

@@ -8,8 +8,7 @@
 //
 // The Myrinet model's state enumeration uses the *conflict graph*: two
 // communications conflict iff they have the same source node or the same
-// destination node (§V-B rule). An extended rule additionally linking
-// income/outgo pairs is provided for ablation studies.
+// destination node (§V-B rule).
 //
 // components() also underpins the incremental simulator: rates factorize
 // over connected components, so sim::Engine re-solves only the components
@@ -48,20 +47,12 @@ struct CommConflicts {
 [[nodiscard]] std::vector<CommConflicts> classify_conflicts(
     const CommGraph& graph);
 
-/// Which pairs of communications conflict.
-enum class ConflictRule {
-  /// Same source node or same destination node (paper §V-B).
-  kSharedEndpointSameDirection,
-  /// Additionally treats src(i)==dst(j) or dst(i)==src(j) as a conflict
-  /// (full-duplex host interaction; ablation only).
-  kSharedHost,
-};
-
 /// Undirected conflict-graph adjacency: adj[i][j] == true iff comms i and j
-/// conflict under `rule`. Intra-node comms conflict with nothing.
+/// share their source node or their destination node (paper §V-B).
+/// Intra-node comms conflict with nothing.
 class ConflictGraph {
  public:
-  ConflictGraph(const CommGraph& graph, ConflictRule rule);
+  explicit ConflictGraph(const CommGraph& graph);
 
   [[nodiscard]] int size() const { return n_; }
   [[nodiscard]] bool conflicts(CommId a, CommId b) const;

@@ -51,8 +51,9 @@ void GeneratorSpec::validate() const {
     BWS_CHECK(comms == 0, "generator: comms is only meaningful for the "
                           "random family");
   }
-  BWS_CHECK(bytes > 0.0, strformat("generator: bytes must be > 0, got %g",
-                                   bytes));
+  BWS_CHECK(bytes > 0.0 && std::isfinite(bytes),
+            strformat("generator: bytes must be finite and > 0, got %g",
+                      bytes));
   BWS_CHECK(spread >= 0.0 && spread <= 8.0,
             strformat("generator: spread must be in [0, 8], got %g", spread));
 }

@@ -1,5 +1,6 @@
 #include "graph/scheme_parser.hpp"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -136,8 +137,15 @@ class Parser {
     return node;
   }
 
+  /// A finite size: an infinite message never drains, so its replay would
+  /// end in "simulation deadlock".
   double parse_size_token() {
-    return parse_size(expect(TokenKind::kNumber, "size literal").text);
+    const Token token = expect(TokenKind::kNumber, "size literal");
+    const double size = parse_size(token.text);
+    BWS_CHECK(std::isfinite(size), strformat("line %d: size ", token.line) +
+                                       std::string(token.text) +
+                                       " is not finite");
+    return size;
   }
 
   void end_statement() {

@@ -17,13 +17,6 @@ CommGraph fig2_scheme(int k, double bytes) {
   return g;
 }
 
-std::vector<CommGraph> fig2_all(double bytes) {
-  std::vector<CommGraph> out;
-  out.reserve(6);
-  for (int k = 1; k <= 6; ++k) out.push_back(fig2_scheme(k, bytes));
-  return out;
-}
-
 CommGraph fig4_scheme(double bytes) {
   CommGraph g;
   g.add("a", 0, 1, bytes);

@@ -2,8 +2,6 @@
 // from the figures' arrow geometry (reconstruction notes in DESIGN.md §2).
 #pragma once
 
-#include <vector>
-
 #include "graph/comm_graph.hpp"
 
 namespace bwshare::graph::schemes {
@@ -17,9 +15,6 @@ namespace bwshare::graph::schemes {
 ///   S6: + f:6->3          (weak income conflict at node 3)
 /// All messages are `bytes` long (paper: 20 MB).
 [[nodiscard]] CommGraph fig2_scheme(int k, double bytes = 20e6);
-
-/// All six Fig 2 schemes in order.
-[[nodiscard]] std::vector<CommGraph> fig2_all(double bytes = 20e6);
 
 /// Fig 4 scheme used to estimate/verify the GigE γ parameters (4 MB):
 /// a:0->1, b:0->2, c:0->3, d:1->2, e:1->3, f:4->3.

@@ -23,7 +23,7 @@ MyrinetModel::Analysis MyrinetModel::analyze(const graph::CommGraph& graph,
   out.penalty.assign(static_cast<size_t>(n), 1.0);
   if (n == 0) return out;
 
-  const graph::ConflictGraph conflicts(graph, params_.rule);
+  const graph::ConflictGraph conflicts(graph);
   const auto components = conflicts.components();
 
   // Per-component enumeration. Component set counts multiply globally.
@@ -181,22 +181,17 @@ void MyrinetModel::penalties_into(const graph::CommGraph& graph,
   const auto& comms = graph.comms();
   const NodeTable t = make_node_table(graph, scratch);
   const size_t m = t.num_nodes();
-  const bool shared_host = params_.rule == graph::ConflictRule::kSharedHost;
 
   // Conflict components. Every communication leaving (entering) a node
   // conflicts with every other one leaving (entering) it, so joining each
   // to the first one seen there builds the same partition as the dense
-  // conflict graph. Under the shared-host rule any two communications at a
-  // node conflict, so one slot per node serves both directions.
+  // conflict graph.
   auto parent = scratch.make_span_uninit<int>(k);
   for (size_t i = 0; i < k; ++i) parent[i] = static_cast<int>(i);
   auto first_from = scratch.make_span_uninit<int>(m);
   std::fill(first_from.begin(), first_from.end(), -1);
-  auto first_to = first_from;
-  if (!shared_host) {
-    first_to = scratch.make_span_uninit<int>(m);
-    std::fill(first_to.begin(), first_to.end(), -1);
-  }
+  auto first_to = scratch.make_span_uninit<int>(m);
+  std::fill(first_to.begin(), first_to.end(), -1);
   for (size_t i = 0; i < k; ++i) {
     if (t.src[i] < 0) continue;
     const int id = static_cast<int>(i);
@@ -251,10 +246,7 @@ void MyrinetModel::penalties_into(const graph::CommGraph& graph,
       for (int b = a + 1; b < n; ++b) {
         const auto& cb =
             comms[static_cast<size_t>(comp[static_cast<size_t>(b)])];
-        bool conflict = ca.src == cb.src || ca.dst == cb.dst;
-        if (shared_host)
-          conflict = conflict || ca.src == cb.dst || ca.dst == cb.src;
-        if (!conflict) rows.set_compatible(a, b);
+        if (ca.src != cb.src && ca.dst != cb.dst) rows.set_compatible(a, b);
       }
     }
     // A capped enumeration counts the sets it reached, as analyze() does.

@@ -37,8 +37,6 @@
 namespace bwshare::models {
 
 struct MyrinetParams {
-  /// Conflict rule; the paper's model uses same-source-or-same-destination.
-  graph::ConflictRule rule = graph::ConflictRule::kSharedEndpointSameDirection;
   /// Safety valve for pathological graphs.
   size_t max_state_sets = 1u << 20;
 };

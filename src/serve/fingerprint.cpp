@@ -127,15 +127,6 @@ CanonicalQuery canonicalize(const Query& q) {
   h.mix_f64(cq.churn);
   h.mix_f64(cq.background);
   h.mix_u64(cq.seed_live ? cq.seed : 0);
-  // The engine semantics every served replay runs under (the defaults — no
-  // knob exposes them yet). Hashed so exposing one later cannot alias onto
-  // fingerprints minted before. EngineConfig::verify and the solve memo are
-  // excluded on purpose: they only check or skip work, never change a
-  // replay (bit-identical by the engine contract).
-  const sim::EngineConfig engine;
-  h.mix_f64(engine.eager_threshold);
-  h.mix_f64(engine.barrier_cost);
-  h.mix_f64(engine.max_time);
   cq.fingerprint = h.digest();
   return cq;
 }

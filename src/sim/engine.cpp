@@ -72,6 +72,10 @@ bool bit_identical(const SimResult& a, const SimResult& b) {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Messages at least this long use rendezvous (the sender blocks).
+constexpr double kEagerThreshold = 64.0 * 1024.0;
+/// Abort if simulated time exceeds this (deadlock safety net).
+constexpr double kMaxTime = 1e9;
 
 enum class TaskState { kReady, kComputing, kSendBlocked, kRecvBlocked,
                        kWaitAll, kBarrier, kDone };
@@ -258,11 +262,8 @@ class Engine {
       // before any prediction below is read. The clock has not moved since
       // they turned dirty, so deferring the solves to here is unobservable.
       flush();
-      // A predicted finish, wake-up or scripted time can sit in the past (a
-      // barrier cost overshot it); the event then fires, late, at the
-      // current time.
-      const auto next_of = [&](const auto& q) {
-        return q.empty() ? kInf : std::max(q.top_time(), now());
+      const auto next_of = [](const auto& q) {
+        return q.empty() ? kInf : q.top_time();
       };
       const double next_compute = next_of(compute_q_);
       const double next_transfer = next_of(transfer_q_);
@@ -282,7 +283,7 @@ class Engine {
       }
       const double next = std::min({next_compute, next_transfer, next_script});
       BWS_CHECK(next < kInf, deadlock_message());
-      BWS_CHECK(next <= cfg_.max_time, "simulation exceeded max_time");
+      BWS_CHECK(next <= kMaxTime, "simulation exceeded max_time");
       clock_.advance_to(next);
       // Script events fire first at equal times: a failure at t aborts
       // transfers before a same-t completion is chosen.
@@ -364,7 +365,7 @@ class Engine {
   void post_send(TaskId t, const Event& e, bool nonblocking) {
     auto& stats = result_.tasks[static_cast<size_t>(t)];
     ++stats.sends;
-    const bool rendezvous = !nonblocking && e.bytes >= cfg_.eager_threshold;
+    const bool rendezvous = !nonblocking && e.bytes >= kEagerThreshold;
 
     CommRecord rec;
     rec.src_task = t;
@@ -463,12 +464,6 @@ class Engine {
           now() - blocked_since_[static_cast<size_t>(u)];
       state_[static_cast<size_t>(u)] = TaskState::kReady;
     }
-    // Flush point: the barrier cost is about to advance the clock, so any
-    // component a completion dirtied earlier in this event must re-solve
-    // now — its members would otherwise integrate bytes across the cost
-    // interval at stale rates.
-    flush();
-    clock_.advance_by(cfg_.barrier_cost);
     for (TaskId u = 0; u < trace_.num_tasks(); ++u)
       if (state_[static_cast<size_t>(u)] == TaskState::kReady) advance_task(u);
   }
@@ -476,8 +471,8 @@ class Engine {
   // --- transfers -----------------------------------------------------------
 
   /// Integrate the bytes `tr` moved since its last advance. Clamped at zero:
-  /// a transfer can overshoot its end when a barrier cost pushes `now()` past
-  /// its predicted finish; it then completes (late) at the current time.
+  /// at a predicted finish, rounding can leave `rate * elapsed` a hair above
+  /// the remaining bytes.
   void advance(Transfer& tr) {
     if (now() > tr.advance_time && tr.rate > 0.0)
       tr.remaining =
@@ -841,12 +836,11 @@ class Engine {
     for (const size_t s : loose_) attach_transfer(s);
   }
 
-  /// Flush point: solve everything dirtied since the last flush (the top of
-  /// the event loop, or just before a barrier cost advances the clock).
-  /// Event handlers only mark components dirty; the clock cannot move
-  /// between dirtying and flushing, so deferral is unobservable, and a
-  /// barrier release posting N transfers yields ONE flush over N disjoint
-  /// dirty components.
+  /// The one flush point, at the top of the event loop: solve everything
+  /// dirtied since the last flush. Event handlers only mark components
+  /// dirty; the clock cannot move between dirtying and flushing, so deferral
+  /// is unobservable, and a barrier release posting N transfers yields ONE
+  /// flush over N disjoint dirty components.
   void flush() {
     resolve_dirty();
     if (cfg_.verify) {
@@ -1026,7 +1020,7 @@ class Engine {
     double best = kInf;
     for (const auto& tr : transfers_)
       if (tr.alive) best = std::min(best, tr.finish_pred);
-    return std::max(best, now());
+    return best;
   }
 
   [[nodiscard]] double earliest_compute_end() const {
@@ -1034,10 +1028,7 @@ class Engine {
     for (TaskId t = 0; t < trace_.num_tasks(); ++t)
       if (state_[static_cast<size_t>(t)] == TaskState::kComputing)
         best = std::min(best, ready_at_[static_cast<size_t>(t)]);
-    // A wake-up can sit in the past when another job's barrier cost overshot
-    // it (barriers are per-job but the cost advances the shared clock); the
-    // task then wakes, late, at the current time.
-    return std::max(best, now());
+    return best;
   }
 
   /// Verify oracle: the completing transfer by linear argmin over every

@@ -8,10 +8,10 @@
 //     stands in for the physical clusters).
 //
 // Semantics:
-//   * Blocking MPI_Send with rendezvous for messages >= eager_threshold:
+//   * Blocking MPI_Send with rendezvous for messages of 64 KiB and more:
 //     the sender blocks until the transfer drains (plus it unblocks at drain
 //     time; the receiver additionally pays the one-way latency).
-//   * Messages below eager_threshold are buffered: the sender continues
+//   * Shorter messages are buffered (eager): the sender continues
 //     immediately; the transfer starts once the receive is posted.
 //   * Receives match by source, in posting order; kAnySource matches the
 //     earliest posted pending send (the paper's MPI_ANY_SOURCE method).
@@ -21,15 +21,14 @@
 // or finishes, only the connected component(s) of the conflict structure it
 // touches are re-solved, and untouched components keep their cached rates
 // with lazily advanced byte counts. Dirty components are not solved
-// mid-event but at the next *flush point* (the top of the event loop, or
-// just before a barrier cost advances the clock) — the clock cannot move in
-// between, so deferral is unobservable, and it batches all the components a
-// same-time event cascade touched into one flush, solved and committed in
-// ascending component id. The event loop itself runs on the shared
-// event-core (core::EventQueue): predicted finish times and compute
-// wake-ups are indexed heap entries, re-keyed in O(log n) when a component
-// re-solve changes a prediction, so finding the next event never scans the
-// active set. See docs/PERFORMANCE.md for the invariants and
+// mid-event but at the one *flush point*, the top of the event loop — the
+// clock cannot move in between, so deferral is unobservable, and it batches
+// all the components a same-time event cascade touched into one flush,
+// solved and committed in ascending component id. The event loop itself
+// runs on the shared event-core (core::EventQueue): predicted finish times
+// and compute wake-ups are indexed heap entries, re-keyed in O(log n) when a
+// component re-solve changes a prediction, so finding the next event never
+// scans the active set. See docs/PERFORMANCE.md for the invariants and
 // bench/engine_scaling.cpp for the measurements; EngineConfig::verify arms
 // the oracles that check every one of those shortcuts.
 #pragma once
@@ -48,12 +47,6 @@ namespace bwshare::sim {
 class SolveMemo;
 
 struct EngineConfig {
-  /// Messages at least this long use rendezvous (sender blocks).
-  double eager_threshold = 64.0 * 1024.0;
-  /// Extra cost charged to every barrier release.
-  double barrier_cost = 0.0;
-  /// Abort if simulated time exceeds this (deadlock safety net).
-  double max_time = 1e9;
   /// Oracle mode for tests and benchmarks: replay exactly as by default
   /// (the result is bit-identical) while re-deriving every shortcut the
   /// engine takes and throwing bwshare::Error on the first divergence:

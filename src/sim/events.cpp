@@ -93,7 +93,8 @@ double AppTrace::total_bytes_sent() const {
   double total = 0.0;
   for (const auto& p : programs_)
     for (const auto& e : p)
-      if (e.kind == EventKind::kSend) total += e.bytes;
+      if (e.kind == EventKind::kSend || e.kind == EventKind::kIsend)
+        total += e.bytes;
   return total;
 }
 

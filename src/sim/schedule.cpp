@@ -37,8 +37,9 @@ Placement make_placement(SchedulingPolicy policy,
                          uint64_t seed) {
   BWS_CHECK(num_tasks >= 1, "need at least one task");
   BWS_CHECK(num_tasks <= cluster.total_cores(),
-            strformat("cluster has %d cores for %d tasks",
-                      cluster.total_cores(), num_tasks));
+            strformat("cluster has %lld cores for %d tasks",
+                      static_cast<long long>(cluster.total_cores()),
+                      num_tasks));
 
   // One slot per core, in node order: [n0,n0,n1,n1,...] for 2-core nodes.
   std::vector<topo::NodeId> slots;

@@ -23,6 +23,9 @@ ClusterSpec ClusterSpec::uniform(std::string name, int num_nodes,
   BWS_CHECK(num_nodes <= kMaxCount,
             strformat("cluster: %d nodes exceeds the limit of %d", num_nodes,
                       kMaxCount));
+  BWS_CHECK(cores_per_node <= kMaxCount,
+            strformat("cluster: %d cores per node exceeds the limit of %d",
+                      cores_per_node, kMaxCount));
   std::vector<NodeSpec> nodes(static_cast<size_t>(num_nodes),
                               NodeSpec{cores_per_node, 4.0 * GiB});
   return ClusterSpec(std::move(name), std::move(nodes), network);
@@ -49,8 +52,8 @@ const NodeSpec& ClusterSpec::node(NodeId id) const {
   return nodes_[static_cast<size_t>(id)];
 }
 
-int ClusterSpec::total_cores() const {
-  int total = 0;
+int64_t ClusterSpec::total_cores() const {
+  int64_t total = 0;
   for (const auto& node : nodes_) total += node.cores;
   return total;
 }

@@ -3,6 +3,7 @@
 // paper's simulator.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,7 @@ class ClusterSpec {
               NetworkCalibration network);
 
   /// Homogeneous cluster of `num_nodes` nodes with `cores_per_node` cores;
-  /// `num_nodes` is at most kMaxCount (util/limits.hpp).
+  /// each count is at most kMaxCount (util/limits.hpp).
   static ClusterSpec uniform(std::string name, int num_nodes,
                              int cores_per_node, NetworkCalibration network);
 
@@ -37,7 +38,8 @@ class ClusterSpec {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int num_nodes() const { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] const NodeSpec& node(NodeId id) const;
-  [[nodiscard]] int total_cores() const;
+  /// 64-bit: kMaxCount nodes of kMaxCount cores overflow an int.
+  [[nodiscard]] int64_t total_cores() const;
   [[nodiscard]] const NetworkCalibration& network() const { return network_; }
 
  private:

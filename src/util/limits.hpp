@@ -3,13 +3,12 @@
 
 namespace bwshare {
 
-/// Largest number of cluster nodes or trace tasks that any input — a scheme,
-/// a trace, a CLI flag, a sweep shape or a served query — may declare (sweep
-/// shapes and served queries bound cores per node by it too). It is checked
-/// where the allocation is sized (topo::ClusterSpec::uniform,
-/// sim::AppTrace), and the trace and scheme parsers report it against the
-/// offending line; without it a one-line file asking for 2^31 tasks aborts
-/// the process with std::bad_alloc.
+/// Largest number of cluster nodes, cores per node or trace tasks that any
+/// input — a scheme, a trace, a CLI flag, a sweep shape or a served query —
+/// may declare. It is checked where the allocation is sized
+/// (topo::ClusterSpec::uniform, sim::AppTrace), and the trace and scheme
+/// parsers report it against the offending line; without it a one-line file
+/// asking for 2^31 tasks aborts the process with std::bad_alloc.
 inline constexpr int kMaxCount = 1'000'000;
 
 }  // namespace bwshare

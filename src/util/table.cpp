@@ -23,16 +23,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TextTable::add_row_numeric(const std::string& label,
-                                const std::vector<double>& values,
-                                int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(label);
-  for (double v : values) cells.push_back(strformat("%.*f", precision, v));
-  add_row(std::move(cells));
-}
-
 std::string TextTable::render(int indent) const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();

@@ -18,12 +18,7 @@ class TextTable {
   /// Append a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row_numeric(const std::string& label,
-                       const std::vector<double>& values, int precision = 3);
-
   [[nodiscard]] size_t num_rows() const { return rows_.size(); }
-  [[nodiscard]] size_t num_cols() const { return headers_.size(); }
 
   /// Render with padded columns, a header underline and `indent` spaces of
   /// left margin.

@@ -21,11 +21,6 @@ inline constexpr double GB = 1e9;
   return gbps * 1e9 / 8.0;
 }
 
-/// Convert a link speed quoted in megabits per second to bytes per second.
-[[nodiscard]] constexpr double megabits_per_sec(double mbps) {
-  return mbps * 1e6 / 8.0;
-}
-
 inline constexpr double microseconds = 1e-6;
 inline constexpr double milliseconds = 1e-3;
 

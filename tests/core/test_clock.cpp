@@ -1,5 +1,5 @@
 // core::Clock and core::Reactor — the event-core's time source and the
-// handler-driven loop flowsim::des::Simulator wraps. Pins monotonicity,
+// handler-driven loop the packet substrate runs on. Pins monotonicity,
 // (time, FIFO) dispatch order, max_time cut-off, and cancel semantics
 // including stale-handle safety.
 #include "core/clock.hpp"
@@ -19,7 +19,8 @@ TEST(Clock, AdvancesMonotonically) {
   clock.advance_to(2.5);
   EXPECT_DOUBLE_EQ(clock.now(), 2.5);
   clock.advance_to(2.5);  // standing still is allowed
-  clock.advance_by(0.5);
+  EXPECT_DOUBLE_EQ(clock.now(), 2.5);
+  clock.advance_to(3.0);
   EXPECT_DOUBLE_EQ(clock.now(), 3.0);
 }
 
@@ -27,7 +28,7 @@ TEST(Clock, RefusesToRunBackwards) {
   Clock clock;
   clock.advance_to(5.0);
   EXPECT_THROW(clock.advance_to(4.0), Error);
-  EXPECT_THROW(clock.advance_by(-1.0), Error);
+  EXPECT_THROW(clock.advance_to(-1.0), Error);
   EXPECT_DOUBLE_EQ(clock.now(), 5.0);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -62,6 +63,15 @@ TEST(GeneratorSpec, ValidatesRanges) {
   EXPECT_THROW((void)parse_generator_spec("random:comms=5000"), Error);
   EXPECT_THROW((void)parse_generator_spec("ring:comms=4"), Error);
   EXPECT_THROW((void)parse_generator_spec("ring:bytes=0"), Error);
+  try {
+    (void)parse_generator_spec("ring:bytes=1e999");
+    ADD_FAILURE() << "an infinite message size was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "generator: bytes must be finite and > 0, got inf"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW((void)parse_generator_spec("ring:spread=9"), Error);
   EXPECT_THROW((void)parse_generator_spec("ring:spread=-1"), Error);
 }

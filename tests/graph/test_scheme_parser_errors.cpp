@@ -93,6 +93,14 @@ TEST(SchemeParserErrors, MissingSizeLiteral) {
                      "line 1: expected size literal (number), got newline");
 }
 
+TEST(SchemeParserErrors, NonFiniteSize) {
+  // An infinite message never drains: its replay used to end in
+  // "simulation deadlock".
+  expect_parse_error("comm a 0 -> 1\ncomm b 0 -> 2 size 1e999\n",
+                     "line 2: size 1e999 is not finite");
+  expect_parse_error("size 1e308G\n", "line 1: size 1e308G is not finite");
+}
+
 TEST(SchemeParserErrors, ReservedBraceToken) {
   // '{', '}' and ',' are lexed but rejected by the grammar.
   expect_parse_error("comm a 0 -> 1 {\n",

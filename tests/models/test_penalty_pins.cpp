@@ -198,17 +198,11 @@ TEST_P(PenaltyPins, RatesIntoIsReferenceBandwidthOverPenalty) {
   }
 }
 
-TEST_P(PenaltyPins, MyrinetMatchesAnalyzeBitwiseUnderBothRules) {
-  for (const auto rule : {graph::ConflictRule::kSharedEndpointSameDirection,
-                          graph::ConflictRule::kSharedHost}) {
-    MyrinetParams params;
-    params.rule = rule;
-    const MyrinetModel model(params);
-    for (const auto& g : corpus(GetParam(), 40)) {
-      SCOPED_TRACE(::testing::Message()
-                   << g.size() << " comms, rule " << static_cast<int>(rule));
-      expect_bitwise(model.penalties(g), model.analyze(g).penalty);
-    }
+TEST_P(PenaltyPins, MyrinetMatchesAnalyzeBitwise) {
+  const MyrinetModel model;
+  for (const auto& g : corpus(GetParam(), 40)) {
+    SCOPED_TRACE(::testing::Message() << g.size() << " comms");
+    expect_bitwise(model.penalties(g), model.analyze(g).penalty);
   }
 }
 

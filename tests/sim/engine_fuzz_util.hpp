@@ -32,10 +32,8 @@ inline void expect_verify_matches_default(const AppTrace& trace,
                                           const topo::ClusterSpec& cluster,
                                           const Placement& placement,
                                           const flowsim::RateProvider& provider,
-                                          const Scenario& scenario = {},
-                                          double barrier_cost = 0.0) {
+                                          const Scenario& scenario = {}) {
   EngineConfig cfg;
-  cfg.barrier_cost = barrier_cost;
   const SimResult plain =
       run_simulation(trace, cluster, placement, provider, scenario, cfg);
   cfg.verify = true;

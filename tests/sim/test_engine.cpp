@@ -71,6 +71,38 @@ TEST(Engine, EagerSendDoesNotBlockSender) {
   EXPECT_NEAR(result.tasks[0].finish_time, 0.5, 1e-6);
 }
 
+TEST(Engine, EagerThresholdIs64KiB) {
+  // One byte below 64 KiB the send is buffered and returns at once; at
+  // 64 KiB it is a rendezvous and the sender blocks until the transfer has
+  // drained, which cannot start before the late receive at t=0.2.
+  for (const double bytes : {65535.0, 65536.0}) {
+    SCOPED_TRACE(bytes);
+    AppTrace trace(2);
+    trace.push(0, Event::send(1, bytes));
+    trace.push(1, Event::compute(0.2));
+    trace.push(1, Event::recv(0, bytes));
+    const auto provider = fluid();
+    const auto result =
+        run_simulation(trace, cluster(), identity_placement(2), provider);
+    ASSERT_EQ(result.comms.size(), 1u);
+    const auto& rec = result.comms[0];
+    EXPECT_DOUBLE_EQ(rec.start, 0.2);
+    if (bytes < 65536.0) {
+      EXPECT_EQ(result.tasks[0].send_blocked_seconds, 0.0);
+      EXPECT_EQ(result.tasks[0].finish_time, 0.0);
+      EXPECT_EQ(rec.sender_time, 0.0);
+    } else {
+      // Unblocked at drain time, one network latency before the receiver.
+      const double drained = result.tasks[0].finish_time;
+      EXPECT_GT(drained, 0.2);
+      EXPECT_DOUBLE_EQ(result.tasks[0].send_blocked_seconds, drained);
+      EXPECT_DOUBLE_EQ(rec.sender_time, drained);
+      EXPECT_NEAR(rec.finish - drained,
+                  topo::gigabit_ethernet_calibration().latency, 1e-12);
+    }
+  }
+}
+
 TEST(Engine, AnySourceMatchesEarliestPostedSend) {
   AppTrace trace(3);
   trace.push(1, Event::compute(0.010));

@@ -46,11 +46,8 @@ TEST_P(ChurnScenarioFuzz, VerifyReplayIsBitIdenticalUnderChurn) {
   const auto scenario =
       churn_scenario(static_cast<uint64_t>(GetParam()) + 17, nodes);
   ASSERT_NO_THROW(scenario.validate(tasks, nodes));
-  // A positive barrier cost on odd seeds overshoots in-flight predictions,
-  // stacking the pre-barrier-cost flush point on top of the script events.
-  const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
   expect_verify_matches_default(trace, cluster, placement, provider,
-                                scenario, barrier_cost);
+                                scenario);
 }
 
 TEST_P(ChurnScenarioFuzz, FatTreeCouplingVerifiesUnderChurn) {

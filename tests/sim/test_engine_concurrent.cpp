@@ -4,9 +4,9 @@
 // arena. Every replay must stay bit-identical to the same replay run alone
 // on the calling thread — no arithmetic may depend on which worker ran it,
 // on what that worker solved before, or on what ran beside it. Exercised
-// over the shared churn fuzz (barrier-heavy batching, positive barrier
-// cost), fat-tree coupling, and every generator family under the fluid,
-// gige-model and myrinet-model providers, on pools of 1, 2 and 8 workers,
+// over the shared churn fuzz (barrier-heavy batching), fat-tree coupling,
+// and every generator family under the fluid, gige-model and
+// myrinet-model providers, on pools of 1, 2 and 8 workers,
 // plus EngineConfig::verify replays (whose whole-set re-solves run through
 // the same per-thread scratch) and per-replay SolveMemos over a shared
 // frozen store. This suite is the TSan CI target for concurrent engines:
@@ -63,10 +63,8 @@ std::vector<SimResult> replay_concurrently(
 void check_concurrent_matches_serial(const AppTrace& trace,
                                      const topo::ClusterSpec& cluster,
                                      const Placement& placement,
-                                     const flowsim::RateProvider& provider,
-                                     double barrier_cost = 0.0) {
+                                     const flowsim::RateProvider& provider) {
   EngineConfig cfg;
-  cfg.barrier_cost = barrier_cost;
   const SimResult serial =
       run_simulation(trace, cluster, placement, provider, cfg);
   for (const int threads : {1, 2, 8}) {
@@ -92,16 +90,12 @@ TEST_P(ConcurrentChurnFuzz, ConcurrentReplaysAreBitIdenticalToSerial) {
   const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace = churn_trace(static_cast<uint64_t>(GetParam()), tasks);
   ASSERT_NO_THROW(trace.validate());
-  // A positive barrier cost on odd seeds overshoots in-flight predictions,
-  // exercising the pre-barrier-cost flush point.
-  const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
   const auto cluster = topo::ClusterSpec::uniform(
       "concfuzz", (tasks + 1) / 2, 2, topo::gigabit_ethernet_calibration());
   const auto placement =
       make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
   const flowsim::FluidRateProvider provider(cluster.network());
-  check_concurrent_matches_serial(trace, cluster, placement, provider,
-                                  barrier_cost);
+  check_concurrent_matches_serial(trace, cluster, placement, provider);
 }
 
 TEST_P(ConcurrentChurnFuzz, ConcurrentReplaysMatchSerialUnderFatTreeCoupling) {

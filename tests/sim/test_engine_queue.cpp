@@ -7,10 +7,9 @@
 //
 // The staggered fuzz here deliberately forces mid-flight re-predictions in
 // both directions: hotspot fan-ins make every new transfer shrink its
-// component's rates (finish times grow, increase-key), every completion
-// grows them again (finish times shrink, decrease-key), and a positive
-// barrier cost overshoots predictions so late completions clamp. Same-time
-// barrier releases batch many disjoint components into one flush.
+// component's rates (finish times grow, increase-key) and every completion
+// grows them again (finish times shrink, decrease-key). Same-time barrier
+// releases batch many disjoint components into one flush.
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -33,17 +32,12 @@ TEST_P(VerifyChurnFuzz, VerifyReplayIsBitIdenticalOnChurningTraces) {
   const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace = churn_trace(static_cast<uint64_t>(GetParam()), tasks);
   ASSERT_NO_THROW(trace.validate());
-  // A positive barrier cost overshoots in-flight predictions, exercising
-  // the clamped late-completion path of the queue and the flush point just
-  // before the cost advances the clock.
-  const double barrier_cost = GetParam() % 2 == 0 ? 0.0 : 5e-3;
   const auto cluster = topo::ClusterSpec::uniform(
       "queuefuzz", (tasks + 1) / 2, 2, topo::gigabit_ethernet_calibration());
   const auto placement =
       make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
   const flowsim::FluidRateProvider provider(cluster.network());
-  expect_verify_matches_default(trace, cluster, placement, provider, {},
-                                barrier_cost);
+  expect_verify_matches_default(trace, cluster, placement, provider);
 }
 
 TEST_P(VerifyChurnFuzz, VerifyReplayIsBitIdenticalUnderFatTreeCoupling) {
@@ -78,10 +72,8 @@ TEST(ReplayDeterminism, RepeatedRunsAreIdentical) {
   const auto placement =
       make_placement(SchedulingPolicy::kRoundRobinNode, cluster, 7);
   const flowsim::FluidRateProvider provider(cluster.network());
-  EngineConfig cfg;
-  cfg.barrier_cost = 1e-3;
-  const auto a = run_simulation(trace, cluster, placement, provider, cfg);
-  const auto b = run_simulation(trace, cluster, placement, provider, cfg);
+  const auto a = run_simulation(trace, cluster, placement, provider);
+  const auto b = run_simulation(trace, cluster, placement, provider);
   expect_bit_identical(a, b);
 }
 

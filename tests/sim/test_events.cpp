@@ -32,6 +32,19 @@ TEST(AppTrace, PushAndTotals) {
   EXPECT_DOUBLE_EQ(trace.total_bytes_sent(), 100.0);
 }
 
+TEST(AppTrace, TotalBytesSentCountsNonBlockingSends) {
+  // A ring of isend/irecv/wait_all, the shape of data/ring8.trace.
+  AppTrace trace(4);
+  for (TaskId t = 0; t < 4; ++t) {
+    trace.push(t, Event::isend((t + 1) % 4, 1e6));
+    trace.push(t, Event::irecv((t + 3) % 4, 1e6));
+    trace.push(t, Event::wait_all());
+  }
+  trace.push(0, Event::send(1, 100.0));
+  trace.push(1, Event::recv(0, 100.0));
+  EXPECT_DOUBLE_EQ(trace.total_bytes_sent(), 4e6 + 100.0);
+}
+
 TEST(AppTrace, ValidateAcceptsMatchedTraffic) {
   AppTrace trace(3);
   trace.push(0, Event::send(1, 10.0));

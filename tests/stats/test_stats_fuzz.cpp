@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
-#include "stats/regression.hpp"
 #include "util/rng.hpp"
 
 namespace bwshare::stats {
@@ -94,92 +92,6 @@ TEST(StatsFuzz, AccumulatorMergeOfSplitsEqualsTheWhole) {
     empty.merge(whole);
     EXPECT_EQ(empty.count(), whole.count());
     EXPECT_DOUBLE_EQ(empty.mean(), whole.mean());
-  }
-}
-
-TEST(StatsFuzz, HistogramMatchesDirectCountsAndClampsOutliers) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const double lo = -2.0;
-    const double hi = 3.0;
-    const size_t bins = 7;
-    // Sample beyond [lo, hi) on purpose: outliers clamp to the edge bins.
-    const auto xs = random_series(seed * 53, 400, lo - 1.0, hi + 1.0);
-    Histogram hist(lo, hi, bins);
-    hist.add_all(xs);
-    ASSERT_EQ(hist.total(), xs.size());
-    ASSERT_EQ(hist.num_bins(), bins);
-    const double width = (hi - lo) / static_cast<double>(bins);
-    size_t recounted = 0;
-    for (size_t b = 0; b < bins; ++b) {
-      EXPECT_NEAR(hist.bin_low(b), lo + width * static_cast<double>(b), 1e-12);
-      EXPECT_NEAR(hist.bin_high(b), lo + width * static_cast<double>(b + 1),
-                  1e-12);
-      size_t expected = 0;
-      for (const double x : xs) {
-        // The clamping reference: bin index by offset, pinned to [0, bins).
-        const auto idx = static_cast<long>(std::floor((x - lo) / width));
-        const size_t clamped = static_cast<size_t>(
-            std::clamp(idx, 0l, static_cast<long>(bins) - 1));
-        if (clamped == b) ++expected;
-      }
-      EXPECT_EQ(hist.bin_count(b), expected) << "seed " << seed << " bin " << b;
-      recounted += hist.bin_count(b);
-    }
-    EXPECT_EQ(recounted, xs.size());  // clamping loses nothing
-  }
-}
-
-TEST(StatsFuzz, LinearFitRecoversPlantedLineExactly) {
-  // Noiseless y = a + b*x must come back to machine precision for any
-  // random (a, b, x-design) — OLS is exact on exact data.
-  for (uint64_t seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed * 7);
-    const double a = rng.uniform(-10.0, 10.0);
-    const double b = rng.uniform(-5.0, 5.0);
-    const auto x = random_series(seed * 211, 40, -20.0, 20.0);
-    std::vector<double> y;
-    for (const double xi : x) y.push_back(a + b * xi);
-    const auto fit = fit_linear(x, y);
-    EXPECT_NEAR(fit.intercept, a, 1e-8) << "seed " << seed;
-    EXPECT_NEAR(fit.slope, b, 1e-9) << "seed " << seed;
-    EXPECT_NEAR(fit.r_squared, 1.0, 1e-9);
-  }
-}
-
-TEST(StatsFuzz, LinearFitNearRecoveryUnderNoise) {
-  Rng rng(99);
-  const double a = 2.5;
-  const double b = -1.25;
-  const auto x = random_series(4242, 400, 0.0, 10.0);
-  std::vector<double> y;
-  for (const double xi : x) y.push_back(a + b * xi + 0.1 * rng.normal());
-  const auto fit = fit_linear(x, y);
-  // sigma 0.1 over 400 points across a 10-wide design: both coefficients
-  // land within a few standard errors.
-  EXPECT_NEAR(fit.intercept, a, 0.1);
-  EXPECT_NEAR(fit.slope, b, 0.02);
-  EXPECT_GT(fit.r_squared, 0.99);
-}
-
-TEST(StatsFuzz, ProportionalFitMatchesClosedForm) {
-  // fit_proportional is sum(x*y)/sum(x^2) — check against that formula on
-  // random data, and against the planted slope on noiseless data.
-  for (uint64_t seed = 1; seed <= 15; ++seed) {
-    const auto x = random_series(seed * 17, 60, 0.1, 30.0);
-    const auto y = random_series(seed * 19 + 1, 60, -5.0, 5.0);
-    double sxy = 0.0;
-    double sxx = 0.0;
-    for (size_t i = 0; i < x.size(); ++i) {
-      sxy += x[i] * y[i];
-      sxx += x[i] * x[i];
-    }
-    EXPECT_NEAR(fit_proportional(x, y), sxy / sxx, 1e-9) << "seed " << seed;
-
-    Rng rng(seed);
-    const double b = rng.uniform(-4.0, 4.0);
-    std::vector<double> exact;
-    for (const double xi : x) exact.push_back(b * xi);
-    EXPECT_NEAR(fit_proportional(x, exact), b, 1e-9);
   }
 }
 

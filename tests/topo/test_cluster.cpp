@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "util/error.hpp"
@@ -65,6 +66,30 @@ TEST(Cluster, NodeCountCeiling) {
                                  gigabit_ethernet_calibration())
                 .num_nodes(),
             1000000);
+}
+
+TEST(Cluster, CoreCountCeiling) {
+  // 8 nodes of 2^31 - 1 cores used to overflow total_cores()'s int sum
+  // (undefined behaviour; it read -16).
+  try {
+    (void)ClusterSpec::uniform("x", 8, 2147483647,
+                               gigabit_ethernet_calibration());
+    ADD_FAILURE() << "expected the ceiling to reject the cluster";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "cluster: 2147483647 cores per node exceeds the limit of "
+                  "1000000"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(ClusterSpec::uniform("x", 1, 1000001,
+                                    gigabit_ethernet_calibration()),
+               Error);
+  // Both counts at the ceiling: the core total needs 64 bits.
+  EXPECT_EQ(ClusterSpec::uniform("x", 1000000, 1000000,
+                                 gigabit_ethernet_calibration())
+                .total_cores(),
+            int64_t{1000000} * 1000000);
 }
 
 }  // namespace

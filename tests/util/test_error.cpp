@@ -4,8 +4,6 @@
 
 #include <string>
 
-#include "util/logging.hpp"
-
 namespace bwshare {
 namespace {
 
@@ -37,20 +35,6 @@ TEST(Error, AssertMentionsCondition) {
     EXPECT_NE(what.find("2 < 1"), std::string::npos);
     EXPECT_NE(what.find("invariant"), std::string::npos);
   }
-}
-
-TEST(Logging, ParseLevels) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("WARN"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_THROW((void)parse_log_level("loud"), Error);
-}
-
-TEST(Logging, SetAndGetLevel) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(before);
 }
 
 }  // namespace

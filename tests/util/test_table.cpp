@@ -31,13 +31,6 @@ TEST(TextTable, RowArityIsChecked) {
   EXPECT_THROW(t.add_row({"only-one"}), Error);
 }
 
-TEST(TextTable, NumericRows) {
-  TextTable t({"label", "x", "y"});
-  t.add_row_numeric("r", {1.23456, 2.0}, 2);
-  EXPECT_EQ(t.num_rows(), 1u);
-  EXPECT_NE(t.render().find("1.23"), std::string::npos);
-}
-
 TEST(TextTable, CsvEscaping) {
   TextTable t({"a"});
   t.add_row({"plain"});
