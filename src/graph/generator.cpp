@@ -169,15 +169,6 @@ CommGraph generate_scheme(const GeneratorSpec& spec, uint64_t seed) {
   return g;
 }
 
-std::string to_string(ChurnKind kind) {
-  switch (kind) {
-    case ChurnKind::kJoin: return "join";
-    case ChurnKind::kLeave: return "leave";
-    case ChurnKind::kFail: return "fail";
-  }
-  BWS_THROW("invalid ChurnKind");
-}
-
 void ChurnSpec::validate() const {
   BWS_CHECK(rate >= 0.0 && std::isfinite(rate),
             strformat("churn: rate must be finite and >= 0, got %g", rate));

@@ -74,8 +74,6 @@ enum class ChurnKind {
   kFail    ///< a node crashes: its in-flight transfers abort immediately
 };
 
-[[nodiscard]] std::string to_string(ChurnKind kind);
-
 /// One scripted membership event. `node` indexes the cluster the scenario is
 /// replayed on; `time` is absolute simulation time in seconds.
 struct ChurnEvent {

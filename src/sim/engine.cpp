@@ -283,7 +283,7 @@ class Engine {
       }
       const double next = std::min({next_compute, next_transfer, next_script});
       BWS_CHECK(next < kInf, deadlock_message());
-      BWS_CHECK(next <= kMaxTime, "simulation exceeded max_time");
+      BWS_CHECK(next <= kMaxTime, "simulation exceeded the 1e9 s time limit");
       clock_.advance_to(next);
       // Script events fire first at equal times: a failure at t aborts
       // transfers before a same-t completion is chosen.

@@ -153,19 +153,6 @@ void AppTrace::validate() const {
                         dst, n, sends_to[dst]));
 }
 
-std::string to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kCompute: return "compute";
-    case EventKind::kSend: return "send";
-    case EventKind::kRecv: return "recv";
-    case EventKind::kIsend: return "isend";
-    case EventKind::kIrecv: return "irecv";
-    case EventKind::kWaitAll: return "waitall";
-    case EventKind::kBarrier: return "barrier";
-  }
-  return "?";
-}
-
 AppTrace trace_from_scheme(const graph::CommGraph& scheme) {
   AppTrace trace(scheme.num_nodes());
   for (graph::CommId i = 0; i < scheme.size(); ++i) {

@@ -94,8 +94,6 @@ class AppTrace {
   size_t sends_ = 0;
 };
 
-[[nodiscard]] std::string to_string(EventKind kind);
-
 /// Lift a static communication scheme into a one-phase trace: task i stands
 /// on node i, every communication is posted non-blocking (all receives, then
 /// all sends, in scheme order), then every task waits. All transfers start

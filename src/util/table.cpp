@@ -72,8 +72,10 @@ void TextTable::write_csv(const std::string& path) const {
 }
 
 void print_banner(std::ostream& os, const std::string& title) {
-  os << '\n' << "== " << title << " " << std::string(std::max<size_t>(
-      4, 76 - title.size()), '=') << '\n';
+  // Pad to 80 columns; a title too long for that still gets four rules
+  // (76 - size() would wrap around for titles past 76 characters).
+  const size_t rules = title.size() < 72 ? 76 - title.size() : 4;
+  os << '\n' << "== " << title << " " << std::string(rules, '=') << '\n';
 }
 
 }  // namespace bwshare

@@ -4,6 +4,7 @@
 // including stale-handle safety.
 #include "core/clock.hpp"
 
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +31,21 @@ TEST(Clock, RefusesToRunBackwards) {
   EXPECT_THROW(clock.advance_to(4.0), Error);
   EXPECT_THROW(clock.advance_to(-1.0), Error);
   EXPECT_DOUBLE_EQ(clock.now(), 5.0);
+}
+
+TEST(Clock, RefusesANaNTime) {
+  // NaN compares false against everything, so it cannot pass for "not
+  // backwards"; the clock keeps its position.
+  Clock clock;
+  clock.advance_to(1.0);
+  EXPECT_THROW(clock.advance_to(std::numeric_limits<double>::quiet_NaN()),
+               Error);
+  EXPECT_DOUBLE_EQ(clock.now(), 1.0);
+  Reactor reactor;
+  EXPECT_THROW(
+      reactor.schedule_at(std::numeric_limits<double>::quiet_NaN(), [] {}),
+      Error);
+  EXPECT_TRUE(reactor.empty());
 }
 
 TEST(Reactor, DispatchesInTimeOrder) {

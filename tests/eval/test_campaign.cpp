@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <set>
 #include <string>
@@ -158,6 +159,45 @@ TEST(Campaign, AllArmsErroredStillReturnsAReport) {
   EXPECT_EQ(result.savings_factor(),
             static_cast<double>(result.exhaustive_replicates) /
                 static_cast<double>(result.total_replicates));
+}
+
+TEST(Campaign, PredictedObjectiveScoresArmsByPredictedSeconds) {
+  // Scheme cells carry no per-replicate noise, so every replicate of an
+  // arm scores the same and the arm's mean is its cell's predicted time.
+  const std::vector<topo::NetworkTech> networks = {
+      topo::NetworkTech::kGigabitEthernet, topo::NetworkTech::kMyrinet2000,
+      topo::NetworkTech::kInfinibandInfinihost3};
+  CampaignSpec spec;
+  spec.grid.schemes = {"mk1"};
+  spec.grid.networks = networks;
+  spec.objective = Objective::kPredictedSeconds;
+  spec.stop.min_replicates = 2;
+  spec.stop.max_replicates = 2;
+  spec.stop.resamples = 100;
+  spec.batch = 2;
+  const auto result = Campaign(std::move(spec)).run(1);
+  EXPECT_EQ(result.objective, "predicted");
+
+  SweepSpec grid;
+  grid.schemes = {"mk1"};
+  grid.networks = networks;
+  const auto cells = Sweep(std::move(grid)).run(1).cells;
+  ASSERT_EQ(result.arms.size(), cells.size());
+  size_t fastest = 0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    ASSERT_TRUE(cells[i].ok) << cells[i].error;
+    if (cells[i].predicted_s < cells[fastest].predicted_s) fastest = i;
+    const auto arm = std::find_if(
+        result.arms.begin(), result.arms.end(),
+        [&](const CampaignArm& a) { return a.network == cells[i].network; });
+    ASSERT_NE(arm, result.arms.end()) << cells[i].network;
+    EXPECT_EQ(arm->replicates, 2);
+    EXPECT_DOUBLE_EQ(arm->mean, cells[i].predicted_s) << arm->network;
+    EXPECT_NE(arm->mean, cells[i].measured_s) << arm->network;
+  }
+  ASSERT_GE(result.winner, 0);
+  EXPECT_EQ(result.arms[static_cast<size_t>(result.winner)].network,
+            cells[fastest].network);
 }
 
 TEST(Campaign, ReportSchemaIsStable) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "util/error.hpp"
@@ -284,6 +286,75 @@ TEST(SweepResult, CsvHasHeaderAndOneLinePerCell) {
   size_t lines = 0;
   for (const char c : csv) lines += c == '\n';
   EXPECT_EQ(lines, 1u + result.cells.size());
+}
+
+TEST(SweepResult, JsonCarriesCellsAndMarginals) {
+  SweepSpec spec;
+  spec.schemes = {"mk1"};
+  spec.networks = {topo::NetworkTech::kGigabitEthernet,
+                   topo::NetworkTech::kMyrinet2000};
+  const auto result = Sweep(std::move(spec)).run(1);
+  ASSERT_EQ(result.cells.size(), 2u);
+  ASSERT_FALSE(result.marginals.empty());
+  const std::string json = result.to_json();
+  EXPECT_EQ(json.rfind("{\n\"cells\": [\n", 0), 0u);
+  EXPECT_NE(json.find("\n\"marginals\": [\n"), std::string::npos);
+  EXPECT_EQ(json.substr(json.size() - 3), "\n}\n");
+  const auto count = [&json](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  // One object per cell and per marginal, in the CSV's column order.
+  EXPECT_EQ(count("{\"kind\": \"scheme\", \"workload\": \"mk1\""), 2u);
+  EXPECT_EQ(count("{\"axis\": "), result.marginals.size());
+  EXPECT_EQ(count("\"network\": \"gige\""), 1u);
+  EXPECT_EQ(count("\"network\": \"myrinet\""), 1u);
+  // Numbers are bare, status words quoted.
+  EXPECT_EQ(count("\"nodes\": 16, "), 2u);
+  EXPECT_EQ(count("\"status\": \"ok\""), 2u);
+}
+
+TEST(Sweep, GeneratorCellsExpandWithTheCellSeed) {
+  // A generator entry is expanded per cell with that cell's seed and then
+  // runs exactly as the same graph given as a static scheme would; the
+  // cluster grows from the 4-node shape to fit the generated nodes.
+  const std::string entry = "random:nodes=12,comms=20";
+  SweepSpec spec;
+  spec.schemes = {entry};
+  spec.shapes = {{4, 2}};
+  spec.seeds = {1, 2};
+  const auto result = Sweep(std::move(spec)).run(1);
+  ASSERT_EQ(result.cells.size(), 2u);
+  const auto gen = graph::parse_generator_spec(entry);
+  for (const auto& cell : result.cells) {
+    SCOPED_TRACE(cell.seed);
+    ASSERT_TRUE(cell.ok) << cell.error;
+    ResolvedWorkload fixed;
+    fixed.key = entry;
+    fixed.scheme = std::make_shared<const graph::CommGraph>(
+        graph::generate_scheme(gen, cell.seed));
+    CellJob job;
+    job.workload = &fixed;
+    job.tech = topo::NetworkTech::kGigabitEthernet;
+    job.model = "network";
+    job.shape = {4, 2};
+    job.seed = cell.seed;
+    const SweepCell reference = run_cell(job);
+    ASSERT_TRUE(reference.ok) << reference.error;
+    EXPECT_EQ(cell.units, fixed.scheme->size());
+    EXPECT_EQ(cell.nodes, std::max(4, fixed.scheme->num_nodes()));
+    EXPECT_GT(cell.nodes, 4);
+    EXPECT_EQ(cell.units, reference.units);
+    EXPECT_EQ(cell.nodes, reference.nodes);
+    EXPECT_EQ(cell.measured_s, reference.measured_s);
+    EXPECT_EQ(cell.predicted_s, reference.predicted_s);
+    EXPECT_EQ(cell.eabs_pct, reference.eabs_pct);
+  }
+  EXPECT_EQ(result.cells[0].seed, 1u);
+  EXPECT_EQ(result.cells[1].seed, 2u);
 }
 
 }  // namespace

@@ -143,6 +143,27 @@ TEST(FluidSubstrate, BuildProblemShape) {
   EXPECT_DOUBLE_EQ(problem.weights[0], 1.0);
 }
 
+TEST(FluidSubstrate, MeasureSchemeIgnoresLabels) {
+  // Labels are for display: the same scheme with its labels stripped
+  // measures to the same bits.
+  const auto labeled = fig2_scheme(4);
+  graph::CommGraph unlabeled;
+  for (graph::CommId i = 0; i < labeled.size(); ++i) {
+    const auto& c = labeled.comm(i);
+    unlabeled.add(c.src, c.dst, c.bytes);
+  }
+  ASSERT_FALSE(labeled.label(0).empty());
+  ASSERT_TRUE(unlabeled.label(0).empty());
+  for (const auto& cal : {gigabit_ethernet_calibration(),
+                          myrinet2000_calibration(),
+                          infiniband_calibration()}) {
+    const auto a = measure_scheme_fluid(labeled, cal);
+    const auto b = measure_scheme_fluid(unlabeled, cal);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+  }
+}
+
 TEST(FluidSubstrate, EmptyGraph) {
   const graph::CommGraph g;
   EXPECT_TRUE(measure_scheme_fluid(g, gigabit_ethernet_calibration()).empty());

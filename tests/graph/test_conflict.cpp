@@ -36,6 +36,15 @@ TEST(Conflicts, UnconflictedComm) {
   EXPECT_EQ(conflicts[0].dominant(), ConflictKind::kNone);
 }
 
+TEST(Conflicts, KindNames) {
+  // The spellings scheme_explorer prints in its conflict column.
+  EXPECT_EQ(to_string(ConflictKind::kNone), "none");
+  EXPECT_EQ(to_string(ConflictKind::kOutgoing), "outgoing");
+  EXPECT_EQ(to_string(ConflictKind::kIncome), "income");
+  EXPECT_EQ(to_string(ConflictKind::kIncomeOutgo), "income/outgo");
+  EXPECT_EQ(to_string(ConflictKind::kMixed), "mixed");
+}
+
 TEST(ConflictGraph, SameDirectionRule) {
   const auto g = schemes::fig5_scheme();
   const ConflictGraph cg(g);
@@ -50,6 +59,28 @@ TEST(ConflictGraph, SameDirectionRule) {
   EXPECT_FALSE(cg.conflicts(id("b"), id("e")));
   // Disjoint endpoints: b:0->2 vs d:4->1.
   EXPECT_FALSE(cg.conflicts(id("b"), id("d")));
+}
+
+TEST(ConflictGraph, OppositeDirectionsAtAHostDoNotConflict) {
+  // A directed 3-cycle: every node sends one comm and receives another, so
+  // each pair shares a host, but only in opposite directions. The §V-B rule
+  // ignores that interaction: no edges, three singleton components.
+  CommGraph g;
+  g.add("a", 0, 1, 1.0);
+  g.add("b", 1, 2, 1.0);
+  g.add("c", 2, 0, 1.0);
+  const ConflictGraph cg(g);
+  for (CommId i = 0; i < 3; ++i) {
+    EXPECT_EQ(cg.degree(i), 0);
+    for (CommId j = 0; j < 3; ++j) EXPECT_FALSE(cg.conflicts(i, j));
+  }
+  EXPECT_EQ(cg.components().size(), 3u);
+  // The elementary classification still names the host interaction.
+  for (const auto& c : classify_conflicts(g)) {
+    EXPECT_FALSE(c.outgoing);
+    EXPECT_FALSE(c.income);
+    EXPECT_EQ(c.dominant(), ConflictKind::kIncomeOutgo);
+  }
 }
 
 TEST(ConflictGraph, ComponentsOfFig5) {

@@ -3,6 +3,9 @@
 // *exactly*.
 #include "models/myrinet.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "graph/schemes.hpp"
@@ -122,6 +125,23 @@ TEST(MyrinetModel, DisconnectedComponentsFactorize) {
   // Emission: each comm sends in 1 of its component's 2 sets, times the
   // other component's 2 sets.
   for (uint64_t e : analysis.emission) EXPECT_EQ(e, 2u);
+}
+
+TEST(MyrinetModel, GlobalSetCountSaturatesWhilePenaltiesStayExact) {
+  // 65 disjoint 2-fans have 2^65 global state sets, past uint64_t. The
+  // count saturates and the analysis says it is incomplete, but penalties
+  // are ratios inside each component and stay exactly 2.
+  CommGraph g;
+  for (int f = 0; f < 65; ++f) {
+    g.add(3 * f, 3 * f + 1, 1e6);
+    g.add(3 * f, 3 * f + 2, 1e6);
+  }
+  const MyrinetModel model;
+  const auto analysis = model.analyze(g);
+  EXPECT_EQ(analysis.num_state_sets, std::numeric_limits<uint64_t>::max());
+  EXPECT_FALSE(analysis.complete);
+  for (double p : analysis.penalty) EXPECT_EQ(p, 2.0);
+  for (double p : model.penalties(g)) EXPECT_EQ(p, 2.0);
 }
 
 TEST(MyrinetModel, IntraNodeCommsAreExemptFromPenalties) {

@@ -4,8 +4,8 @@
 //   - GigE against GigabitEthernetModel::breakdown(), which evaluates one
 //     communication at a time through graph::strongly_slow_sets;
 //   - Myrinet against MyrinetModel::analyze(), which enumerates over the
-//     dense graph::ConflictGraph and materializes every set, under both
-//     conflict rules and with a truncating max_state_sets cap;
+//     dense graph::ConflictGraph and materializes every set, with and
+//     without a truncating max_state_sets cap;
 //   - InfiniBand and Kim–Lee against per-communication transcriptions of
 //     their formulas over CommGraph::out_degree/in_degree, written here;
 //   - ModelRateProvider::rates_into against reference_bandwidth / penalty.

@@ -420,6 +420,39 @@ TEST(QueryService, MalformedQueriesErrorWithoutPoisoningTheBatch) {
   EXPECT_FALSE(service.query(bad).ok);
 }
 
+TEST(QueryService, ReplayFailuresAreErrorResponsesAndNeverCached) {
+  // The trace validates (every send has its receive) but deadlocks when
+  // replayed: both tasks first wait to receive from the other.
+  Query stuck;
+  stuck.id = "stuck";
+  stuck.trace_text =
+      "tasks 2\n"
+      "0 recv 1 1000000\n"
+      "0 send 1 1000000\n"
+      "1 recv 0 1000000\n"
+      "1 send 0 1000000\n";
+  Query twin = stuck;
+  twin.id = "twin";
+  QueryService service;
+  const auto responses = service.query_batch({stuck, twin});
+  ASSERT_EQ(responses.size(), 2u);
+  for (const auto& r : responses) {
+    EXPECT_FALSE(r.ok) << r.id;
+    EXPECT_EQ(r.source, Source::kError) << r.id;
+    EXPECT_NE(r.error.find("simulation deadlock"), std::string::npos)
+        << r.error;
+  }
+  EXPECT_EQ(responses[0].fingerprint, responses[1].fingerprint);
+  EXPECT_EQ(service.stats().errors, 2u);
+  EXPECT_EQ(service.stats().cached_results, 0u);
+  // A retry replays again instead of serving a cached failure.
+  const Response retry = service.query(stuck);
+  EXPECT_FALSE(retry.ok);
+  EXPECT_EQ(retry.source, Source::kError);
+  EXPECT_EQ(service.stats().errors, 3u);
+  EXPECT_EQ(service.stats().cache_hits, 0u);
+}
+
 TEST(QueryService, SchemesBeyondTheNodeCeilingAreErrorResponses) {
   // Without the ceiling either scheme sized a 2^31-entry allocation and the
   // daemon died with std::bad_alloc.
@@ -496,6 +529,71 @@ TEST(Protocol, QueryFromJsonIsStrictAboutKeysAndTypes) {
   EXPECT_THROW(static_cast<void>(query_from_json(parse_flat_json_object(
                    "{\"seed\":-1}"))),
                Error);
+}
+
+TEST(Protocol, DecodesEveryStringEscape) {
+  const auto obj = parse_flat_json_object(
+      R"({"s":"\/\b\f\n\r\t\"\\\u0041\u007e\u005A"})");
+  ASSERT_EQ(obj.size(), 1u);
+  EXPECT_EQ(obj[0].second.str, "/\b\f\n\r\t\"\\A~Z");
+}
+
+TEST(Protocol, RejectsBadEscapes) {
+  const auto error_of = [](const std::string& line) {
+    try {
+      (void)parse_flat_json_object(line);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("parsed");
+  };
+  const auto expect_error = [&](const std::string& line, const char* what) {
+    const std::string error = error_of(line);
+    EXPECT_NE(error.find(what), std::string::npos) << line << ": " << error;
+  };
+  expect_error(R"({"s":"\u00e9"})", "non-ASCII \\u escapes");
+  expect_error(R"({"s":"\uzzzz"})", "bad \\u escape");
+  expect_error(R"({"s":"\u12"})", "bad \\u escape");
+  expect_error(R"({"s":"\u12)", "truncated \\u escape");
+  expect_error(R"({"s":"\q"})", "bad escape '\\q'");
+  expect_error(R"({"s":"abc\)", "unterminated escape");
+  expect_error(R"({"s":"abc)", "unterminated string");
+}
+
+TEST(Protocol, QueryFromJsonReadsEveryKey) {
+  const Query q = query_from_json(parse_flat_json_object(
+      R"({"op":"query","id":"all","scheme":"mk1","scheme_text":"s",)"
+      R"("trace":"t.trace","trace_text":"tasks 1\n","network":"ib",)"
+      R"("model":"kimlee","nodes":4,"cores":3,"schedule":"RRP",)"
+      R"("churn":1.5,"background":2.5,"seed":7})"));
+  EXPECT_EQ(q.id, "all");
+  EXPECT_EQ(q.scheme, "mk1");
+  EXPECT_EQ(q.scheme_text, "s");
+  EXPECT_EQ(q.trace, "t.trace");
+  EXPECT_EQ(q.trace_text, "tasks 1\n");
+  EXPECT_EQ(q.network, "ib");
+  EXPECT_EQ(q.model, "kimlee");
+  EXPECT_EQ(q.nodes, 4);
+  EXPECT_EQ(q.cores, 3);
+  EXPECT_EQ(q.schedule, "RRP");
+  EXPECT_EQ(q.churn, 1.5);
+  EXPECT_EQ(q.background, 2.5);
+  EXPECT_EQ(q.seed, 7u);
+  // Any other op has no place inside a query batch.
+  EXPECT_THROW(static_cast<void>(query_from_json(
+                   parse_flat_json_object(R"({"op":"stats"})"))),
+               Error);
+  EXPECT_THROW(static_cast<void>(query_from_json(
+                   parse_flat_json_object(R"({"background":"high"})"))),
+               Error);
+}
+
+TEST(Protocol, SourceNamesOnTheWire) {
+  EXPECT_EQ(to_string(Source::kError), "error");
+  EXPECT_EQ(to_string(Source::kCold), "cold");
+  EXPECT_EQ(to_string(Source::kWarm), "warm");
+  EXPECT_EQ(to_string(Source::kCache), "cache");
+  EXPECT_EQ(to_string(Source::kCoalesced), "coalesced");
 }
 
 std::string serve_stream(const std::string& input, int threads) {

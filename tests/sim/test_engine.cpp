@@ -2,6 +2,8 @@
 // barriers, conflict-driven slowdown, deadlock detection.
 #include "sim/engine.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "flowsim/fluid_network.hpp"
@@ -211,12 +213,102 @@ TEST(Engine, DeadlockIsDetected) {
       Error);
 }
 
+TEST(Engine, DeadlockMessageNamesEveryTaskState) {
+  const auto provider = fluid();
+  const auto deadlock_message = [&](const AppTrace& trace) {
+    try {
+      (void)run_simulation(trace, cluster(),
+                           identity_placement(trace.num_tasks()), provider);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no deadlock");
+  };
+  AppTrace trace(7);
+  // 0 and 1 each wait to receive from the other first.
+  trace.push(0, Event::recv(1, 1e6));
+  trace.push(0, Event::send(1, 1e6));
+  trace.push(1, Event::recv(0, 1e6));
+  trace.push(1, Event::send(0, 1e6));
+  // 2 has nothing to do. 3 waits on an irecv from 4, which first waits to
+  // receive from 3.
+  trace.push(3, Event::irecv(4, 1e6));
+  trace.push(3, Event::wait_all());
+  trace.push(3, Event::send(4, 1e6));
+  trace.push(4, Event::recv(3, 1e6));
+  trace.push(4, Event::send(3, 1e6));
+  // 5 and 6 each block in a rendezvous send to the other.
+  trace.push(5, Event::send(6, 1e6));
+  trace.push(5, Event::recv(6, 1e6));
+  trace.push(6, Event::send(5, 1e6));
+  trace.push(6, Event::recv(5, 1e6));
+  const std::string msg = deadlock_message(trace);
+  EXPECT_NE(msg.find("simulation deadlock: task0=recv task1=recv task2=done "
+                     "task3=waitall task4=recv task5=send task6=send"),
+            std::string::npos)
+      << msg;
+
+  // A task parked at a barrier its peer cannot reach.
+  AppTrace barrier(2);
+  barrier.push(0, Event::recv(1, 1e6));
+  barrier.push(0, Event::barrier());
+  barrier.push(1, Event::barrier());
+  barrier.push(1, Event::send(0, 1e6));
+  const std::string at_barrier = deadlock_message(barrier);
+  EXPECT_NE(at_barrier.find("task0=recv task1=barrier"), std::string::npos)
+      << at_barrier;
+}
+
 TEST(Engine, MismatchedPlacementRejected) {
   AppTrace trace(3);
   const auto provider = fluid();
   EXPECT_THROW(
       run_simulation(trace, cluster(), identity_placement(2), provider),
       Error);
+}
+
+TEST(Engine, BarrierReleaseCostsNoTime) {
+  // The last task reaches the barrier at t=2; every task leaves it at
+  // exactly t=2, so the post-barrier compute ends at exactly 2.25.
+  AppTrace trace(3);
+  trace.push(0, Event::compute(0.5));
+  trace.push(1, Event::compute(2.0));
+  trace.push(2, Event::compute(1.0));
+  trace.push_barrier_all();
+  for (TaskId t = 0; t < 3; ++t) trace.push(t, Event::compute(0.25));
+  const auto provider = fluid();
+  const auto result =
+      run_simulation(trace, cluster(), identity_placement(3), provider);
+  EXPECT_EQ(result.makespan, 2.25);
+  for (const auto& task : result.tasks) EXPECT_EQ(task.finish_time, 2.25);
+  EXPECT_EQ(result.tasks[0].barrier_wait_seconds, 1.5);
+  EXPECT_EQ(result.tasks[1].barrier_wait_seconds, 0.0);
+  EXPECT_EQ(result.tasks[2].barrier_wait_seconds, 1.0);
+}
+
+TEST(Engine, ReplayMayEndExactlyAtTheTimeLimit) {
+  AppTrace trace(1);
+  trace.push(0, Event::compute(1e9));
+  const auto provider = fluid();
+  const auto result =
+      run_simulation(trace, cluster(), identity_placement(1), provider);
+  EXPECT_EQ(result.makespan, 1e9);
+}
+
+TEST(Engine, EventPastTheTimeLimitThrows) {
+  // The 1e9 s safety net stops a replay whose next event lies beyond it.
+  AppTrace trace(1);
+  trace.push(0, Event::compute(1e9));
+  trace.push(0, Event::compute(1.0));
+  const auto provider = fluid();
+  try {
+    (void)run_simulation(trace, cluster(), identity_placement(1), provider);
+    FAIL() << "replay ran past the time limit";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeded the 1e9 s time limit"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Engine, ZeroByteMessageCostsLatency) {

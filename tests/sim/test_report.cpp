@@ -52,6 +52,31 @@ TEST(Report, SummaryMentionsKeyQuantities) {
   EXPECT_NE(summary.find("average penalty"), std::string::npos);
 }
 
+TEST(Report, SummaryCountsAbortsAndBackgroundFlowsOnlyWhenPresent) {
+  auto result = sample_result();
+  const std::string plain = render_summary(result);
+  EXPECT_EQ(plain.find("aborted"), std::string::npos);
+  EXPECT_EQ(plain.find("background"), std::string::npos);
+
+  result.aborted_comms = 2;
+  result.background_comms = 3;
+  result.background_skipped = 1;
+  const std::string churned = render_summary(result);
+  EXPECT_EQ(churned.rfind(plain, 0), 0u);  // the counts are appended
+  EXPECT_NE(churned.find(", 2 aborted by failures"), std::string::npos);
+  EXPECT_NE(churned.find(", 3 background flows (1 skipped)"),
+            std::string::npos);
+
+  // Flows that were all skipped still show up.
+  result.aborted_comms = 0;
+  result.background_comms = 0;
+  result.background_skipped = 4;
+  const std::string skipped = render_summary(result);
+  EXPECT_EQ(skipped.find("aborted"), std::string::npos);
+  EXPECT_NE(skipped.find(", 0 background flows (4 skipped)"),
+            std::string::npos);
+}
+
 TEST(Report, AveragePenaltyOfEmptyResultIsOne) {
   SimResult empty;
   EXPECT_DOUBLE_EQ(empty.average_penalty(), 1.0);

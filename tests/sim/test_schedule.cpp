@@ -80,5 +80,20 @@ TEST(Schedule, PolicyNames) {
   EXPECT_THROW((void)scheduling_policy_from_string("fifo"), Error);
 }
 
+TEST(Schedule, EveryPolicyNameRoundTrips) {
+  // The spellings the CLI, the sweep CSV and served queries carry.
+  EXPECT_EQ(to_string(SchedulingPolicy::kRoundRobinProcessor), "RRP");
+  EXPECT_EQ(to_string(SchedulingPolicy::kRandom), "Random");
+  for (const auto policy : {SchedulingPolicy::kRoundRobinNode,
+                            SchedulingPolicy::kRoundRobinProcessor,
+                            SchedulingPolicy::kRandom})
+    EXPECT_EQ(scheduling_policy_from_string(to_string(policy)), policy);
+  EXPECT_EQ(scheduling_policy_from_string("rrn"),
+            SchedulingPolicy::kRoundRobinNode);
+  EXPECT_EQ(scheduling_policy_from_string("rrp"),
+            SchedulingPolicy::kRoundRobinProcessor);
+  EXPECT_THROW((void)scheduling_policy_from_string("RANDOM"), Error);
+}
+
 }  // namespace
 }  // namespace bwshare::sim

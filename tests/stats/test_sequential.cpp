@@ -203,6 +203,43 @@ TEST(Sequential, LeaderTiesKeepTheLowestIndex) {
   EXPECT_EQ(test.leader(), 0);
 }
 
+TEST(Sequential, LeaderFallsBackToTheSampleMeanBeforeTheFirstRound) {
+  SequentialTest test(small_config(StoppingRule::kBestArm), 3);
+  EXPECT_EQ(test.leader(), -1);  // no samples anywhere yet
+  test.add_sample(0, 3.0);
+  test.add_sample(0, 3.0);
+  test.add_sample(1, 1.0);
+  test.add_sample(1, 2.0);
+  // No intervals yet: arm 1's mean of 1.5 leads, arm 2 (no samples) is
+  // skipped.
+  EXPECT_FALSE(test.arm(1).has_ci);
+  EXPECT_EQ(test.leader(), 1);
+  test.add_sample(2, 1.0);
+  EXPECT_EQ(test.leader(), 2);
+}
+
+TEST(Sequential, CiWidthOnAZeroEstimateIsAbsolute) {
+  // A relative target can never be met around a point estimate of 0, so
+  // there the half-width is held to the tolerance itself.
+  auto config = small_config(StoppingRule::kCiWidth);
+  config.tolerance = 0.05;
+  SequentialTest flat(config, 1);
+  for (int i = 0; i < 8; ++i) flat.add_sample(0, 0.0);
+  EXPECT_EQ(flat.finish_round(), SequentialStatus::kCiWidth);
+  EXPECT_EQ(flat.arm(0).ci.point, 0.0);
+
+  // The same zero mean from the samples 1 and -1: the interval is far
+  // wider than 0.05, so the campaign goes on.
+  config.min_replicates = 2;
+  SequentialTest spread(config, 1);
+  spread.add_sample(0, 1.0);
+  spread.add_sample(0, -1.0);
+  EXPECT_EQ(spread.finish_round(), SequentialStatus::kContinue);
+  const auto& ci = spread.arm(0).ci;
+  EXPECT_EQ(ci.point, 0.0);
+  EXPECT_GT((ci.high - ci.low) / 2.0, config.tolerance);
+}
+
 TEST(Sequential, DecisionsAreAPureFunctionOfTheSamples) {
   // Two tests fed the same sample stream must agree bit-for-bit: CIs,
   // eliminations, rounds. This is the property the campaign's thread-count

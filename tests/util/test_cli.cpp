@@ -29,6 +29,15 @@ TEST(Cli, BooleanFlag) {
   EXPECT_FALSE(args.get_bool("other", false));
 }
 
+TEST(Cli, BooleanFlagSpellings) {
+  for (const char* yes : {"true", "1", "yes", "on"})
+    EXPECT_TRUE(make({"--csv", yes}).get_bool("csv", false)) << yes;
+  for (const char* no : {"false", "0", "no", "off"})
+    EXPECT_FALSE(make({"--csv", no}).get_bool("csv", true)) << no;
+  EXPECT_THROW((void)make({"--csv", "maybe"}).get_bool("csv", false), Error);
+  EXPECT_THROW((void)make({"--csv="}).get_bool("csv", false), Error);
+}
+
 TEST(Cli, BooleanBeforeAnotherFlag) {
   const auto args = make({"--verbose", "--size", "3"});
   EXPECT_TRUE(args.get_bool("verbose", false));

@@ -69,6 +69,14 @@ TEST(JsonEscape, EscapesSpecials) {
   EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
 }
 
+TEST(JsonEscape, ShortFormsForCommonControlCharacters) {
+  EXPECT_EQ(json_escape("a\bb\fc\nd\re"), "a\\bb\\fc\\nd\\re");
+  // Other C0 controls take the \u form; DEL and UTF-8 bytes pass through.
+  EXPECT_EQ(json_escape("\x1f"), "\\u001f");
+  EXPECT_EQ(json_escape("\x7f"), "\x7f");
+  EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\xc3\xa9");
+}
+
 TEST(RowsToJson, NumbersUnquotedStringsQuoted) {
   CsvWriter csv({"name", "value", "note"});
   csv.add_row({"alpha", "1.5", "ok"});

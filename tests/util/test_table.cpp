@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -59,6 +60,38 @@ TEST(TextTable, WriteCsvRoundTrip) {
 TEST(TextTable, WriteCsvBadPathThrows) {
   TextTable t({"x"});
   EXPECT_THROW(t.write_csv("/nonexistent-dir/nope.csv"), Error);
+}
+
+TEST(TextTable, RenderPadsColumnsToTheWidestCell) {
+  TextTable t({"id", "name"});
+  t.add_row({"1", "alpha"});
+  t.add_row({"22", "b"});
+  EXPECT_EQ(t.num_rows(), 2u);
+  // Columns are two spaces apart, the last cell is not padded, and the
+  // underline spans the columns but not the margin.
+  EXPECT_EQ(t.render(2),
+            "  id  name\n"
+            "  ---------\n"
+            "  1   alpha\n"
+            "  22  b\n");
+}
+
+TEST(TextTable, PrintBannerPadsTitlesToEightyColumns) {
+  std::ostringstream os;
+  print_banner(os, "Fig 2");
+  EXPECT_EQ(os.str(), "\n== Fig 2 " + std::string(71, '=') + "\n");
+}
+
+TEST(TextTable, PrintBannerKeepsFourRulesAfterALongTitle) {
+  // Past 72 characters the title no longer fits in 80 columns; the banner
+  // grows instead of wrapping the rule count around.
+  for (const size_t length : {72u, 76u, 77u, 120u}) {
+    SCOPED_TRACE(length);
+    const std::string title(length, 't');
+    std::ostringstream os;
+    print_banner(os, title);
+    EXPECT_EQ(os.str(), "\n== " + title + " ====\n");
+  }
 }
 
 }  // namespace
