@@ -167,8 +167,8 @@ int usage(const std::string& prog) {
       << "    --cache N                  result-cache capacity in replays\n"
       << "                               (default 64; 0 = serve-through)\n"
       << "    --memo N                   warm-start store capacity in\n"
-      << "                               component solutions (default 65536)\n"
-      << "    --no-warm                  disable cross-query warm-start\n"
+      << "                               component solutions (default 65536;\n"
+      << "                               0 = no cross-query warm-start)\n"
       << "    --verify                   bitwise-verify every warm answer\n"
       << "                               against a cold run (slow; oracle)\n";
   return 2;
@@ -561,7 +561,6 @@ int run_serve(const CliArgs& args) {
   BWS_CHECK(memo >= 0, "--memo must be >= 0");
   config.cache_capacity = static_cast<size_t>(cache);
   config.memo_capacity = static_cast<size_t>(memo);
-  config.warm_start = !args.get_bool("no-warm", false);
   config.verify = args.get_bool("verify", false);
   const size_t failures =
       serve::run_serve_loop(std::cin, std::cout, config);
@@ -649,7 +648,7 @@ int main(int argc, char** argv) {
         return usage(args.program());
       }
       if (!check_flags(args, subcommand,
-                       {"threads", "cache", "memo", "no-warm", "verify"})) {
+                       {"threads", "cache", "memo", "verify"})) {
         return usage(args.program());
       }
       return run_serve(args);

@@ -175,6 +175,10 @@ void ChurnSpec::validate() const {
   BWS_CHECK(horizon > 0.0 && std::isfinite(horizon),
             strformat("churn: horizon must be finite and > 0, got %g",
                       horizon));
+  BWS_CHECK(rate * horizon <= kMaxCount,
+            strformat("churn: rate * horizon must be at most %d events, "
+                      "got %g",
+                      kMaxCount, rate * horizon));
   // The per-event up/down scan is O(nodes), so the cap tracks the largest
   // bench cluster (bench/engine_scaling --nodes 65536) rather than the
   // generator's comms cap.
@@ -235,6 +239,10 @@ void BackgroundSpec::validate() const {
   BWS_CHECK(horizon > 0.0 && std::isfinite(horizon),
             strformat("background: horizon must be finite and > 0, got %g",
                       horizon));
+  BWS_CHECK(rate * horizon <= kMaxCount,
+            strformat("background: rate * horizon must be at most %d flows, "
+                      "got %g",
+                      kMaxCount, rate * horizon));
   BWS_CHECK(nodes >= 2 && nodes <= 65536,
             strformat("background: nodes must be in [2, 65536], got %d",
                       nodes));

@@ -87,6 +87,8 @@ struct ChurnSpec {
   /// simulated time; >= 0 (0 yields an empty script).
   double rate = 0.0;
   /// Script horizon in seconds, > 0. Events past the horizon are not drawn.
+  /// rate * horizon, the expected event count, is at most kMaxCount
+  /// (util/limits.hpp).
   double horizon = 1.0;
   /// Cluster size the script targets; [2, 65536].
   int nodes = 8;
@@ -122,7 +124,8 @@ struct BackgroundFlow {
 struct BackgroundSpec {
   /// Poisson injection rate in flows per second of simulated time; >= 0.
   double rate = 0.0;
-  /// Script horizon in seconds, > 0.
+  /// Script horizon in seconds, > 0; rate * horizon, the expected flow
+  /// count, is at most kMaxCount (util/limits.hpp).
   double horizon = 1.0;
   /// Cluster size the script targets; [2, 65536]. Endpoints are drawn
   /// uniformly with src != dst.

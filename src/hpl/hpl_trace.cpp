@@ -51,7 +51,6 @@ sim::AppTrace make_hpl_trace(const HplParams& params) {
     const double nb = std::min(params.nb, params.n - k * params.nb);
     const double bytes = panel_bytes(params, k);
     const double t_panel = panel_flops(m, nb) / params.flops_per_second;
-    const double next_bytes = k + 1 < panels ? panel_bytes(params, k + 1) : 0.0;
 
     // Trailing matrix after this panel.
     const double trailing_cols = std::max(0.0, m - nb);
@@ -61,35 +60,30 @@ sim::AppTrace make_hpl_trace(const HplParams& params) {
 
     // Post the lookahead Irecv for panel k+1 on everyone but its owner.
     auto post_lookahead_irecv = [&](int task) {
-      if (!params.lookahead || k + 1 >= panels || next_bytes <= 0.0) return;
+      if (!params.lookahead || k + 1 >= panels) return;
       if (task == next_owner) return;
-      trace.push(task,
-                 sim::Event::irecv((task + p - 1) % p, next_bytes));
+      trace.push(task, sim::Event::irecv((task + p - 1) % p,
+                                         panel_bytes(params, k + 1)));
       irecv_posted[static_cast<size_t>(task)] = true;
     };
 
-    // Panel owner: factorize and start the ring.
+    // Panel owner: factorize and start the ring. Every panel k < panels
+    // has at least one row and column left, so `bytes` is at least 8.
     trace.push(owner, sim::Event::compute(t_panel));
-    if (bytes > 0.0)
-      trace.push(owner, sim::Event::send((owner + 1) % p, bytes));
+    trace.push(owner, sim::Event::send((owner + 1) % p, bytes));
     post_lookahead_irecv(owner);
     if (t_update > 0.0) trace.push(owner, sim::Event::compute(t_update));
 
     // Ring forwarding: task j receives from its predecessor and forwards,
     // except the last task in the ring, which only receives.
-    if (bytes > 0.0) {
-      for (int hop = 1; hop < p; ++hop) {
-        const int task = (owner + hop) % p;
-        const int prev = (owner + hop - 1) % p;
-        receive_panel(task, prev, bytes);
-        if (hop != p - 1)
-          trace.push(task, sim::Event::send((task + 1) % p, bytes));
-        post_lookahead_irecv(task);
-        if (t_update > 0.0) trace.push(task, sim::Event::compute(t_update));
-      }
-    } else if (t_update > 0.0) {
-      for (int hop = 1; hop < p; ++hop)
-        trace.push((owner + hop) % p, sim::Event::compute(t_update));
+    for (int hop = 1; hop < p; ++hop) {
+      const int task = (owner + hop) % p;
+      const int prev = (owner + hop - 1) % p;
+      receive_panel(task, prev, bytes);
+      if (hop != p - 1)
+        trace.push(task, sim::Event::send((task + 1) % p, bytes));
+      post_lookahead_irecv(task);
+      if (t_update > 0.0) trace.push(task, sim::Event::compute(t_update));
     }
 
     if (params.barrier_per_iteration) trace.push_barrier_all();

@@ -98,7 +98,7 @@ struct QueryService::Job {
 QueryService::QueryService(ServiceConfig config)
     : cfg_(config),
       results_(config.cache_capacity),
-      solves_(config.warm_start ? config.memo_capacity : 0),
+      solves_(config.memo_capacity),
       pool_(std::make_unique<util::ThreadPool>(config.threads)) {}
 
 QueryService::~QueryService() = default;
@@ -150,11 +150,10 @@ std::vector<Response> QueryService::query_batch(
       continue;
     }
     auto job = std::make_unique<Job>();
-    const sim::SolveStore* frozen = cfg_.warm_start ? &solves_ : nullptr;
     job->measured_memo = std::make_unique<sim::SolveMemo>(
-        frozen, memo_salt("measured", cq.tech, cq.model), cfg_.verify);
+        &solves_, memo_salt("measured", cq.tech, cq.model), cfg_.verify);
     job->predicted_memo = std::make_unique<sim::SolveMemo>(
-        frozen, memo_salt("predicted", cq.tech, cq.model), cfg_.verify);
+        &solves_, memo_salt("predicted", cq.tech, cq.model), cfg_.verify);
     job->cq = std::move(cq);
     job->request_slots.push_back(i);
     planned.emplace(job->cq.fingerprint, jobs.size());

@@ -56,9 +56,6 @@ struct ServiceConfig {
   size_t memo_capacity = 65536;
   /// Pool workers for a batch's distinct replays (0 = hardware threads).
   int threads = 0;
-  /// Master switch for cross-query solve reuse; off means every replay is
-  /// cold (the ResultCache still works).
-  bool warm_start = true;
   /// Oracle mode: bitwise re-verify every memo hit and cold-re-run every
   /// warm replay. Expensive; for tests and smoke scripts.
   bool verify = false;

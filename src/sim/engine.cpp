@@ -72,6 +72,8 @@ bool bit_identical(const SimResult& a, const SimResult& b) {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// End of a node's transfer list (Transfer::next_src / next_dst).
+constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
 /// Messages at least this long use rendezvous (the sender blocks).
 constexpr double kEagerThreshold = 64.0 * 1024.0;
 /// Abort if simulated time exceeds this (deadlock safety net).
@@ -100,14 +102,13 @@ struct PendingRecv {
 
 /// One in-flight transfer, stored in a stable slot. `remaining` is only
 /// valid as of `advance_time` — bytes are integrated lazily, when the
-/// transfer's component is next touched (docs/PERFORMANCE.md).
+/// transfer's component is next solved (docs/PERFORMANCE.md).
 ///
 /// Deliberately trivially copyable: slots are recycled with a plain
 /// assignment and completion snapshots the struct by value, so any owning
 /// member here would put an allocation on the per-event path. The provider
 /// coupling keys (the one variable-length attribute) live in the engine's
-/// parallel `slot_keys_` side storage, whose vectors keep their capacity
-/// across slot reuse.
+/// parallel `slot_keys_` side storage.
 struct Transfer {
   size_t record = 0;
   TaskId src = 0;
@@ -123,10 +124,13 @@ struct Transfer {
   bool dst_nonblocking = false;  // receiver posted via kIrecv
   bool background = false;       // task-less injected flow; src/dst unused
   bool alive = false;
-  int component = -1;
-  /// Entry in the finish-time queue. Stable across component
-  /// dissolve/regroup — only a re-solve that changes finish_pred
-  /// re-keys it, and only completion erases it.
+  /// Next alive transfer in src_node's / dst_node's list (NodeIndex). A
+  /// transfer with src_node == dst_node is listed once, through next_src.
+  size_t next_src = kNoSlot;
+  size_t next_dst = kNoSlot;
+  uint64_t seen = 0;  // last flush whose component search reached this slot
+  /// Entry in the finish-time queue: only a re-solve re-keys it, and only
+  /// completion erases it.
   core::EventHandle qh = core::kNullEventHandle;
 };
 static_assert(std::is_trivially_copyable_v<Transfer>,
@@ -147,25 +151,20 @@ SolveScratch& solve_scratch() {
   return scratch;
 }
 
-/// A connected component of the coupling structure over active transfers:
-/// two transfers belong together iff they share an endpoint node or a
-/// provider coupling key (transitively). `nodes`/`keys` record the
-/// ownership entries this component asserted, so freeing it can clear
-/// exactly those slots of the flat owner arrays. Component objects are
-/// pooled (free_components_) with their vectors' capacity retained, so
-/// dissolve/regroup cycles stop allocating once warmed.
-struct Component {
-  std::vector<size_t> members;  // alive transfer slots
-  std::vector<topo::NodeId> nodes;
-  std::vector<int> keys;
-  bool alive = false;
-  bool dirty = false;
-  /// A member was removed since the component was last clean. Only a
-  /// shrunken component can split, so only these need the dissolve/regroup
-  /// pass at the next flush; a component that merely grew keeps its grouping
-  /// (attach_transfer materialized any merges eagerly) and just has its
-  /// members' byte counts advanced — the same instant a dissolve would have.
-  bool shrunk = false;
+/// The alive transfers with an endpoint on one node, as a list threaded
+/// through Transfer::next_src / next_dst (no per-node heap storage), and the
+/// last flush whose component search reached the node.
+struct NodeIndex {
+  size_t head = kNoSlot;
+  uint64_t seen = 0;
+};
+
+/// The alive transfers holding one provider coupling key. The only keys in
+/// use are fat-tree inner links, far fewer than nodes, so each keeps its own
+/// vector (whose capacity survives the key falling idle).
+struct KeyIndex {
+  std::vector<size_t> slots;
+  uint64_t seen = 0;
 };
 
 /// One scripted scenario event, merged from Scenario::churn and
@@ -216,7 +215,7 @@ class Engine {
     // regrowth memcpy over what is by far the engine's largest result array.
     result_.comms.reserve(trace_.total_sends());
 
-    node_owner_.assign(static_cast<size_t>(cluster_.num_nodes()), -1);
+    nodes_.assign(static_cast<size_t>(cluster_.num_nodes()), NodeIndex{});
     node_up_.assign(static_cast<size_t>(cluster_.num_nodes()), true);
     for (const int v : scenario.down_at_start)
       node_up_[static_cast<size_t>(v)] = false;
@@ -258,9 +257,9 @@ class Engine {
     // Drive every task as far as it can go, then hop to the next event.
     for (TaskId t = 0; t < trace_.num_tasks(); ++t) advance_task(t);
     while (num_done_ < trace_.num_tasks()) {
-      // Flush point: solve every component the last event cascade dirtied,
+      // Flush point: solve every component the last event cascade touched,
       // before any prediction below is read. The clock has not moved since
-      // they turned dirty, so deferring the solves to here is unobservable.
+      // they were touched, so deferring the solves to here is unobservable.
       flush();
       const auto next_of = [](const auto& q) {
         return q.empty() ? kInf : q.top_time();
@@ -480,7 +479,11 @@ class Engine {
     tr.advance_time = now();
   }
 
-  size_t alloc_slot() {
+  /// Put a fresh transfer of `bytes` for comm `record` into the active set:
+  /// a recycled or new slot, its coupling keys, a finish-time queue entry
+  /// and the node/key index. The caller fills in the task-side fields.
+  Transfer& open_transfer(size_t record, topo::NodeId src_node,
+                          topo::NodeId dst_node, double bytes) {
     size_t slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -490,42 +493,35 @@ class Engine {
       slot_keys_.emplace_back();
       slot = transfers_.size() - 1;
     }
-    transfers_[slot] = Transfer{};
-    slot_keys_[slot].clear();  // keeps capacity for the next key set
-    return slot;
-  }
-
-  /// Fetch the provider's coupling keys for a fresh transfer into its slot's
-  /// side storage. Providers without extra coupling return an empty vector
-  /// (no allocation); with coupling the capacity retained in slot_keys_ is
-  /// replaced by the returned vector's.
-  void set_slot_keys(size_t slot) {
-    const Transfer& tr = transfers_[slot];
-    slot_keys_[slot] = provider_.coupling_keys(tr.src_node, tr.dst_node);
+    Transfer& tr = transfers_[slot];
+    tr = Transfer{};
+    tr.record = record;
+    tr.src_node = src_node;
+    tr.dst_node = dst_node;
+    tr.remaining = std::max(bytes, 1.0);  // 0-length still costs latency
+    tr.advance_time = now();
+    tr.alive = true;
+    // Providers without extra coupling return an empty vector (no
+    // allocation).
+    slot_keys_[slot] = provider_.coupling_keys(src_node, dst_node);
+    // The finish-time index entry lives as long as the transfer does; the
+    // next flush re-keys it to the first real prediction.
+    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(record), slot);
+    ++num_active_;
+    attach_transfer(slot);
+    return tr;
   }
 
   void start_transfer(const PendingSend& ps, TaskId dst,
                       bool dst_nonblocking) {
-    const size_t slot = alloc_slot();
-    Transfer& tr = transfers_[slot];
-    tr.record = ps.record;
+    Transfer& tr = open_transfer(ps.record, placement_.node_of(ps.src),
+                                 placement_.node_of(dst), ps.bytes);
     tr.src = ps.src;
     tr.dst = dst;
-    tr.src_node = placement_.node_of(ps.src);
-    tr.dst_node = placement_.node_of(dst);
-    tr.remaining = std::max(ps.bytes, 1.0);  // 0-length still costs latency
-    tr.advance_time = now();
     tr.rendezvous = ps.rendezvous;
     tr.src_tracked = ps.tracked;
     tr.dst_nonblocking = dst_nonblocking;
-    tr.alive = true;
-    set_slot_keys(slot);
-    // The finish-time index entry lives as long as the transfer does; the
-    // next flush re-keys it to the first real prediction.
-    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
     result_.comms[ps.record].start = now();
-    ++num_active_;
-    attach_transfer(slot);
   }
 
   // --- scenario scripts ----------------------------------------------------
@@ -561,12 +557,9 @@ class Engine {
   /// the cascade is deterministic.
   void fail_node(int node) {
     aborting_.clear();
-    for (size_t s = 0; s < transfers_.size(); ++s) {
-      const Transfer& tr = transfers_[s];
-      if (tr.alive && (tr.src_node == static_cast<topo::NodeId>(node) ||
-                       tr.dst_node == static_cast<topo::NodeId>(node)))
-        aborting_.push_back(s);
-    }
+    for (size_t s = nodes_[static_cast<size_t>(node)].head; s != kNoSlot;
+         s = next_at(s, node))
+      aborting_.push_back(s);
     std::sort(aborting_.begin(), aborting_.end(), [&](size_t a, size_t b) {
       return transfers_[a].record < transfers_[b].record;
     });
@@ -577,45 +570,17 @@ class Engine {
   }
 
   /// Mirror of complete_one_transfer for a transfer cut short by a node
-  /// failure: keep the partial byte count in the record, unblock both
-  /// endpoints immediately (the failure is observed with no delivery
-  /// latency), and leave the dirtied components for the next flush.
+  /// failure: close the record as aborted at the failure instant and
+  /// unblock both endpoints immediately (the failure is observed with no
+  /// delivery latency). The transfer's component re-solves at the next
+  /// flush.
   void abort_transfer(size_t slot) {
     advance(transfers_[slot]);
     const Transfer tr = transfers_[slot];
     detach_transfer(slot);
-
-    auto& rec = result_.comms[tr.record];
-    rec.aborted = true;
-    rec.finish = now();
-    const double ref = reference_duration(rec);
-    rec.penalty = ref > 0.0 ? (rec.finish - rec.start) / ref : 1.0;
+    result_.comms[tr.record].aborted = true;
     ++result_.aborted_comms;
-
-    if (tr.background) return;
-    if (tr.rendezvous) {
-      auto& stats = result_.tasks[static_cast<size_t>(tr.src)];
-      rec.sender_time = now() - rec.send_post;
-      stats.send_blocked_seconds +=
-          now() - blocked_since_[static_cast<size_t>(tr.src)];
-      state_[static_cast<size_t>(tr.src)] = TaskState::kReady;
-    } else {
-      rec.sender_time = 0.0;
-    }
-    if (tr.src_tracked) retire_request(tr.src, /*latency=*/0.0);
-    if (tr.dst_nonblocking) {
-      retire_request(tr.dst, /*latency=*/0.0);
-    } else {
-      auto& stats = result_.tasks[static_cast<size_t>(tr.dst)];
-      stats.recv_blocked_seconds +=
-          now() - blocked_since_[static_cast<size_t>(tr.dst)];
-      state_[static_cast<size_t>(tr.dst)] = TaskState::kReady;
-    }
-
-    if (state_[static_cast<size_t>(tr.src)] == TaskState::kReady)
-      advance_task(tr.src);
-    if (state_[static_cast<size_t>(tr.dst)] == TaskState::kReady)
-      advance_task(tr.dst);
+    release_endpoints(tr, /*latency=*/0.0);
   }
 
   /// Admit one background flow: a task-less transfer that contends for
@@ -640,207 +605,85 @@ class Engine {
     result_.comms.push_back(rec);
     const size_t record = result_.comms.size() - 1;
     ++result_.background_comms;
+    open_transfer(record, rec.src_node, rec.dst_node, ev.bytes).background =
+        true;
+  }
 
-    const size_t slot = alloc_slot();
+  // --- component search ----------------------------------------------------
+  //
+  // Components are not kept between flushes. The alive transfers are indexed
+  // by endpoint node (nodes_) and coupling key (keys_); every start and
+  // departure records the nodes and keys it touched, and the flush collects
+  // each component reachable from them by a search over that index. Two
+  // transfers share a component iff they share an endpoint node or a
+  // coupling key (transitively).
+
+  /// `slot`'s next link in `node`'s list.
+  size_t& next_at(size_t slot, topo::NodeId node) {
     Transfer& tr = transfers_[slot];
-    tr.record = record;
-    tr.background = true;
-    tr.src_node = rec.src_node;
-    tr.dst_node = rec.dst_node;
-    tr.remaining = std::max(ev.bytes, 1.0);
-    tr.advance_time = now();
-    tr.alive = true;
-    set_slot_keys(slot);
-    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(tr.record), slot);
-    ++num_active_;
-    attach_transfer(slot);
+    return tr.src_node == node ? tr.next_src : tr.next_dst;
   }
 
-  // --- component tracking --------------------------------------------------
-
-  int new_component() {
-    int c;
-    if (!free_components_.empty()) {
-      c = free_components_.back();
-      free_components_.pop_back();
-    } else {
-      components_.emplace_back();
-      c = static_cast<int>(components_.size()) - 1;
-    }
-    auto& comp = components_[static_cast<size_t>(c)];
-    comp.alive = true;
-    comp.dirty = false;
-    comp.shrunk = false;
-    comp.members.clear();
-    comp.nodes.clear();
-    comp.keys.clear();
-    return c;
+  void link(size_t slot, topo::NodeId node) {
+    size_t& head = nodes_[static_cast<size_t>(node)].head;
+    next_at(slot, node) = head;
+    head = slot;
   }
 
-  void mark_dirty(int c) {
-    auto& comp = components_[static_cast<size_t>(c)];
-    if (!comp.dirty) {
-      comp.dirty = true;
-      dirty_.push_back(c);
-    }
+  /// O(transfers on `node`): the lists are singly linked.
+  void unlink(size_t slot, topo::NodeId node) {
+    size_t* at = &nodes_[static_cast<size_t>(node)].head;
+    while (*at != slot) at = &next_at(*at, node);
+    *at = next_at(slot, node);
   }
 
-  /// Release a component id, clearing exactly the ownership slots it still
-  /// holds (slots taken over by a merge point elsewhere and are left).
-  void free_component(int c) {
-    auto& comp = components_[static_cast<size_t>(c)];
-    for (const topo::NodeId nd : comp.nodes) {
-      auto& owner = node_owner_[static_cast<size_t>(nd)];
-      if (owner == c) owner = -1;
-    }
-    for (const int k : comp.keys) {
-      auto& owner = key_owner_[static_cast<size_t>(k)];
-      if (owner == c) owner = -1;
-    }
-    comp.alive = false;
-    comp.dirty = false;
-    comp.shrunk = false;
-    comp.members.clear();
-    comp.nodes.clear();
-    comp.keys.clear();
-    free_components_.push_back(c);
-  }
-
-  void merge_into(int target, int victim) {
-    auto& t = components_[static_cast<size_t>(target)];
-    auto& v = components_[static_cast<size_t>(victim)];
-    // A shrunken victim may be splittable; the union inherits that doubt.
-    if (v.shrunk) t.shrunk = true;
-    for (const size_t s : v.members) transfers_[s].component = target;
-    t.members.insert(t.members.end(), v.members.begin(), v.members.end());
-    for (const topo::NodeId nd : v.nodes) {
-      node_owner_[static_cast<size_t>(nd)] = target;
-      t.nodes.push_back(nd);
-    }
-    for (const int k : v.keys) {
-      key_owner_[static_cast<size_t>(k)] = target;
-      t.keys.push_back(k);
-    }
-    v.alive = false;
-    v.dirty = false;
-    v.shrunk = false;
-    v.members.clear();
-    v.nodes.clear();
-    v.keys.clear();
-    free_components_.push_back(victim);
-  }
-
-  /// Place `slot` into the component owning any of its endpoint nodes or
-  /// coupling keys, merging every component it bridges; a transfer touching
-  /// nothing active starts its own. The touched component turns dirty.
-  void attach_transfer(size_t slot) {
-    Transfer& tr = transfers_[slot];
-    int target = -1;
-    const auto fold = [&](int c) {
-      if (c == target) return;
-      if (target == -1) {
-        target = c;
-        return;
-      }
-      if (components_[static_cast<size_t>(c)].members.size() >
-          components_[static_cast<size_t>(target)].members.size())
-        std::swap(target, c);
-      merge_into(target, c);
-    };
-    const auto key_owner = [&](int k) {
-      return static_cast<size_t>(k) < key_owner_.size()
-                 ? key_owner_[static_cast<size_t>(k)]
-                 : -1;
-    };
-    if (const int c = node_owner_[static_cast<size_t>(tr.src_node)]; c != -1)
-      fold(c);
-    if (const int c = node_owner_[static_cast<size_t>(tr.dst_node)]; c != -1)
-      fold(c);
+  /// Record `slot`'s nodes and keys for the next flush's search.
+  void touch(size_t slot) {
+    const Transfer& tr = transfers_[slot];
+    touched_nodes_.push_back(tr.src_node);
+    touched_nodes_.push_back(tr.dst_node);
     const std::vector<int>& keys = slot_keys_[slot];
-    for (const int k : keys)
-      if (const int c = key_owner(k); c != -1) fold(c);
-    if (target == -1) target = new_component();
-    tr.component = target;
-    auto& comp = components_[static_cast<size_t>(target)];
-    comp.members.push_back(slot);
-    node_owner_[static_cast<size_t>(tr.src_node)] = target;
-    comp.nodes.push_back(tr.src_node);
-    if (tr.dst_node != tr.src_node) {
-      node_owner_[static_cast<size_t>(tr.dst_node)] = target;
-      comp.nodes.push_back(tr.dst_node);
-    }
-    for (const int k : keys) {
-      // Key ids come from the provider and are dense but unbounded a priori;
-      // the array grows to the high-water key id and stays there.
-      if (static_cast<size_t>(k) >= key_owner_.size())
-        key_owner_.resize(static_cast<size_t>(k) + 1, -1);
-      key_owner_[static_cast<size_t>(k)] = target;
-      comp.keys.push_back(k);
-    }
-    mark_dirty(target);
+    touched_keys_.insert(touched_keys_.end(), keys.begin(), keys.end());
   }
 
-  /// Remove a finished transfer; the remnant component turns dirty (it may
-  /// split — the next rebuild regroups it).
+  /// Index a fresh transfer under its endpoint nodes and coupling keys.
+  void attach_transfer(size_t slot) {
+    const Transfer& tr = transfers_[slot];
+    link(slot, tr.src_node);
+    if (tr.dst_node != tr.src_node) link(slot, tr.dst_node);
+    for (const int k : slot_keys_[slot]) {
+      // Key ids come from the provider and are dense but unbounded a priori;
+      // the index grows to the high-water key id and stays there.
+      if (static_cast<size_t>(k) >= keys_.size())
+        keys_.resize(static_cast<size_t>(k) + 1);
+      keys_[static_cast<size_t>(k)].slots.push_back(slot);
+    }
+    touch(slot);
+  }
+
+  /// Remove a finished transfer from the index and the finish-time queue.
   void detach_transfer(size_t slot) {
     Transfer& tr = transfers_[slot];
-    const int c = tr.component;
-    auto& members = components_[static_cast<size_t>(c)].members;
-    members.erase(std::find(members.begin(), members.end(), slot));
+    unlink(slot, tr.src_node);
+    if (tr.dst_node != tr.src_node) unlink(slot, tr.dst_node);
+    for (const int k : slot_keys_[slot]) {
+      auto& slots = keys_[static_cast<size_t>(k)].slots;
+      *std::find(slots.begin(), slots.end(), slot) = slots.back();
+      slots.pop_back();
+    }
+    touch(slot);
     transfer_q_.erase(tr.qh);
     tr.qh = core::kNullEventHandle;
     tr.alive = false;
-    tr.component = -1;
-    slot_keys_[slot].clear();  // keeps capacity for reuse
     free_slots_.push_back(slot);
     --num_active_;
-    if (members.empty()) {
-      free_component(c);
-    } else {
-      mark_dirty(c);
-      components_[static_cast<size_t>(c)].shrunk = true;
-    }
-  }
-
-  /// Dissolve every dirty component that lost a member — advancing its
-  /// members' byte counts to `now()` — and regroup the released transfers
-  /// from scratch. Closure guarantees the released transfers can only
-  /// regroup among themselves, so clean components are never disturbed. A
-  /// dirty component that only *grew* cannot split (and any merge it needed
-  /// was materialized eagerly by attach_transfer), so it keeps its grouping
-  /// and only has its members advanced — at the same sim time a dissolve
-  /// would have advanced them, the clock having been pinned since the
-  /// dirtying event. Afterwards `dirty_` lists every component still needing
-  /// a solve (kept and freshly formed, flags set).
-  void rebuild_dirty_components() {
-    if (dirty_.empty()) return;
-    loose_.clear();
-    kept_.clear();
-    for (const int c : dirty_) {
-      auto& comp = components_[static_cast<size_t>(c)];
-      if (!comp.alive || !comp.dirty) continue;
-      if (!comp.shrunk) {
-        for (const size_t s : comp.members) advance(transfers_[s]);
-        kept_.push_back(c);
-        continue;
-      }
-      for (const size_t s : comp.members) {
-        advance(transfers_[s]);
-        transfers_[s].component = -1;
-        loose_.push_back(s);
-      }
-      comp.members.clear();
-      free_component(c);
-    }
-    dirty_.swap(kept_);  // kept components stay queued for the solve
-    for (const size_t s : loose_) attach_transfer(s);
   }
 
   /// The one flush point, at the top of the event loop: solve everything
-  /// dirtied since the last flush. Event handlers only mark components
-  /// dirty; the clock cannot move between dirtying and flushing, so deferral
-  /// is unobservable, and a barrier release posting N transfers yields ONE
-  /// flush over N disjoint dirty components.
+  /// touched since the last flush. Event handlers only record what they
+  /// touched; the clock cannot move between touching and flushing, so
+  /// deferral is unobservable, and a barrier release posting N transfers
+  /// yields ONE flush over N disjoint components.
   void flush() {
     resolve_dirty();
     if (cfg_.verify) {
@@ -849,29 +692,66 @@ class Engine {
     }
   }
 
-  /// Regroup the dirty components, then solve each one and commit its rates
-  /// in ascending component id.
+  /// Solve each component holding an alive transfer on a touched node or
+  /// key, once, in the order the touched lists reach them. That is exactly
+  /// the set of components that gained or lost a member since the last flush
+  /// (a departed transfer shared a node or key with every piece its old
+  /// component split into). Solves read and write only their own members,
+  /// so their order does not matter.
   void resolve_dirty() {
-    rebuild_dirty_components();
-    // A recycled component id can sit in dirty_ twice; the dirty flag makes
-    // the second entry a no-op.
-    std::sort(dirty_.begin(), dirty_.end());
-    for (const int c : dirty_) {
-      auto& comp = components_[static_cast<size_t>(c)];
-      if (!comp.alive || !comp.dirty) continue;
-      comp.dirty = false;
-      if (comp.members.empty()) continue;
-      // Members in posting (record) order: the solve's flow ordering is then
-      // a pure function of the component's content.
-      std::sort(comp.members.begin(), comp.members.end(),
-                [&](size_t a, size_t b) {
-                  return transfers_[a].record < transfers_[b].record;
-                });
-      rates_.resize(comp.members.size());
-      compute_component_rates(c, rates_);
-      commit_component(c, rates_);
+    ++flush_;
+    for (const topo::NodeId v : touched_nodes_) {
+      members_.clear();
+      reach_node(v);
+      solve_members();
     }
-    dirty_.clear();
+    for (const int k : touched_keys_) {
+      members_.clear();
+      reach_key(k);
+      solve_members();
+    }
+    touched_nodes_.clear();
+    touched_keys_.clear();
+  }
+
+  void reach_node(topo::NodeId v) {
+    NodeIndex& node = nodes_[static_cast<size_t>(v)];
+    if (node.seen == flush_) return;
+    node.seen = flush_;
+    for (size_t s = node.head; s != kNoSlot; s = next_at(s, v)) reach_slot(s);
+  }
+
+  void reach_key(int k) {
+    KeyIndex& key = keys_[static_cast<size_t>(k)];
+    if (key.seen == flush_) return;
+    key.seen = flush_;
+    for (const size_t s : key.slots) reach_slot(s);
+  }
+
+  void reach_slot(size_t s) {
+    if (transfers_[s].seen == flush_) return;
+    transfers_[s].seen = flush_;
+    members_.push_back(s);
+  }
+
+  /// Grow members_ to its component, then advance, solve and commit it.
+  void solve_members() {
+    for (size_t i = 0; i < members_.size(); ++i) {
+      const size_t s = members_[i];
+      reach_node(transfers_[s].src_node);
+      reach_node(transfers_[s].dst_node);
+      for (const int k : slot_keys_[s]) reach_key(k);
+    }
+    if (members_.empty()) return;
+    for (const size_t s : members_) advance(transfers_[s]);
+    // Members in posting (record) order: the solve's flow ordering is then
+    // a pure function of the component's content.
+    std::sort(members_.begin(), members_.end(), [&](size_t a, size_t b) {
+      return transfers_[a].record < transfers_[b].record;
+    });
+    rates_.resize(members_.size());
+    compute_component_rates(members_, rates_);
+    commit_component(members_, rates_);
   }
 
   /// Solve one component: build the induced communication graph of its
@@ -887,9 +767,9 @@ class Engine {
   /// stay bit-identical whatever the memo contains; a verify-mode memo
   /// proves that on every hit by re-solving anyway. Misses solve fresh and
   /// stage the solution for cross-query publication (sim/solve_memo.hpp).
-  void compute_component_rates(int c, std::span<double> out) const {
-    const auto& comp = components_[static_cast<size_t>(c)];
-    BWS_ASSERT(out.size() == comp.members.size(), "rate size mismatch");
+  void compute_component_rates(std::span<const size_t> members,
+                               std::span<double> out) const {
+    BWS_ASSERT(out.size() == members.size(), "rate size mismatch");
     SolveScratch& scratch = solve_scratch();
     const auto solve_fresh = [&](std::span<double> rates) {
       // The induced graph and the provider's solver state are both reused
@@ -898,8 +778,8 @@ class Engine {
       // the arena serves the max-min problem construction.
       graph::CommGraph& sub = scratch.sub;
       sub.clear();
-      sub.reserve(static_cast<int>(comp.members.size()));
-      for (const size_t s : comp.members) {
+      sub.reserve(static_cast<int>(members.size()));
+      for (const size_t s : members) {
         const Transfer& tr = transfers_[s];
         sub.add(tr.src_node, tr.dst_node, tr.remaining);
       }
@@ -912,7 +792,7 @@ class Engine {
     }
     util::StructuralHash h;
     h.mix_u64(memo->salt());
-    for (const size_t s : comp.members) {
+    for (const size_t s : members) {
       const Transfer& tr = transfers_[s];
       h.mix_i64(tr.src_node);
       h.mix_i64(tr.dst_node);
@@ -922,7 +802,7 @@ class Engine {
     bool from_frozen = false;
     std::vector<double>& hit = scratch.memo_rates;
     if (memo->lookup(key, hit, from_frozen)) {
-      BWS_CHECK(hit.size() == comp.members.size(),
+      BWS_CHECK(hit.size() == members.size(),
                 "solve memo returned a rate vector of the wrong size "
                 "(key collision or a mis-salted store)");
       if (memo->verify()) {
@@ -932,9 +812,9 @@ class Engine {
         for (size_t k = 0; k < fresh.size(); ++k) {
           BWS_CHECK(hit[k] == fresh[k],
                     strformat("solve memo hit diverged from a fresh solve: "
-                              "component %d member %zu rate %.17g vs %.17g "
-                              "at t=%.9g",
-                              c, k, hit[k], fresh[k], now()));
+                              "comm record %zu rate %.17g vs %.17g at t=%.9g",
+                              transfers_[members[k]].record, hit[k], fresh[k],
+                              now()));
         }
       }
       std::copy(hit.begin(), hit.end(), out.begin());
@@ -947,11 +827,11 @@ class Engine {
 
   /// Write one component's solved rates back into its transfers and re-key
   /// their finish-time queue entries.
-  void commit_component(int c, std::span<const double> rates) {
-    const auto& comp = components_[static_cast<size_t>(c)];
-    for (size_t k = 0; k < comp.members.size(); ++k) {
+  void commit_component(std::span<const size_t> members,
+                        std::span<const double> rates) {
+    for (size_t k = 0; k < members.size(); ++k) {
       BWS_CHECK(rates[k] > 0.0, "provider returned a zero rate");
-      Transfer& tr = transfers_[comp.members[k]];
+      Transfer& tr = transfers_[members[k]];
       tr.rate = rates[k];
       tr.finish_pred = tr.advance_time + tr.remaining / tr.rate;
       transfer_q_.update(tr.qh, tr.finish_pred);
@@ -1071,30 +951,34 @@ class Engine {
 
     const Transfer tr = transfers_[done];
     detach_transfer(done);
+    release_endpoints(tr, latency_for(result_.comms[tr.record]));
+  }
 
+  /// Close the record of a departed transfer — finished `latency` after now,
+  /// its penalty — and unblock its tasks: the sender (rendezvous) at once,
+  /// the receiver `latency` later, modelled as a tiny compute burst so event
+  /// ordering stays exact. A completion passes the one-way latency, an abort
+  /// 0: `now() + 0.0 == now()`, and no compute burst is begun.
+  void release_endpoints(const Transfer& tr, double latency) {
     auto& rec = result_.comms[tr.record];
-    const double latency = latency_for(rec);
     rec.finish = now() + latency;
     const double ref = reference_duration(rec);
     rec.penalty = ref > 0.0 ? (rec.finish - rec.start) / ref : 1.0;
 
-    // A background flow blocks nobody: its remnant component re-solves at
-    // the next flush.
+    // A background flow blocks nobody.
     if (tr.background) return;
 
-    // Unblock the sender (rendezvous) at drain time.
     if (tr.rendezvous) {
       auto& stats = result_.tasks[static_cast<size_t>(tr.src)];
       rec.sender_time = now() - rec.send_post;
-      stats.send_blocked_seconds += now() - blocked_since_[static_cast<size_t>(tr.src)];
+      stats.send_blocked_seconds +=
+          now() - blocked_since_[static_cast<size_t>(tr.src)];
       state_[static_cast<size_t>(tr.src)] = TaskState::kReady;
     } else {
       rec.sender_time = 0.0;
     }
     // Retire a tracked Isend; may release the sender's WaitAll.
     if (tr.src_tracked) retire_request(tr.src, /*latency=*/0.0);
-    // Unblock the receiver one latency later; the delay is modelled as a
-    // tiny compute burst so event ordering stays exact.
     if (tr.dst_nonblocking) {
       // Non-blocking receive: retire the request; release a pending WaitAll
       // when it was the last one.
@@ -1278,18 +1162,17 @@ class Engine {
   std::vector<std::vector<int>> slot_keys_;  // coupling keys, slot-parallel
   std::vector<size_t> free_slots_;
   size_t num_active_ = 0;
-  std::vector<Component> components_;
-  std::vector<int> free_components_;
-  std::vector<int> dirty_;                        // dirty component ids
-  std::vector<size_t> loose_;                     // rebuild scratch
-  std::vector<int> kept_;                         // rebuild scratch
-  std::vector<double> rates_;                     // flush solve scratch
-  // Component ownership as dense arrays: node_owner_ is sized to the cluster
-  // up front; key_owner_ grows to the high-water coupling-key id. -1 = free.
-  // Entries are erased (reset to -1) exactly once, at dissolve, so plain
-  // sentinels suffice — no epoch stamps needed.
-  std::vector<int> node_owner_;
-  std::vector<int> key_owner_;
+  // The component search's index and scratch (see "component search").
+  // nodes_ is sized to the cluster up front; keys_ grows to the high-water
+  // coupling-key id. `seen` marks hold flush_, bumped once per flush, so
+  // they never need clearing.
+  std::vector<NodeIndex> nodes_;
+  std::vector<KeyIndex> keys_;
+  std::vector<topo::NodeId> touched_nodes_;  // since the last flush
+  std::vector<int> touched_keys_;            // since the last flush
+  uint64_t flush_ = 0;
+  std::vector<size_t> members_;  // the component being solved
+  std::vector<double> rates_;    // its solved rates
   SimResult result_;
 };
 

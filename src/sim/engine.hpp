@@ -20,11 +20,13 @@
 // Rate refresh is incremental and component-scoped: when a transfer starts
 // or finishes, only the connected component(s) of the conflict structure it
 // touches are re-solved, and untouched components keep their cached rates
-// with lazily advanced byte counts. Dirty components are not solved
-// mid-event but at the one *flush point*, the top of the event loop — the
-// clock cannot move in between, so deferral is unobservable, and it batches
-// all the components a same-time event cascade touched into one flush,
-// solved and committed in ascending component id. The event loop itself
+// with lazily advanced byte counts. Components are not maintained between
+// events: the engine indexes alive transfers by endpoint node and coupling
+// key, records the nodes and keys each start or departure touches, and at
+// the one *flush point*, the top of the event loop, searches that index
+// for each touched component and solves it — the clock cannot move in
+// between, so deferral is unobservable, and it batches all the components a
+// same-time event cascade touched into one flush. The event loop itself
 // runs on the shared event-core (core::EventQueue): predicted finish times
 // and compute wake-ups are indexed heap entries, re-keyed in O(log n) when a
 // component re-solve changes a prediction, so finding the next event never

@@ -6,7 +6,7 @@
 //   * kFail   — the node goes down and every in-flight transfer with an
 //     endpoint on it ABORTS at the event time: partial bytes are kept in the
 //     record (CommRecord::aborted), the endpoints unblock immediately, and
-//     the dirtied conflict components re-solve at the next flush point.
+//     the touched conflict components re-solve at the next flush point.
 //   * kLeave  — the node goes down but in-flight transfers DRAIN normally
 //     (graceful departure). Down nodes stop admitting background flows.
 //   * kJoin   — the node comes (back) up and admits background flows again.

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -41,11 +42,16 @@ Placement make_placement(SchedulingPolicy policy,
                       static_cast<long long>(cluster.total_cores()),
                       num_tasks));
 
-  // One slot per core, in node order: [n0,n0,n1,n1,...] for 2-core nodes.
-  std::vector<topo::NodeId> slots;
-  slots.reserve(static_cast<size_t>(cluster.total_cores()));
-  for (topo::NodeId n = 0; n < cluster.num_nodes(); ++n)
-    for (int c = 0; c < cluster.node(n).cores; ++c) slots.push_back(n);
+  // The first `count` core slots in node order: [n0,n0,n1,n1,...] for
+  // 2-core nodes. RRP reads num_tasks of them, Random shuffles them all.
+  const auto core_slots = [&](size_t count) {
+    std::vector<topo::NodeId> slots;
+    slots.reserve(count);
+    for (topo::NodeId n = 0; slots.size() < count; ++n)
+      for (int c = 0; c < cluster.node(n).cores && slots.size() < count; ++c)
+        slots.push_back(n);
+    return slots;
+  };
 
   std::vector<topo::NodeId> node_of(static_cast<size_t>(num_tasks));
   switch (policy) {
@@ -67,11 +73,17 @@ Placement make_placement(SchedulingPolicy policy,
       break;
     }
     case SchedulingPolicy::kRoundRobinProcessor: {
-      for (int t = 0; t < num_tasks; ++t)
-        node_of[static_cast<size_t>(t)] = slots[static_cast<size_t>(t)];
+      node_of = core_slots(static_cast<size_t>(num_tasks));
       break;
     }
     case SchedulingPolicy::kRandom: {
+      BWS_CHECK(cluster.total_cores() <= kMaxCount,
+                strformat("Random placement: %lld cores exceeds the limit of "
+                          "%d",
+                          static_cast<long long>(cluster.total_cores()),
+                          kMaxCount));
+      std::vector<topo::NodeId> slots =
+          core_slots(static_cast<size_t>(cluster.total_cores()));
       Rng rng(seed);
       // Fisher-Yates over the core slots, then take the first num_tasks.
       for (size_t i = slots.size() - 1; i > 0; --i)

@@ -51,7 +51,8 @@ class Placement {
 
 /// Build a placement of `num_tasks` tasks on `cluster` under `policy`.
 /// `seed` is used by the random policy only. Throws if the cluster lacks
-/// cores for the task count.
+/// cores for the task count, or, for Random, has more than kMaxCount
+/// (util/limits.hpp) cores in all: that policy shuffles one slot per core.
 [[nodiscard]] Placement make_placement(SchedulingPolicy policy,
                                        const topo::ClusterSpec& cluster,
                                        int num_tasks, uint64_t seed = 42);

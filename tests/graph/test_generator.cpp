@@ -6,6 +6,7 @@
 #include <string>
 
 #include "util/error.hpp"
+#include "util/limits.hpp"
 
 namespace bwshare::graph {
 namespace {
@@ -18,6 +19,18 @@ void expect_identical(const CommGraph& a, const CommGraph& b) {
     EXPECT_EQ(a.comm(i).src, b.comm(i).src);
     EXPECT_EQ(a.comm(i).dst, b.comm(i).dst);
     EXPECT_EQ(a.comm(i).bytes, b.comm(i).bytes);  // bit-exact, no tolerance
+  }
+}
+
+/// Run `fn` expecting a bwshare::Error whose message contains `needle`.
+template <typename Fn>
+void expect_error(Fn&& fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected an Error containing \"" << needle << "\"";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "error message was: " << e.what();
   }
 }
 
@@ -168,6 +181,45 @@ TEST(GenerateScheme, SpreadBoundsMessageSizes) {
     if (c.bytes != 1e6) any_off_base = true;
   }
   EXPECT_TRUE(any_off_base);
+}
+
+// A script's expected length, rate * horizon, is capped at kMaxCount: the
+// generators build the whole script before a replay starts, and a rate of
+// 1e9 events/s used to ask for about 16 GB. The 0.1 s horizon keeps a script
+// at the limit (about 10^6 events) quick to draw.
+TEST(ChurnSpec, ExpectedEventCountIsCappedAtTheCountLimit) {
+  ChurnSpec spec;
+  spec.nodes = 2;
+  spec.horizon = 0.1;
+  spec.rate = 1e7;
+  ASSERT_EQ(spec.rate * spec.horizon, kMaxCount);
+  const auto script = generate_churn(spec, 3);
+  EXPECT_GT(script.size(), 900000u);
+  EXPECT_LT(script.size(), 1100000u);
+  spec.rate = 1.00001e7;
+  expect_error([&] { (void)generate_churn(spec, 3); },
+               "churn: rate * horizon must be at most 1000000 events, got "
+               "1.00001e+06");
+  spec.rate = 1e9;
+  spec.horizon = 1.0;
+  EXPECT_THROW(spec.validate(), Error);
+}
+
+TEST(BackgroundSpec, ExpectedFlowCountIsCappedAtTheCountLimit) {
+  BackgroundSpec spec;
+  spec.horizon = 0.1;
+  spec.rate = 1e7;
+  ASSERT_EQ(spec.rate * spec.horizon, kMaxCount);
+  const auto script = generate_background(spec, 3);
+  EXPECT_GT(script.size(), 900000u);
+  EXPECT_LT(script.size(), 1100000u);
+  spec.rate = 1.00001e7;
+  expect_error([&] { (void)generate_background(spec, 3); },
+               "background: rate * horizon must be at most 1000000 flows, "
+               "got 1.00001e+06");
+  spec.rate = 1e9;
+  spec.horizon = 1.0;
+  EXPECT_THROW(spec.validate(), Error);
 }
 
 }  // namespace

@@ -375,7 +375,7 @@ TEST(QueryService, ConcurrentHammerServesOnlyConformantAnswers) {
 TEST(QueryService, CacheCapacityZeroServesThrough) {
   ServiceConfig config;
   config.cache_capacity = 0;
-  config.warm_start = false;
+  config.memo_capacity = 0;
   QueryService service(config);
   const Query q = disjoint_query(kDisjointScheme);
   const Response first = service.query(q);
@@ -391,7 +391,7 @@ TEST(QueryService, CacheCapacityZeroServesThrough) {
 
 TEST(QueryService, WarmStartOffNeverReusesSolves) {
   ServiceConfig config;
-  config.warm_start = false;
+  config.memo_capacity = 0;
   QueryService service(config);
   ASSERT_TRUE(service.query(disjoint_query(kDisjointScheme)).ok);
   const Response r = service.query(disjoint_query(kDisjointSchemeEdited));
@@ -476,6 +476,31 @@ TEST(QueryService, SchemesBeyondTheNodeCeilingAreErrorResponses) {
             std::string::npos)
       << r.error;
   EXPECT_EQ(service.stats().errors, 3u);
+}
+
+TEST(QueryService, ScriptRatesBeyondTheCountCeilingAreErrorResponses) {
+  // Without the ceiling a rate of 1e9 events/s over the 1 s horizon built a
+  // script of about 10^9 events before the replay started (~16 GB).
+  QueryService service;
+  Query churn = disjoint_query(kDisjointScheme);
+  churn.churn = 1e9;
+  Query background = disjoint_query(kDisjointScheme);
+  background.background = 1e9;
+  const auto responses = service.query_batch({churn, background});
+  ASSERT_EQ(responses.size(), 2u);
+  for (const Response& r : responses) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.source, Source::kError);
+  }
+  EXPECT_NE(responses[0].error.find(
+                "churn: rate * horizon must be at most 1000000 events"),
+            std::string::npos)
+      << responses[0].error;
+  EXPECT_NE(responses[1].error.find(
+                "background: rate * horizon must be at most 1000000 flows"),
+            std::string::npos)
+      << responses[1].error;
+  EXPECT_EQ(service.stats().errors, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // (docs/PERFORMANCE.md "Memory layout").
 //
 // The engine's warm replay must never call the global allocator: transfer
-// slots, components, match queues, the flush's rate buffer and the
+// slots, the node/key index, match queues, the flush's rate buffer and the
 // per-thread solve scratch (graph + util::Arena) are all reused storage,
 // and every provider solves in the arena — the fluid max-min problem and
 // each penalty model's evaluation alike. The first test measures it the
@@ -16,7 +16,7 @@
 // On one task per node every component is a single flow, so the second
 // test puts two tasks on each node, where components hold several
 // conflicting flows and the models' conflict tables and the Myrinet
-// enumeration do real work. There the engine's own per-replay pools keep
+// enumeration do real work. There the engine's own per-replay buffers keep
 // growing while fresh pairings reach new component shapes, so the test
 // counts the allocations made inside the provider's solves instead.
 #include <algorithm>
@@ -43,7 +43,7 @@ namespace {
 
 // Per round: a seeded random perfect matching of rendezvous messages,
 // rounds separated by barriers — the bench scenario, shrunk. Fresh pairings
-// every round exercise slot/component/match-queue reuse across rounds.
+// every round exercise slot, index and match-queue reuse across rounds.
 AppTrace matching_trace(int nodes, int rounds, uint64_t seed) {
   AppTrace trace(nodes);
   Rng rng(seed);

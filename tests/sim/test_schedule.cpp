@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -70,6 +71,37 @@ TEST(Schedule, CapacityValidation) {
                Error);
   EXPECT_THROW(make_placement(SchedulingPolicy::kRandom, cluster(2, 1), 0),
                Error);
+}
+
+TEST(Schedule, RoundRobinPoliciesBuildNoSlotPerCore) {
+  // 10^6 nodes of 10^6 cores is inside every ceiling; a placement that
+  // reserved one slot per core asked for 10^12 ints and died with
+  // std::bad_alloc. The round-robin policies only read the first few.
+  const auto huge = cluster(1000000, 1000000);
+  EXPECT_EQ(make_placement(SchedulingPolicy::kRoundRobinNode, huge, 3).nodes(),
+            (std::vector<topo::NodeId>{0, 1, 2}));
+  EXPECT_EQ(
+      make_placement(SchedulingPolicy::kRoundRobinProcessor, huge, 3).nodes(),
+      (std::vector<topo::NodeId>{0, 0, 0}));
+}
+
+TEST(Schedule, RandomRejectsMoreCoresThanTheCountLimit) {
+  // Random shuffles one slot per core, so the core total is capped.
+  try {
+    (void)make_placement(SchedulingPolicy::kRandom, cluster(1000000, 1000000),
+                         3);
+    ADD_FAILURE() << "expected the limit to reject the placement";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "Random placement: 1000000000000 cores exceeds the limit "
+                  "of 1000000"),
+              std::string::npos)
+        << e.what();
+  }
+  // At the limit the shuffle still runs.
+  EXPECT_EQ(
+      make_placement(SchedulingPolicy::kRandom, cluster(1000, 1000), 3).num_tasks(),
+      3);
 }
 
 TEST(Schedule, PolicyNames) {
