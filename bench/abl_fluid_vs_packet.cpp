@@ -42,9 +42,7 @@ int main(int argc, char** argv) {
     stats::Accumulator agreement;
     for (const auto& c : cases) {
       const auto fluid = flowsim::measure_penalties(c.g, cal);
-      flowsim::PacketSimConfig cfg;
-      cfg.cal = cal;
-      const auto packet = flowsim::measure_penalties_packet(c.g, cfg);
+      const auto packet = flowsim::measure_penalties_packet(c.g, cal);
       for (graph::CommId i = 0; i < c.g.size(); ++i) {
         const double ratio = packet[static_cast<size_t>(i)] /
                              fluid[static_cast<size_t>(i)];

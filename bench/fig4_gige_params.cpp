@@ -33,9 +33,7 @@ models::MeasureFn fluid_measure(const topo::ClusterSpec& cluster) {
 /// MeasureFn backed by the packet-level TCP simulator (finer asymmetries).
 models::MeasureFn packet_measure(const topo::ClusterSpec& cluster) {
   return [&cluster](const graph::CommGraph& scheme) {
-    flowsim::PacketSimConfig cfg;
-    cfg.cal = cluster.network();
-    return flowsim::measure_scheme_packet(scheme, cfg);
+    return flowsim::measure_scheme_packet(scheme, cluster.network());
   };
 }
 

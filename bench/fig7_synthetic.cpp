@@ -13,7 +13,7 @@
 // gige,myrinet --models network --shapes 10x2 --seeds 42`): 2 schemes x
 // 2 interconnects, each predicted by its interconnect's own model.
 // `--size 8M` rescales the message size (sweep "mk1@8M" syntax);
-// `--threads N` sets the pool size (results are identical at any value);
+// `--threads N` sets the thread count (results are identical at any value);
 // `--csv [PATH]` writes the per-cell sweep CSV (default
 // fig7_synthetic_cells.csv next to the binary).
 #include <iostream>
@@ -23,7 +23,6 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 

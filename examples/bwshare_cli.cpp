@@ -62,10 +62,10 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/limits.hpp"
+#include "util/parallel.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
@@ -127,7 +127,8 @@ int usage(const std::string& prog) {
       << "    --background-loads r1,...  background-flow axis, flows/s on\n"
       << "                               trace cells (default 0)\n"
       << "    --seeds s1,s2,...          (default 1,2,3)\n"
-      << "    --threads N                worker threads (default: hardware)\n"
+      << "    --threads N                threads, the calling one included\n"
+      << "                               (default 0 = hardware)\n"
       << "    --csv PATH --json PATH     write per-cell results\n"
       << "    --marginals                print per-axis-value summaries\n"
       << "\n"
@@ -162,8 +163,8 @@ int usage(const std::string& prog) {
       << "                         response per line; a blank line flushes\n"
       << "                         the batch, {\"op\":\"stats\"} reports\n"
       << "                         counters (docs/SERVING.md)\n"
-      << "    --threads N                replay workers per batch\n"
-      << "                               (default: hardware)\n"
+      << "    --threads N                threads per batch, the calling one\n"
+      << "                               included (default 0 = hardware)\n"
       << "    --cache N                  result-cache capacity in replays\n"
       << "                               (default 64; 0 = serve-through)\n"
       << "    --memo N                   warm-start store capacity in\n"
@@ -185,22 +186,41 @@ bool check_flags(const CliArgs& args, const std::string& subcommand,
   return unknown.empty();
 }
 
-/// --nodes or --cores as the int ClusterSpec::uniform takes, range-checked
-/// before the narrowing cast.
-int count_flag(const CliArgs& args, const std::string& name, long fallback) {
+/// An integer flag as the int its consumer takes, checked against [lo, hi]
+/// before the narrowing cast, so an out-of-range value is an error instead
+/// of a wrapped count.
+int int_flag(const CliArgs& args, const std::string& name, long fallback,
+             long lo, long hi) {
   const long v = args.get_int(name, fallback);
-  BWS_CHECK(v >= 1 && v <= kMaxCount,
-            strformat("flag --%s must be in [1, %d], got %ld", name.c_str(),
-                      kMaxCount, v));
+  BWS_CHECK(v >= lo && v <= hi,
+            strformat("flag --%s must be in [%ld, %ld], got %ld",
+                      name.c_str(), lo, hi, v));
   return static_cast<int>(v);
+}
+
+/// One seed, digits only: strtoull would silently wrap "-1" to 2^64-1.
+std::uint64_t parse_seed(const std::string& name, const std::string& text) {
+  std::uint64_t seed = 0;
+  const auto st = try_parse_u64(text, seed);
+  BWS_CHECK(st != ParseIntStatus::kMalformed,
+            "flag --" + name + " expects a non-negative integer, got '" +
+                text + "'");
+  BWS_CHECK(st == ParseIntStatus::kOk,
+            "flag --" + name + " integer out of range: '" + text + "'");
+  return seed;
+}
+
+std::uint64_t seed_flag(const CliArgs& args, const std::string& name,
+                        std::uint64_t fallback) {
+  return args.has(name) ? parse_seed(name, args.get(name, "")) : fallback;
 }
 
 int run_scheme(const CliArgs& args, const std::string& path) {
   const auto parsed = graph::parse_scheme_file(path);
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
-  const int nodes =
-      count_flag(args, "nodes", std::max(16, parsed.declared_nodes));
-  const int cores = count_flag(args, "cores", 2);
+  const int nodes = int_flag(args, "nodes",
+                            std::max(16, parsed.declared_nodes), 1, kMaxCount);
+  const int cores = int_flag(args, "cores", 2, 1, kMaxCount);
   const auto cluster = topo::ClusterSpec::uniform(
       "cli", nodes, cores, topo::calibration_for(tech));
 
@@ -232,8 +252,7 @@ sim::Scenario scenario_from_flags(const CliArgs& args, int nodes) {
   sim::Scenario scenario;
   const double churn = args.get_double("churn", 0.0);
   const double background = args.get_double("background", 0.0);
-  const auto seed =
-      static_cast<uint64_t>(args.get_int("scenario-seed", 42));
+  const std::uint64_t seed = seed_flag(args, "scenario-seed", 42);
   if (churn > 0.0) {
     graph::ChurnSpec spec;
     spec.rate = churn;
@@ -260,8 +279,8 @@ int run_trace(const CliArgs& args, const std::string& path) {
   const auto trace = sim::read_trace_file(path);
   trace.validate();
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
-  const int nodes = count_flag(args, "nodes", 16);
-  const int cores = count_flag(args, "cores", 2);
+  const int nodes = int_flag(args, "nodes", 16, 1, kMaxCount);
+  const int cores = int_flag(args, "cores", 2, 1, kMaxCount);
   const auto cluster = topo::ClusterSpec::uniform(
       "cli", nodes, cores, topo::calibration_for(tech));
   const auto policy =
@@ -294,8 +313,8 @@ int run_trace(const CliArgs& args, const std::string& path) {
 
 int run_multijob(const CliArgs& args, const std::vector<std::string>& paths) {
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
-  const int nodes = count_flag(args, "nodes", 16);
-  const int cores = count_flag(args, "cores", 2);
+  const int nodes = int_flag(args, "nodes", 16, 1, kMaxCount);
+  const int cores = int_flag(args, "cores", 2, 1, kMaxCount);
   const auto cluster = topo::ClusterSpec::uniform(
       "cli", nodes, cores, topo::calibration_for(tech));
   const auto policy =
@@ -404,22 +423,13 @@ int run_sweep(const CliArgs& args) {
   eval::SweepSpec spec = grid_axes_from_flags(args, "mk1,mk2");
   spec.seeds.clear();
   for (const auto& text : split_list(args, "seeds", "1,2,3")) {
-    // try_parse_u64 is digits only: strtoull would silently wrap "-1" to
-    // 2^64-1.
-    std::uint64_t seed = 0;
-    const auto st = try_parse_u64(text, seed);
-    BWS_CHECK(st != ParseIntStatus::kMalformed,
-              "--seeds expects comma-separated non-negative "
-              "integers, got '" + text + "'");
-    BWS_CHECK(st == ParseIntStatus::kOk,
-              "--seeds value '" + text + "' is out of range");
-    spec.seeds.push_back(seed);
+    spec.seeds.push_back(parse_seed("seeds", text));
   }
 
   const eval::Sweep sweep(std::move(spec));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = int_flag(args, "threads", 0, 0, util::kMaxThreads);
   const int effective_threads =
-      threads > 0 ? threads : util::ThreadPool::hardware_threads();
+      threads > 0 ? threads : util::hardware_threads();
   std::cout << "sweep: " << sweep.num_jobs() << " cells on "
             << effective_threads << " thread(s)\n";
   const auto result = sweep.run(threads);
@@ -483,19 +493,19 @@ int run_campaign(const CliArgs& args) {
   spec.stop.tolerance = args.get_double("tolerance", 0.05);
   spec.stop.confidence = args.get_double("confidence", 0.95);
   spec.stop.min_replicates =
-      static_cast<int>(args.get_int("min-replicates", 8));
+      int_flag(args, "min-replicates", 8, 1, kMaxCount);
   spec.stop.max_replicates =
-      static_cast<int>(args.get_int("max-replicates", 256));
-  spec.stop.resamples =
-      static_cast<size_t>(args.get_int("resamples", 400));
-  spec.batch = static_cast<int>(args.get_int("batch", 8));
-  spec.seed = static_cast<uint64_t>(args.get_int("seed", 42));
+      int_flag(args, "max-replicates", 256, 1, kMaxCount);
+  spec.stop.resamples = static_cast<size_t>(
+      int_flag(args, "resamples", 400, 1, kMaxCount));
+  spec.batch = int_flag(args, "batch", 8, 1, kMaxCount);
+  spec.seed = seed_flag(args, "seed", 42);
   spec.stop.ci_seed = spec.seed;
 
   const eval::Campaign campaign(std::move(spec));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = int_flag(args, "threads", 0, 0, util::kMaxThreads);
   const int effective_threads =
-      threads > 0 ? threads : util::ThreadPool::hardware_threads();
+      threads > 0 ? threads : util::hardware_threads();
   std::cout << "campaign: " << campaign.num_arms() << " arm(s), rule "
             << stats::to_string(campaign.spec().stop.rule) << ", objective "
             << eval::to_string(campaign.spec().objective) << ", up to "
@@ -554,7 +564,7 @@ int run_campaign(const CliArgs& args) {
 
 int run_serve(const CliArgs& args) {
   serve::ServiceConfig config;
-  config.threads = static_cast<int>(args.get_int("threads", 0));
+  config.threads = int_flag(args, "threads", 0, 0, util::kMaxThreads);
   const long cache = args.get_int("cache", 64);
   const long memo = args.get_int("memo", 65536);
   BWS_CHECK(cache >= 0, "--cache must be >= 0");

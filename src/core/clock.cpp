@@ -4,26 +4,19 @@
 
 namespace bwshare::core {
 
-EventHandle Reactor::schedule_at(double when, Handler handler) {
+void Reactor::schedule_at(double when, Handler handler) {
   BWS_CHECK(when >= clock_.now(), "cannot schedule an event in the past");
-  return queue_.push(when, next_seq_++, std::move(handler));
+  queue_.push(when, next_seq_++, std::move(handler));
 }
 
-EventHandle Reactor::schedule_in(double delay, Handler handler) {
+void Reactor::schedule_in(double delay, Handler handler) {
   BWS_CHECK(delay >= 0.0, "delay must be non-negative");
-  return schedule_at(clock_.now() + delay, std::move(handler));
+  schedule_at(clock_.now() + delay, std::move(handler));
 }
 
-bool Reactor::cancel(EventHandle h) {
-  if (!queue_.contains(h)) return false;
-  queue_.erase(h);
-  return true;
-}
-
-size_t Reactor::run(double max_time) {
+size_t Reactor::run() {
   size_t processed = 0;
   while (!queue_.empty()) {
-    if (queue_.top_time() > max_time) break;
     clock_.advance_to(queue_.top_time());
     Handler handler = queue_.pop();
     handler();

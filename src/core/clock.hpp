@@ -32,9 +32,6 @@ class Clock {
 
 /// A Clock driving an EventQueue of handlers: schedule callbacks at
 /// absolute or relative times, then run() pops them in (time, FIFO) order.
-/// schedule_* return the entry's EventHandle so a pending event can be
-/// cancel()ed in O(log n); stale handles (already fired, cancelled or
-/// cleared) are recognised and reported, never aliased.
 class Reactor {
  public:
   using Handler = std::function<void()>;
@@ -42,23 +39,13 @@ class Reactor {
   [[nodiscard]] double now() const { return clock_.now(); }
 
   /// Schedule `handler` at absolute time `when` (>= now).
-  EventHandle schedule_at(double when, Handler handler);
+  void schedule_at(double when, Handler handler);
   /// Schedule `handler` `delay` seconds from now.
-  EventHandle schedule_in(double delay, Handler handler);
+  void schedule_in(double delay, Handler handler);
 
-  /// Drop a pending event. Returns false (and does nothing) if the handle
-  /// is stale — the event already fired, was cancelled, or was cleared.
-  bool cancel(EventHandle h);
-
-  /// Run until the queue drains or the next event lies beyond `max_time`.
+  /// Run until the queue drains, handlers scheduling more events included.
   /// Returns the number of events processed.
-  size_t run(double max_time = 1e18);
-
-  /// Drop all pending events (the clock keeps its position).
-  void clear() { queue_.clear(); }
-
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
-  [[nodiscard]] size_t pending() const { return queue_.size(); }
+  size_t run();
 
  private:
   Clock clock_;

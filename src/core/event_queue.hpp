@@ -88,11 +88,6 @@ class EventQueue {
     return slots_[heap_.front()].time;
   }
 
-  [[nodiscard]] std::uint64_t top_tie() const {
-    BWS_CHECK(!heap_.empty(), "EventQueue::top_tie on an empty queue");
-    return slots_[heap_.front()].tie;
-  }
-
   /// Payload of the minimum entry (valid until the next mutation).
   [[nodiscard]] const Payload& top() const {
     BWS_CHECK(!heap_.empty(), "EventQueue::top on an empty queue");
@@ -105,15 +100,6 @@ class EventQueue {
     Payload out = std::move(slots_[heap_.front()].payload);
     remove_at(0);
     return out;
-  }
-
-  void clear() {
-    for (const std::uint32_t slot : heap_) {
-      slots_[slot].alive = false;
-      slots_[slot].payload = Payload{};
-      free_.push_back(slot);
-    }
-    heap_.clear();
   }
 
   /// Test hook: verify the heap invariant and the slot <-> position index.

@@ -4,9 +4,9 @@
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
-#include "util/threadpool.hpp"
 
 namespace bwshare::eval {
 
@@ -151,7 +151,6 @@ CampaignResult Campaign::run(int threads) const {
   };
   std::vector<RoundJob> jobs;
   std::vector<SweepCell> cells;
-  util::ThreadPool pool(threads);
 
   stats::SequentialStatus status = stats::SequentialStatus::kContinue;
   while (status == stats::SequentialStatus::kContinue) {
@@ -184,7 +183,7 @@ CampaignResult Campaign::run(int threads) const {
         cj.seed = campaign_replicate_seed(spec_.seed, rj.arm, rj.replicate);
         cells[static_cast<size_t>(index)] = run_cell(cj);
       };
-      util::parallel_for(pool, static_cast<int>(jobs.size()), run_job);
+      util::parallel_for(threads, static_cast<int>(jobs.size()), run_job);
 
       // Ingest serially in job (= arm, replicate) order: sample order, arm
       // identities and error verdicts are thread-count independent.

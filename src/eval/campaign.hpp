@@ -6,10 +6,11 @@
 //
 // A Campaign expands the non-seed axes of a SweepSpec into candidate
 // *arms* (one arm per grid cell identity), then draws seeded replicates
-// per arm in rounds on a util::ThreadPool. After every round each arm's
-// objective samples go through stats::bootstrap_ci and the configured
-// stats::StoppingRule decides whether to keep sampling, eliminate hopeless
-// arms (kCutoff), or stop (see stats/sequential.hpp for rule semantics).
+// per arm in rounds, each round one util::parallel_for. After every round
+// each arm's objective samples go through stats::bootstrap_ci and the
+// configured stats::StoppingRule decides whether to keep sampling,
+// eliminate hopeless arms (kCutoff), or stop (see stats/sequential.hpp for
+// rule semantics).
 //
 // Determinism contract (same as Sweep, enforced by
 // tests/eval/test_campaign.cpp): replicate r of arm a runs with a seed
@@ -139,8 +140,10 @@ class Campaign {
   /// The fixed-grid cost the sequential loop is competing against.
   [[nodiscard]] size_t exhaustive_replicates() const;
 
-  /// Run the campaign on `threads` workers (0 = hardware threads).
-  /// Arm errors are recorded per arm, never thrown.
+  /// Run each round on `threads` threads, the calling thread included
+  /// (0 = hardware threads; util::parallel_for throws bwshare::Error
+  /// outside [0, util::kMaxThreads]). Arm errors are recorded per arm,
+  /// never thrown.
   [[nodiscard]] CampaignResult run(int threads = 1) const;
 
  private:

@@ -16,9 +16,9 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/limits.hpp"
+#include "util/parallel.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
-#include "util/threadpool.hpp"
 
 namespace bwshare::eval {
 
@@ -317,8 +317,7 @@ SweepResult Sweep::run(int threads) const {
         run_cell(jobs[static_cast<size_t>(index)]);
   };
 
-  util::ThreadPool pool(threads);
-  util::parallel_for(pool, static_cast<int>(jobs.size()), run_job);
+  util::parallel_for(threads, static_cast<int>(jobs.size()), run_job);
 
   for (const auto& cell : result.cells) {
     if (!cell.ok) ++result.num_errors;

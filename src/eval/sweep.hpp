@@ -5,7 +5,7 @@
 // cluster shape × schedule (figs 4–9) — that the seed repo ran one
 // hand-written bench cell at a time. A SweepSpec declares the whole grid;
 // Sweep expands it into independent jobs (the cross product, in a fixed
-// documented order) and executes them on a util::ThreadPool. Each job is
+// documented order) and runs them through util::parallel_for. Each job is
 // seeded deterministically from its own axis values, never from execution
 // order, so the emitted CSV/JSON is byte-identical at any thread count.
 //
@@ -207,8 +207,10 @@ class Sweep {
   [[nodiscard]] const SweepSpec& spec() const { return spec_; }
   [[nodiscard]] size_t num_jobs() const;
 
-  /// Execute the grid on `threads` workers (0 = hardware threads). Cell
-  /// failures are recorded per cell (ok = false), never thrown.
+  /// Execute the grid on `threads` threads, the calling thread included
+  /// (0 = hardware threads; util::parallel_for throws bwshare::Error
+  /// outside [0, util::kMaxThreads]). Cell failures are recorded per cell
+  /// (ok = false), never thrown.
   [[nodiscard]] SweepResult run(int threads = 1) const;
 
  private:

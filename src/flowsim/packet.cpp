@@ -14,6 +14,13 @@ namespace {
 
 using topo::FlowControlKind;
 
+/// TCP window in packets (kTcpPauseFrames); effective cwnd after ramp-up.
+constexpr int kWindowPackets = 64;
+/// Link-level credits per flow (kCreditBased).
+constexpr int kCredits = 16;
+/// Safety cap on simulated events.
+constexpr size_t kMaxEvents = 50'000'000;
+
 struct Packet {
   int flow = 0;
   bool last = false;
@@ -145,16 +152,15 @@ struct FlowState {
   long acked = 0;      // window mode
   long in_network = 0; // credit mode
   double next_pace = 0.0;
-  double cwnd = 4.0;   // window mode: packets, ramps to window_packets
+  double cwnd = 4.0;   // window mode: packets, ramps to kWindowPackets
   double finish = -1.0;
   bool intra_node = false;
 };
 
 class PacketSim {
  public:
-  PacketSim(const graph::CommGraph& graph, const PacketSimConfig& config)
-      : graph_(graph), cfg_(config) {
-    const auto& cal = cfg_.cal;
+  PacketSim(const graph::CommGraph& graph, const topo::NetworkCalibration& cal)
+      : graph_(graph), cal_(cal) {
     ser_link_ = cal.mtu / cal.link_bandwidth;
     ser_io_ = cal.mtu / (cal.link_bandwidth * cal.host_duplex_factor);
     pace_ = cal.mtu / (cal.link_bandwidth * cal.single_stream_efficiency);
@@ -189,12 +195,13 @@ class PacketSim {
   std::vector<double> run() {
     for (graph::CommId i = 0; i < graph_.size(); ++i) try_inject(i);
     size_t events = sim_.run();
-    BWS_CHECK(events < cfg_.max_events, "packet simulation exceeded max_events");
+    BWS_CHECK(events < kMaxEvents,
+              "packet simulation exceeded its cap of 5e7 events");
 
     std::vector<double> times(flows_.size());
     for (size_t i = 0; i < flows_.size(); ++i) {
       BWS_ASSERT(flows_[i].finish >= 0.0, "flow did not complete");
-      times[i] = flows_[i].finish + cfg_.cal.latency;
+      times[i] = flows_[i].finish + cal_.latency;
     }
     return times;
   }
@@ -230,8 +237,8 @@ class PacketSim {
       const bool saturated = duplex_saturated_.count(node) != 0;
       const double ser =
           saturated ? ser_io_
-                    : cfg_.cal.mtu / (2.0 * cfg_.cal.link_bandwidth);
-      const double rx_weight = saturated ? cfg_.cal.rx_bus_weight : 1.0;
+                    : cal_.mtu / (2.0 * cal_.link_bandwidth);
+      const double rx_weight = saturated ? cal_.rx_bus_weight : 1.0;
       it = host_io_
                .emplace(node, std::make_unique<HostIoServer>(
                                   sim_, ser, rx_weight,
@@ -246,13 +253,13 @@ class PacketSim {
   [[nodiscard]] bool may_inject(const FlowState& f) const {
     if (f.injected >= f.total_packets) return false;
     if (f.intra_node) return true;  // no network flow control applies
-    switch (cfg_.cal.flow_control) {
+    switch (cal_.flow_control) {
       case FlowControlKind::kTcpPauseFrames:
         return f.injected - f.acked < static_cast<long>(f.cwnd);
       case FlowControlKind::kStopAndGo:
         return f.injected - f.delivered < 4;  // shallow NIC pipeline
       case FlowControlKind::kCreditBased:
-        return f.in_network < cfg_.credits;
+        return f.in_network < kCredits;
     }
     return false;
   }
@@ -265,7 +272,7 @@ class PacketSim {
     const double when = std::max(sim_.now(), f.next_pace);
     if (f.intra_node) {
       // Shared-memory copy: paced at the shm bandwidth, no network stages.
-      const double shm_pace = cfg_.cal.mtu / cfg_.cal.shm_bandwidth;
+      const double shm_pace = cal_.mtu / cal_.shm_bandwidth;
       pending_inject_[flow_id] = true;
       sim_.schedule_at(std::max(sim_.now(), f.next_pace), [this, flow_id,
                                                            shm_pace] {
@@ -298,7 +305,7 @@ class PacketSim {
   void after_host_io(Packet p, bool rx) {
     auto& f = flows_[static_cast<size_t>(p.flow)];
     if (!rx) {
-      if (cfg_.cal.flow_control == FlowControlKind::kStopAndGo) {
+      if (cal_.flow_control == FlowControlKind::kStopAndGo) {
         wormhole_waiting_.push_back(p);
         pump_wormhole();
       } else {
@@ -316,9 +323,9 @@ class PacketSim {
 
   void after_downlink(Packet p) {
     auto& f = flows_[static_cast<size_t>(p.flow)];
-    if (cfg_.cal.flow_control == FlowControlKind::kCreditBased) {
+    if (cal_.flow_control == FlowControlKind::kCreditBased) {
       // Credit returns to the sender one propagation delay later.
-      sim_.schedule_in(cfg_.cal.latency, [this, flow = p.flow] {
+      sim_.schedule_in(cal_.latency, [this, flow = p.flow] {
         --flows_[static_cast<size_t>(flow)].in_network;
         try_inject(flow);
       });
@@ -353,13 +360,13 @@ class PacketSim {
   void deliver(int flow_id) {
     auto& f = flows_[static_cast<size_t>(flow_id)];
     ++f.delivered;
-    if (cfg_.cal.flow_control == FlowControlKind::kTcpPauseFrames &&
+    if (cal_.flow_control == FlowControlKind::kTcpPauseFrames &&
         !f.intra_node) {
       // ACK after one propagation delay opens the window (and grows cwnd).
-      sim_.schedule_in(cfg_.cal.latency, [this, flow_id] {
+      sim_.schedule_in(cal_.latency, [this, flow_id] {
         auto& fl = flows_[static_cast<size_t>(flow_id)];
         ++fl.acked;
-        fl.cwnd = std::min<double>(cfg_.window_packets, fl.cwnd + 1.0);
+        fl.cwnd = std::min<double>(kWindowPackets, fl.cwnd + 1.0);
         try_inject(flow_id);
       });
     }
@@ -372,7 +379,7 @@ class PacketSim {
   }
 
   const graph::CommGraph& graph_;
-  PacketSimConfig cfg_;
+  topo::NetworkCalibration cal_;
   core::Reactor sim_;
   double ser_link_ = 0.0;
   double ser_io_ = 0.0;
@@ -390,24 +397,22 @@ class PacketSim {
 }  // namespace
 
 std::vector<double> measure_scheme_packet(const graph::CommGraph& graph,
-                                          const PacketSimConfig& config) {
-  BWS_CHECK(config.cal.link_bandwidth > 0.0, "link bandwidth must be set");
-  BWS_CHECK(config.window_packets > 0, "window must be positive");
-  BWS_CHECK(config.credits > 0, "credits must be positive");
+                                          const topo::NetworkCalibration& cal) {
+  BWS_CHECK(cal.link_bandwidth > 0.0, "link bandwidth must be set");
   if (graph.empty()) return {};
-  PacketSim sim(graph, config);
+  PacketSim sim(graph, cal);
   return sim.run();
 }
 
-std::vector<double> measure_penalties_packet(const graph::CommGraph& graph,
-                                             const PacketSimConfig& config) {
-  const auto times = measure_scheme_packet(graph, config);
+std::vector<double> measure_penalties_packet(
+    const graph::CommGraph& graph, const topo::NetworkCalibration& cal) {
+  const auto times = measure_scheme_packet(graph, cal);
   std::vector<double> penalties(times.size(), 1.0);
   for (graph::CommId i = 0; i < graph.size(); ++i) {
     const auto& c = graph.comm(i);
     const double t_ref = graph.is_intra_node(i)
-                             ? config.cal.latency + c.bytes / config.cal.shm_bandwidth
-                             : config.cal.reference_time(c.bytes);
+                             ? cal.latency + c.bytes / cal.shm_bandwidth
+                             : cal.reference_time(c.bytes);
     penalties[static_cast<size_t>(i)] = times[static_cast<size_t>(i)] / t_ref;
   }
   return penalties;

@@ -28,23 +28,14 @@
 
 namespace bwshare::flowsim {
 
-struct PacketSimConfig {
-  topo::NetworkCalibration cal;
-  /// TCP window in packets (kTcpPauseFrames); effective cwnd after ramp-up.
-  int window_packets = 64;
-  /// Link-level credits per flow (kCreditBased).
-  int credits = 16;
-  /// Safety cap on simulated events.
-  size_t max_events = 50'000'000;
-};
-
 /// Simulate all communications of `graph` starting at t=0 at packet
-/// granularity; returns per-comm completion times (graph order).
+/// granularity on the interconnect `cal` describes (its flow_control picks
+/// the mechanism); returns per-comm completion times (graph order).
 [[nodiscard]] std::vector<double> measure_scheme_packet(
-    const graph::CommGraph& graph, const PacketSimConfig& config);
+    const graph::CommGraph& graph, const topo::NetworkCalibration& cal);
 
 /// Penalties P_i = T_i / T_ref from the packet simulator.
 [[nodiscard]] std::vector<double> measure_penalties_packet(
-    const graph::CommGraph& graph, const PacketSimConfig& config);
+    const graph::CommGraph& graph, const topo::NetworkCalibration& cal);
 
 }  // namespace bwshare::flowsim

@@ -179,14 +179,57 @@ void ChurnSpec::validate() const {
             strformat("churn: rate * horizon must be at most %d events, "
                       "got %g",
                       kMaxCount, rate * horizon));
-  // The per-event up/down scan is O(nodes), so the cap tracks the largest
-  // bench cluster (bench/engine_scaling --nodes 65536) rather than the
-  // generator's comms cap.
+  // The largest bench cluster (bench/engine_scaling --nodes 65536), as for
+  // BackgroundSpec; each drawn event costs O(log nodes).
   BWS_CHECK(nodes >= 2 && nodes <= 65536,
             strformat("churn: nodes must be in [2, 65536], got %d", nodes));
   BWS_CHECK(p_fail >= 0.0 && p_fail <= 1.0,
             strformat("churn: p_fail must be in [0, 1], got %g", p_fail));
 }
+
+namespace {
+
+/// The churn generator's up flags as a Fenwick tree of up counts: node v's
+/// flag sits at 1-based index v + 1, all nodes start up, and kth() walks
+/// down the tree to the k-th up (or down) node in node order in
+/// O(log nodes). A block's down count is its size minus its up count.
+class UpIndex {
+ public:
+  explicit UpIndex(int nodes) : tree_(static_cast<size_t>(nodes) + 1) {
+    for (int i = 1; i <= nodes; ++i) tree_[static_cast<size_t>(i)] = i & -i;
+    while (top_ * 2 <= nodes) top_ *= 2;
+  }
+
+  void set(int node, bool up) {
+    const int size = static_cast<int>(tree_.size());
+    for (int i = node + 1; i < size; i += i & -i)
+      tree_[static_cast<size_t>(i)] += up ? 1 : -1;
+  }
+
+  /// The k-th (0-based) node whose flag is `up`; k must be below their count.
+  [[nodiscard]] int kth(int k, bool up) const {
+    int pos = 0;  // nodes [0, pos) hold fewer than k + 1 matches
+    for (int step = top_; step > 0; step /= 2) {
+      const int next = pos + step;
+      if (next >= static_cast<int>(tree_.size())) continue;
+      // tree_[next] covers nodes [pos, next): `step` of them, since pos is
+      // a multiple of 2 * step here.
+      const int ups = tree_[static_cast<size_t>(next)];
+      const int count = up ? ups : step - ups;
+      if (count <= k) {
+        pos = next;
+        k -= count;
+      }
+    }
+    return pos;
+  }
+
+ private:
+  std::vector<int> tree_;
+  int top_ = 1;  // largest power of two <= nodes
+};
+
+}  // namespace
 
 std::vector<ChurnEvent> generate_churn(const ChurnSpec& spec, uint64_t seed) {
   spec.validate();
@@ -194,39 +237,31 @@ std::vector<ChurnEvent> generate_churn(const ChurnSpec& spec, uint64_t seed) {
   if (spec.rate == 0.0) return script;
   uint64_t salt = seed ^ 0xc2b2ae3d27d4eb4fULL;  // keep churn draws disjoint
   Rng rng(splitmix64(salt));                     // from scheme/background
-  std::vector<bool> up(static_cast<size_t>(spec.nodes), true);
+  UpIndex index(spec.nodes);
   int num_up = spec.nodes;
   double t = 0.0;
   while (true) {
     t += rng.exponential(spec.rate);
     if (t >= spec.horizon) break;
-    // Departures target an up node, joins a down node; the k-th candidate is
-    // found by a linear scan so the draw only depends on (spec, seed).
+    // Departures target an up node, joins a down node: the pick-th candidate
+    // in node order, so the draw only depends on (spec, seed).
     const bool departure = num_up == spec.nodes ||
                            (num_up > 0 && rng.uniform() < 0.5);
     const int pool = departure ? num_up : spec.nodes - num_up;
     if (pool == 0) continue;  // every node down and the coin said departure
-    int pick = static_cast<int>(rng.below(static_cast<uint64_t>(pool)));
-    int node = -1;
-    for (int v = 0; v < spec.nodes; ++v) {
-      if (up[static_cast<size_t>(v)] == departure && pick-- == 0) {
-        node = v;
-        break;
-      }
-    }
+    const int pick = static_cast<int>(rng.below(static_cast<uint64_t>(pool)));
     ChurnEvent ev;
     ev.time = t;
-    ev.node = node;
+    ev.node = index.kth(pick, departure);
     if (departure) {
       ev.kind = rng.uniform() < spec.p_fail ? ChurnKind::kFail
                                             : ChurnKind::kLeave;
-      up[static_cast<size_t>(node)] = false;
       --num_up;
     } else {
       ev.kind = ChurnKind::kJoin;
-      up[static_cast<size_t>(node)] = true;
       ++num_up;
     }
+    index.set(ev.node, !departure);
     script.push_back(ev);
   }
   return script;

@@ -9,14 +9,21 @@ namespace bwshare::mpi {
 
 namespace {
 
+/// Measured iterations of each MPI_Send.
+constexpr int kIterations = 3;
+/// Unmeasured warm-up iterations (the paper uses them to defeat cache
+/// effects).
+constexpr int kWarmup = 1;
+constexpr int kRounds = kWarmup + kIterations;
+/// Message size of the referential time probe.
+constexpr double kReferenceBytes = 20e6;
+
 /// Build the measurement job: tasks 2i (sender) and 2i+1 (receiver) per
-/// communication, `rounds` iterations separated by barriers.
-sim::AppTrace build_job(const graph::CommGraph& scheme, int rounds) {
+/// communication, kRounds iterations separated by barriers.
+sim::AppTrace build_job(const graph::CommGraph& scheme) {
   sim::AppTrace trace(2 * scheme.size());
-  for (int round = 0; round < rounds; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
     for (graph::CommId i = 0; i < scheme.size(); ++i) {
-      const auto& c = scheme.comm(i);
-      (void)c;
       trace.push(2 * i, sim::Event::send(2 * i + 1, scheme.comm(i).bytes));
       trace.push(2 * i + 1, sim::Event::recv(2 * i, scheme.comm(i).bytes));
     }
@@ -35,10 +42,9 @@ sim::Placement build_placement(const graph::CommGraph& scheme) {
   return sim::Placement(std::move(nodes));
 }
 
-/// Mean sender-side time of the last `measured` rounds for each comm.
+/// Mean sender-side time of the measured rounds for each comm.
 std::vector<double> sender_times(const sim::SimResult& result,
-                                 const graph::CommGraph& scheme, int rounds,
-                                 int measured) {
+                                 const graph::CommGraph& scheme) {
   // Records group by (src_task): comm i uses tasks 2i -> 2i+1; they appear
   // once per round in posting order.
   std::map<sim::TaskId, std::vector<const sim::CommRecord*>> by_sender;
@@ -48,53 +54,47 @@ std::vector<double> sender_times(const sim::SimResult& result,
   std::vector<double> times(static_cast<size_t>(scheme.size()), 0.0);
   for (graph::CommId i = 0; i < scheme.size(); ++i) {
     const auto& records = by_sender[2 * i];
-    BWS_ASSERT(static_cast<int>(records.size()) == rounds,
+    BWS_ASSERT(static_cast<int>(records.size()) == kRounds,
                "unexpected record count for a measured communication");
     double total = 0.0;
-    for (int r = rounds - measured; r < rounds; ++r) {
+    for (int r = kWarmup; r < kRounds; ++r) {
       const auto& rec = *records[static_cast<size_t>(r)];
       const double t = rec.sender_time > 0.0 ? rec.sender_time
                                              : rec.finish - rec.send_post;
       total += t;
     }
-    times[static_cast<size_t>(i)] = total / measured;
+    times[static_cast<size_t>(i)] = total / kIterations;
   }
   return times;
 }
 
 /// Referential time: one message of `bytes` from node 0 to node 1, alone.
 double probe_reference(double bytes, const topo::ClusterSpec& cluster,
-                       const flowsim::RateProvider& provider,
-                       const MeasurementConfig& cfg) {
+                       const flowsim::RateProvider& provider) {
   graph::CommGraph single;
   single.add("ref", 0, 1, bytes);
-  const int rounds = cfg.warmup + cfg.iterations;
-  const auto trace = build_job(single, rounds);
+  const auto trace = build_job(single);
   const auto placement = build_placement(single);
   const auto result = sim::run_simulation(trace, cluster, placement, provider);
-  return sender_times(result, single, rounds, cfg.iterations)[0];
+  return sender_times(result, single)[0];
 }
 
 }  // namespace
 
 PenaltyMeasurement measure_scheme_penalties(const graph::CommGraph& scheme,
                                             const topo::ClusterSpec& cluster,
-                                            const flowsim::RateProvider& provider,
-                                            const MeasurementConfig& cfg) {
+                                            const flowsim::RateProvider& provider) {
   BWS_CHECK(!scheme.empty(), "scheme has no communications");
-  BWS_CHECK(cfg.iterations >= 1, "need at least one measured iteration");
-  BWS_CHECK(cfg.warmup >= 0, "warmup must be non-negative");
   BWS_CHECK(scheme.num_nodes() <= cluster.num_nodes(),
             "scheme references more nodes than the cluster has");
 
   PenaltyMeasurement out;
-  out.t_ref = probe_reference(cfg.reference_bytes, cluster, provider, cfg);
+  out.t_ref = probe_reference(kReferenceBytes, cluster, provider);
 
-  const int rounds = cfg.warmup + cfg.iterations;
-  const auto trace = build_job(scheme, rounds);
+  const auto trace = build_job(scheme);
   const auto placement = build_placement(scheme);
   const auto result = sim::run_simulation(trace, cluster, placement, provider);
-  out.times = sender_times(result, scheme, rounds, cfg.iterations);
+  out.times = sender_times(result, scheme);
 
   // Reference per distinct message size (all fig-2 schemes are uniform, but
   // synthetic graphs may mix sizes).
@@ -104,9 +104,9 @@ PenaltyMeasurement measure_scheme_penalties(const graph::CommGraph& scheme,
     const double bytes = scheme.comm(i).bytes;
     auto it = ref_for_size.find(bytes);
     if (it == ref_for_size.end()) {
-      const double ref = bytes == cfg.reference_bytes
+      const double ref = bytes == kReferenceBytes
                              ? out.t_ref
-                             : probe_reference(bytes, cluster, provider, cfg);
+                             : probe_reference(bytes, cluster, provider);
       it = ref_for_size.emplace(bytes, ref).first;
     }
     out.penalties[static_cast<size_t>(i)] =
@@ -117,9 +117,8 @@ PenaltyMeasurement measure_scheme_penalties(const graph::CommGraph& scheme,
 
 std::vector<double> measure_times(const graph::CommGraph& scheme,
                                   const topo::ClusterSpec& cluster,
-                                  const flowsim::RateProvider& provider,
-                                  const MeasurementConfig& config) {
-  return measure_scheme_penalties(scheme, cluster, provider, config).times;
+                                  const flowsim::RateProvider& provider) {
+  return measure_scheme_penalties(scheme, cluster, provider).times;
 }
 
 }  // namespace bwshare::mpi

@@ -7,8 +7,10 @@
 //
 // A communication scheme (graph::CommGraph over cluster nodes) is turned
 // into an MPI job: one sender and one receiver task per communication,
-// pinned to the scheme's nodes; warm-up rounds precede measured rounds, and
-// a barrier separates iterations so every round starts simultaneously.
+// pinned to the scheme's nodes; one warm-up round precedes three measured
+// rounds, and a barrier separates iterations so every round starts
+// simultaneously. T_ref is one 20 MB message sent alone; a comm of another
+// size is compared with one message of its own size sent alone.
 #pragma once
 
 #include <vector>
@@ -19,18 +21,8 @@
 
 namespace bwshare::mpi {
 
-struct MeasurementConfig {
-  /// Measured iterations of each MPI_Send.
-  int iterations = 3;
-  /// Unmeasured warm-up iterations (the paper uses them to defeat cache
-  /// effects).
-  int warmup = 1;
-  /// Message size for the referential time probe.
-  double reference_bytes = 20e6;
-};
-
 struct PenaltyMeasurement {
-  /// Referential time T_ref at reference_bytes.
+  /// Referential time T_ref of one 20 MB message.
   double t_ref = 0.0;
   /// Per-communication mean sender time T_i (graph order).
   std::vector<double> times;
@@ -43,11 +35,11 @@ struct PenaltyMeasurement {
 /// rates supplied by `provider` (fluid substrate or a model).
 [[nodiscard]] PenaltyMeasurement measure_scheme_penalties(
     const graph::CommGraph& scheme, const topo::ClusterSpec& cluster,
-    const flowsim::RateProvider& provider, const MeasurementConfig& config = {});
+    const flowsim::RateProvider& provider);
 
 /// A MeasureFn (models/estimation.hpp signature) backed by this software.
 [[nodiscard]] std::vector<double> measure_times(
     const graph::CommGraph& scheme, const topo::ClusterSpec& cluster,
-    const flowsim::RateProvider& provider, const MeasurementConfig& config = {});
+    const flowsim::RateProvider& provider);
 
 }  // namespace bwshare::mpi

@@ -8,7 +8,7 @@
 //     replays, the frozen sim::SolveStore behind cross-query warm-start.
 //     Bounded LRU *by commit*: recency moves only when a replay publishes,
 //     never on lookup, so concurrent lookups during a batch are plain const
-//     reads and response bytes cannot depend on pool scheduling.
+//     reads and response bytes cannot depend on thread scheduling.
 //
 // Neither container locks: QueryService touches them only from its
 // sequential planning/commit phases (service.cpp); during the parallel

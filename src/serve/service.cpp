@@ -8,8 +8,8 @@
 #include "sim/solve_memo.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
-#include "util/threadpool.hpp"
 
 namespace bwshare::serve {
 
@@ -98,10 +98,11 @@ struct QueryService::Job {
 QueryService::QueryService(ServiceConfig config)
     : cfg_(config),
       results_(config.cache_capacity),
-      solves_(config.memo_capacity),
-      pool_(std::make_unique<util::ThreadPool>(config.threads)) {}
-
-QueryService::~QueryService() = default;
+      solves_(config.memo_capacity) {
+  BWS_CHECK(config.threads >= 0 && config.threads <= util::kMaxThreads,
+            strformat("serve: threads must be in [0, %d], got %d",
+                      util::kMaxThreads, config.threads));
+}
 
 Response QueryService::query(const Query& q) {
   return query_batch({q}).front();
@@ -117,8 +118,8 @@ std::vector<Response> QueryService::query_batch(
 
   // Phase 1 — plan, sequentially in request order. Every cache and
   // coalescing decision happens here, before any replay runs, so the
-  // response for each slot is fixed no matter how the pool schedules
-  // phase 2.
+  // response for each slot is fixed no matter which thread runs which
+  // replay in phase 2.
   for (size_t i = 0; i < queries.size(); ++i) {
     Response& r = responses[i];
     ++stats_.queries;
@@ -160,10 +161,10 @@ std::vector<Response> QueryService::query_batch(
     jobs.push_back(std::move(job));
   }
 
-  // Phase 2 — execute the distinct replays on the pool. The WarmStore is
-  // frozen for the duration: replays read it through the const lookup and
-  // stage their own solutions privately in their memos.
-  util::parallel_for(*pool_, static_cast<int>(jobs.size()), [&](int j) {
+  // Phase 2 — execute the distinct replays. The WarmStore is frozen for
+  // the duration: replays read it through the const lookup and stage their
+  // own solutions privately in their memos.
+  util::parallel_for(cfg_.threads, static_cast<int>(jobs.size()), [&](int j) {
     Job& job = *jobs[static_cast<size_t>(j)];
     const CanonicalQuery& cq = job.cq;
     eval::CellJob cell_job;
@@ -216,7 +217,7 @@ std::vector<Response> QueryService::query_batch(
   });
 
   // Phase 3 — commit, sequentially in job-creation order (== first-request
-  // order), so cache contents and counters are independent of pool
+  // order), so cache contents and counters are independent of thread
   // scheduling.
   for (const auto& job_ptr : jobs) {
     const Job& job = *job_ptr;

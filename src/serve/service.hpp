@@ -6,9 +6,9 @@
 //   * completed replays land in a bounded LRU ResultCache keyed by the
 //     query fingerprint; a repeat returns the memoized QueryResult object
 //     verbatim;
-//   * distinct queries in one batch fan out onto a util::ThreadPool through
-//     eval::run_cell_detailed; identical queries in one batch coalesce onto
-//     a single replay (single-flight);
+//   * distinct queries in one batch fan out through util::parallel_for
+//     into eval::run_cell_detailed; identical queries in one batch coalesce
+//     onto a single replay (single-flight);
 //   * every replay's component rate solves are memoized into a WarmStore,
 //     so a later query whose comm set differs by a small edit set re-seeds
 //     from the cached component solutions and only the dirty components are
@@ -18,10 +18,10 @@
 // Determinism contract: every served answer — cold, cached, warm-started or
 // coalesced — is bit-identical to a fresh sim::run_simulation of the same
 // canonical query, and the response sequence for a given query sequence is
-// identical at any pool width. The latter holds because every decision that
-// shapes a response happens in the sequential phases: fingerprints, cache
-// lookups and coalescing are planned in request order before any replay
-// starts; the WarmStore is frozen while the pool runs (replays stage
+// identical at any thread count. The latter holds because every decision
+// that shapes a response happens in the sequential phases: fingerprints,
+// cache lookups and coalescing are planned in request order before any
+// replay starts; the WarmStore is frozen while the replays run (they stage
 // privately); results commit in job-creation order afterwards. The parallel
 // phase only computes values the engine contract pins bit-for-bit.
 // ServiceConfig::verify turns the contract into a runtime oracle: every
@@ -30,9 +30,9 @@
 //
 // Thread safety: the whole service is serialized on one mutex — concurrent
 // callers enqueue batches, they never interleave inside one. Parallelism
-// lives *inside* a batch (the pool), which is also what makes concurrent
-// duplicate queries collapse to one replay: the first batch executes, the
-// second finds the cache line.
+// lives *inside* a batch (one parallel_for over its distinct replays),
+// which is also what makes concurrent duplicate queries collapse to one
+// replay: the first batch executes, the second finds the cache line.
 #pragma once
 
 #include <memory>
@@ -43,10 +43,6 @@
 #include "serve/cache.hpp"
 #include "serve/fingerprint.hpp"
 
-namespace bwshare::util {
-class ThreadPool;
-}
-
 namespace bwshare::serve {
 
 struct ServiceConfig {
@@ -54,7 +50,8 @@ struct ServiceConfig {
   size_t cache_capacity = 64;
   /// Component solutions the WarmStore retains (0 = no warm-start).
   size_t memo_capacity = 65536;
-  /// Pool workers for a batch's distinct replays (0 = hardware threads).
+  /// Threads for a batch's distinct replays, the calling thread included
+  /// (0 = hardware threads); in [0, util::kMaxThreads].
   int threads = 0;
   /// Oracle mode: bitwise re-verify every memo hit and cold-re-run every
   /// warm replay. Expensive; for tests and smoke scripts.
@@ -100,8 +97,9 @@ struct ServiceStats {
 
 class QueryService {
  public:
+  /// Throws bwshare::Error if `config.threads` is outside
+  /// [0, util::kMaxThreads].
   explicit QueryService(ServiceConfig config = {});
-  ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -126,7 +124,6 @@ class QueryService {
   mutable std::mutex mu_;
   ResultCache results_;
   WarmStore solves_;
-  std::unique_ptr<util::ThreadPool> pool_;
   ServiceStats stats_;
 };
 

@@ -84,7 +84,7 @@ enum class TaskState { kReady, kComputing, kSendBlocked, kRecvBlocked,
 
 struct PendingSend {
   TaskId src = 0;
-  uint64_t order = 0;   // global posting order (any-source matching)
+  uint64_t order = 0;   // posting order among sends (any-source matching)
   double bytes = 0.0;
   double post_time = 0.0;
   bool rendezvous = false;
@@ -94,8 +94,6 @@ struct PendingSend {
 
 struct PendingRecv {
   TaskId peer = kAnySource;
-  uint64_t order = 0;
-  double bytes = 0.0;
   double post_time = 0.0;
   bool nonblocking = false;  // posted via kIrecv
 };
@@ -435,8 +433,6 @@ class Engine {
     }
     PendingRecv pr;
     pr.peer = e.peer;
-    pr.order = next_order_++;
-    pr.bytes = e.bytes;
     pr.post_time = now();
     pr.nonblocking = nonblocking;
     pending_recvs_[static_cast<size_t>(t)].push_back(pr);

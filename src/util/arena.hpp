@@ -14,7 +14,8 @@
 //   - Types placed in the arena must be trivially destructible; rewind does
 //     not run destructors.
 //   - Not thread-safe. Use one Arena per thread: thread_local_instance()
-//     hands each thread (pool workers included) its own instance.
+//     hands each thread, those util::parallel_for starts included, its own
+//     instance.
 //   - reset() consolidates all chunks into a single chunk at least as large
 //     as the high-water mark, so a warmed arena never grows again for
 //     same-shaped workloads.

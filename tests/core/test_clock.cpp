@@ -1,7 +1,6 @@
 // core::Clock and core::Reactor — the event-core's time source and the
-// handler-driven loop the packet substrate runs on. Pins monotonicity,
-// (time, FIFO) dispatch order, max_time cut-off, and cancel semantics
-// including stale-handle safety.
+// handler-driven loop the packet substrate runs on. Pins monotonicity and
+// (time, FIFO) dispatch order.
 #include "core/clock.hpp"
 
 #include <limits>
@@ -45,7 +44,7 @@ TEST(Clock, RefusesANaNTime) {
   EXPECT_THROW(
       reactor.schedule_at(std::numeric_limits<double>::quiet_NaN(), [] {}),
       Error);
-  EXPECT_TRUE(reactor.empty());
+  EXPECT_EQ(reactor.run(), 0u);
 }
 
 TEST(Reactor, DispatchesInTimeOrder) {
@@ -81,63 +80,12 @@ TEST(Reactor, HandlersCanScheduleMoreEvents) {
   EXPECT_DOUBLE_EQ(reactor.now(), 10.0);
 }
 
-TEST(Reactor, RunStopsAtMaxTime) {
-  Reactor reactor;
-  int fired = 0;
-  reactor.schedule_at(1.0, [&] { ++fired; });
-  reactor.schedule_at(5.0, [&] { ++fired; });
-  reactor.run(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(reactor.pending(), 1u);
-  EXPECT_DOUBLE_EQ(reactor.now(), 1.0);  // never advanced past the cut-off
-}
-
 TEST(Reactor, CannotScheduleInThePast) {
   Reactor reactor;
   reactor.schedule_at(5.0, [] {});
   reactor.run();
   EXPECT_THROW(reactor.schedule_at(1.0, [] {}), Error);
   EXPECT_THROW(reactor.schedule_in(-1.0, [] {}), Error);
-}
-
-TEST(Reactor, CancelDropsAPendingEvent) {
-  Reactor reactor;
-  int fired = 0;
-  reactor.schedule_at(1.0, [&] { ++fired; });
-  const EventHandle doomed = reactor.schedule_at(2.0, [&] { fired += 100; });
-  reactor.schedule_at(3.0, [&] { ++fired; });
-  EXPECT_TRUE(reactor.cancel(doomed));
-  EXPECT_EQ(reactor.pending(), 2u);
-  EXPECT_FALSE(reactor.cancel(doomed));  // already gone
-  EXPECT_EQ(reactor.run(), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(reactor.now(), 3.0);
-}
-
-TEST(Reactor, CancelIsStaleSafeAfterFiringAndClearing) {
-  Reactor reactor;
-  const EventHandle fired = reactor.schedule_at(1.0, [] {});
-  reactor.run();
-  EXPECT_FALSE(reactor.cancel(fired));
-  const EventHandle cleared = reactor.schedule_at(2.0, [] {});
-  reactor.clear();
-  EXPECT_FALSE(reactor.cancel(cleared));
-  // A new event recycling the slot must not be reachable via old handles.
-  const EventHandle fresh = reactor.schedule_at(3.0, [] {});
-  EXPECT_FALSE(reactor.cancel(fired));
-  EXPECT_FALSE(reactor.cancel(cleared));
-  EXPECT_TRUE(reactor.cancel(fresh));
-}
-
-TEST(Reactor, ClearKeepsTheClockPosition) {
-  Reactor reactor;
-  reactor.schedule_at(4.0, [] {});
-  reactor.run();
-  reactor.schedule_at(9.0, [] {});
-  reactor.clear();
-  EXPECT_TRUE(reactor.empty());
-  EXPECT_DOUBLE_EQ(reactor.now(), 4.0);
-  EXPECT_THROW(reactor.schedule_at(1.0, [] {}), Error);
 }
 
 }  // namespace

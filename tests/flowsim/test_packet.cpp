@@ -7,16 +7,9 @@
 
 #include "flowsim/fluid_network.hpp"
 #include "graph/schemes.hpp"
-#include "util/error.hpp"
 
 namespace bwshare::flowsim {
 namespace {
-
-PacketSimConfig config_for(const topo::NetworkCalibration& cal) {
-  PacketSimConfig cfg;
-  cfg.cal = cal;
-  return cfg;
-}
 
 // Use ~2 MB messages: >1000 packets, fast to simulate.
 constexpr double kBytes = 2e6;
@@ -26,7 +19,7 @@ TEST(PacketSim, SingleFlowReachesSingleStreamEfficiency) {
        {topo::gigabit_ethernet_calibration(), topo::myrinet2000_calibration(),
         topo::infiniband_calibration()}) {
     const auto g = graph::schemes::outgoing_fan(1, kBytes);
-    const auto p = measure_penalties_packet(g, config_for(cal));
+    const auto p = measure_penalties_packet(g, cal);
     ASSERT_EQ(p.size(), 1u);
     EXPECT_NEAR(p[0], 1.0, 0.05) << to_string(cal.tech);
   }
@@ -36,7 +29,7 @@ TEST(PacketSim, GigeFanSharingMatchesBeta) {
   const auto cal = topo::gigabit_ethernet_calibration();
   for (int fan = 2; fan <= 3; ++fan) {
     const auto g = graph::schemes::outgoing_fan(fan, kBytes);
-    const auto p = measure_penalties_packet(g, config_for(cal));
+    const auto p = measure_penalties_packet(g, cal);
     for (double v : p) EXPECT_NEAR(v, 0.75 * fan, 0.12) << "fan " << fan;
   }
 }
@@ -45,7 +38,7 @@ TEST(PacketSim, MyrinetFanSerializes) {
   const auto cal = topo::myrinet2000_calibration();
   for (int fan = 2; fan <= 3; ++fan) {
     const auto g = graph::schemes::outgoing_fan(fan, kBytes);
-    const auto p = measure_penalties_packet(g, config_for(cal));
+    const auto p = measure_penalties_packet(g, cal);
     for (double v : p) EXPECT_NEAR(v, 0.95 * fan, 0.15) << "fan " << fan;
   }
 }
@@ -54,7 +47,7 @@ TEST(PacketSim, InfinibandFanSharing) {
   const auto cal = topo::infiniband_calibration();
   for (int fan = 2; fan <= 3; ++fan) {
     const auto g = graph::schemes::outgoing_fan(fan, kBytes);
-    const auto p = measure_penalties_packet(g, config_for(cal));
+    const auto p = measure_penalties_packet(g, cal);
     for (double v : p) EXPECT_NEAR(v, 0.87 * fan, 0.15) << "fan " << fan;
   }
 }
@@ -64,7 +57,7 @@ TEST(PacketSim, AgreesWithFluidOnIncomeConflict) {
        {topo::gigabit_ethernet_calibration(), topo::myrinet2000_calibration(),
         topo::infiniband_calibration()}) {
     const auto g = graph::schemes::incoming_fan(3, kBytes);
-    const auto packet = measure_penalties_packet(g, config_for(cal));
+    const auto packet = measure_penalties_packet(g, cal);
     const auto fluid = measure_penalties(g, cal);
     for (size_t i = 0; i < packet.size(); ++i)
       EXPECT_NEAR(packet[i] / fluid[i], 1.0, 0.15)
@@ -77,9 +70,9 @@ TEST(PacketSim, DuplexConflictSlowsSenders) {
   // three outgoing flows well beyond the pure 3-fan penalty.
   const auto cal = topo::myrinet2000_calibration();
   const auto fan = measure_penalties_packet(
-      graph::schemes::fig2_scheme(3, kBytes), config_for(cal));
+      graph::schemes::fig2_scheme(3, kBytes), cal);
   const auto duplex = measure_penalties_packet(
-      graph::schemes::fig2_scheme(5, kBytes), config_for(cal));
+      graph::schemes::fig2_scheme(5, kBytes), cal);
   EXPECT_GT(duplex[0], fan[0] * 1.25);
 }
 
@@ -87,7 +80,7 @@ TEST(PacketSim, IntraNodeFlow) {
   graph::CommGraph g;
   g.add("shm", 1, 1, 1e6);
   const auto cal = topo::gigabit_ethernet_calibration();
-  const auto t = measure_scheme_packet(g, config_for(cal));
+  const auto t = measure_scheme_packet(g, cal);
   ASSERT_EQ(t.size(), 1u);
   EXPECT_NEAR(t[0], cal.latency + 1e6 / cal.shm_bandwidth, 2e-4);
 }
@@ -95,17 +88,7 @@ TEST(PacketSim, IntraNodeFlow) {
 TEST(PacketSim, EmptyGraph) {
   const graph::CommGraph g;
   EXPECT_TRUE(
-      measure_scheme_packet(g, config_for(topo::gigabit_ethernet_calibration()))
-          .empty());
-}
-
-TEST(PacketSim, Validation) {
-  PacketSimConfig cfg;
-  cfg.cal = topo::gigabit_ethernet_calibration();
-  cfg.window_packets = 0;
-  graph::CommGraph g;
-  g.add("a", 0, 1, 1e6);
-  EXPECT_THROW(measure_scheme_packet(g, cfg), Error);
+      measure_scheme_packet(g, topo::gigabit_ethernet_calibration()).empty());
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/limits.hpp"
+#include "util/rng.hpp"
 
 namespace bwshare::graph {
 namespace {
@@ -203,6 +205,80 @@ TEST(ChurnSpec, ExpectedEventCountIsCappedAtTheCountLimit) {
   spec.rate = 1e9;
   spec.horizon = 1.0;
   EXPECT_THROW(spec.validate(), Error);
+}
+
+/// generate_churn as it was before its Fenwick index: the k-th up or down
+/// node found by a linear scan over every node. Sets `all_down` if the
+/// script ever takes every node down.
+std::vector<ChurnEvent> linear_scan_churn(const ChurnSpec& spec,
+                                          uint64_t seed, bool& all_down) {
+  std::vector<ChurnEvent> script;
+  if (spec.rate == 0.0) return script;
+  uint64_t salt = seed ^ 0xc2b2ae3d27d4eb4fULL;
+  Rng rng(splitmix64(salt));
+  std::vector<bool> up(static_cast<size_t>(spec.nodes), true);
+  int num_up = spec.nodes;
+  double t = 0.0;
+  while (true) {
+    t += rng.exponential(spec.rate);
+    if (t >= spec.horizon) break;
+    const bool departure = num_up == spec.nodes ||
+                           (num_up > 0 && rng.uniform() < 0.5);
+    const int pool = departure ? num_up : spec.nodes - num_up;
+    if (pool == 0) continue;
+    int pick = static_cast<int>(rng.below(static_cast<uint64_t>(pool)));
+    int node = -1;
+    for (int v = 0; v < spec.nodes; ++v) {
+      if (up[static_cast<size_t>(v)] == departure && pick-- == 0) {
+        node = v;
+        break;
+      }
+    }
+    ChurnEvent ev;
+    ev.time = t;
+    ev.node = node;
+    if (departure) {
+      ev.kind = rng.uniform() < spec.p_fail ? ChurnKind::kFail
+                                            : ChurnKind::kLeave;
+      up[static_cast<size_t>(node)] = false;
+      --num_up;
+    } else {
+      ev.kind = ChurnKind::kJoin;
+      up[static_cast<size_t>(node)] = true;
+      ++num_up;
+    }
+    if (num_up == 0) all_down = true;
+    script.push_back(ev);
+  }
+  return script;
+}
+
+TEST(ChurnSpec, ScriptsMatchTheLinearScanReference) {
+  int all_down_runs = 0;
+  for (const int nodes : {2, 3, 7, 64, 1000}) {
+    for (const double rate : {5.0, 200.0, 5000.0}) {
+      for (const double p_fail : {0.0, 0.5, 1.0}) {
+        for (const uint64_t seed : {1u, 2u, 3u}) {
+          ChurnSpec spec;
+          spec.nodes = nodes;
+          spec.rate = rate;
+          spec.p_fail = p_fail;
+          bool all_down = false;
+          const auto expect = linear_scan_churn(spec, seed, all_down);
+          if (all_down) ++all_down_runs;
+          const auto got = generate_churn(spec, seed);
+          ASSERT_EQ(got.size(), expect.size())
+              << "nodes=" << nodes << " rate=" << rate << " seed=" << seed;
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].time, expect[i].time) << "event " << i;
+            ASSERT_EQ(got[i].kind, expect[i].kind) << "event " << i;
+            ASSERT_EQ(got[i].node, expect[i].node) << "event " << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(all_down_runs, 0);
 }
 
 TEST(BackgroundSpec, ExpectedFlowCountIsCappedAtTheCountLimit) {

@@ -28,6 +28,7 @@
 #include "sim/schedule.hpp"
 #include "topo/cluster.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace bwshare::serve {
@@ -327,6 +328,20 @@ TEST(QueryService, AnswersAreIdenticalAtEveryServiceThreadCount) {
                                 *b.result->predicted);
     }
   }
+}
+
+TEST(QueryService, ThreadCountsOutsideTheRangeFailAtConstruction) {
+  // Checked when the service is built, before any batch: a negative count
+  // is an error rather than "hardware threads", and so is one above
+  // kMaxThreads. Building at the limit starts no thread.
+  for (const int threads : {-1, util::kMaxThreads + 1}) {
+    ServiceConfig config;
+    config.threads = threads;
+    EXPECT_THROW(QueryService{config}, Error) << "threads=" << threads;
+  }
+  ServiceConfig widest;
+  widest.threads = util::kMaxThreads;
+  EXPECT_NO_THROW(QueryService{widest});
 }
 
 TEST(QueryService, ConcurrentHammerServesOnlyConformantAnswers) {

@@ -1,16 +1,16 @@
 // Concurrent replays: eval::Sweep cells and serve::QueryService queries run
-// many engines at once on a util::ThreadPool, all sharing one const
-// RateProvider, while each worker thread keeps its own solve scratch and
-// arena. Every replay must stay bit-identical to the same replay run alone
-// on the calling thread — no arithmetic may depend on which worker ran it,
-// on what that worker solved before, or on what ran beside it. Exercised
-// over the shared churn fuzz (barrier-heavy batching), fat-tree coupling,
-// and every generator family under the fluid, gige-model and
-// myrinet-model providers, on pools of 1, 2 and 8 workers,
-// plus EngineConfig::verify replays (whose whole-set re-solves run through
-// the same per-thread scratch) and per-replay SolveMemos over a shared
-// frozen store. This suite is the TSan CI target for concurrent engines:
-// any data race between replays sharing a provider surfaces here.
+// many engines at once through util::parallel_for, all sharing one const
+// RateProvider, while each thread keeps its own solve scratch and arena.
+// Every replay must stay bit-identical to the same replay run alone on the
+// calling thread — no arithmetic may depend on which thread ran it, on what
+// that thread solved before, or on what ran beside it. Exercised over the
+// shared churn fuzz (barrier-heavy batching), fat-tree coupling, and every
+// generator family under the fluid, gige-model and myrinet-model providers,
+// at 1, 2 and 8 threads, plus EngineConfig::verify replays (whose whole-set
+// re-solves run through the same per-thread scratch) and per-replay
+// SolveMemos over a shared frozen store. This suite is the TSan CI target
+// for concurrent engines: any data race between replays sharing a provider
+// surfaces here.
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -33,23 +33,24 @@
 #include "topo/cluster.hpp"
 #include "topo/fattree.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
+#include "util/parallel.hpp"
 
 namespace bwshare::sim {
 namespace {
 
-/// Replays of one workload launched per batch; more than the largest pool
-/// so workers run several replays back to back on warm scratch.
+/// Replays of one workload launched per batch; more than the largest
+/// thread count, so threads run several replays back to back on warm
+/// scratch.
 constexpr int kReplays = 10;
 
-/// `n` replays of one workload fanned out over `pool`, each into its own
-/// slot — the sweep's pattern.
+/// `n` replays of one workload fanned out on `threads` threads, each into
+/// its own slot — the sweep's pattern.
 std::vector<SimResult> replay_concurrently(
-    util::ThreadPool& pool, int n, const AppTrace& trace,
+    int threads, int n, const AppTrace& trace,
     const topo::ClusterSpec& cluster, const Placement& placement,
     const flowsim::RateProvider& provider, const EngineConfig& cfg) {
   std::vector<SimResult> results(static_cast<size_t>(n));
-  util::parallel_for(pool, n, [&](int i) {
+  util::parallel_for(threads, n, [&](int i) {
     results[static_cast<size_t>(i)] =
         run_simulation(trace, cluster, placement, provider, cfg);
   });
@@ -57,7 +58,7 @@ std::vector<SimResult> replay_concurrently(
 }
 
 /// The concurrency contract: a serial replay on this thread, then batches
-/// of concurrent replays sharing `provider` on pools of 1, 2 and 8 workers
+/// of concurrent replays sharing `provider` at 1, 2 and 8 threads
 /// — every one bit-identical to the serial replay — then a batch of verify
 /// replays, which must not throw and must match too.
 void check_concurrent_matches_serial(const AppTrace& trace,
@@ -68,15 +69,13 @@ void check_concurrent_matches_serial(const AppTrace& trace,
   const SimResult serial =
       run_simulation(trace, cluster, placement, provider, cfg);
   for (const int threads : {1, 2, 8}) {
-    util::ThreadPool pool(threads);
     for (const auto& result : replay_concurrently(
-             pool, kReplays, trace, cluster, placement, provider, cfg))
+             threads, kReplays, trace, cluster, placement, provider, cfg))
       expect_bit_identical(serial, result);
   }
   cfg.verify = true;
-  util::ThreadPool pool(2);
   std::vector<SimResult> verified;
-  ASSERT_NO_THROW(verified = replay_concurrently(pool, 4, trace, cluster,
+  ASSERT_NO_THROW(verified = replay_concurrently(2, 4, trace, cluster,
                                                  placement, provider, cfg));
   for (const auto& result : verified) expect_bit_identical(serial, result);
 }
@@ -101,7 +100,7 @@ TEST_P(ConcurrentChurnFuzz, ConcurrentReplaysAreBitIdenticalToSerial) {
 TEST_P(ConcurrentChurnFuzz, ConcurrentReplaysMatchSerialUnderFatTreeCoupling) {
   // Oversubscribed inner links merge endpoint-disjoint transfers into one
   // component, so concurrent replays solve one big coupled problem beside
-  // small independent ones through their workers' scratch.
+  // small independent ones through their threads' scratch.
   const int tasks = 8;
   const auto trace =
       churn_trace(static_cast<uint64_t>(GetParam()) + 900, tasks);
@@ -171,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "alltoall:nodes=4"),
                        ::testing::Values(1u, 2u)));
 
-// --- mixed workloads, shared pools, memos ----------------------------------
+// --- mixed workloads, concurrent callers, memos ---------------------------
 
 /// One replayable workload with its own provider.
 struct Workload {
@@ -216,14 +215,13 @@ std::vector<Workload> mixed_workloads() {
 }
 
 TEST(ConcurrentReplays, DistinctWorkloadsShareWorkersWithoutCrosstalk) {
-  // Round-robin over the workloads, so each worker's scratch is reused
+  // Round-robin over the workloads, so each thread's scratch is reused
   // across problems of different sizes and provider kinds, with other
   // workloads solving beside it.
   const auto workloads = mixed_workloads();
   const int n = 6 * static_cast<int>(workloads.size());
   std::vector<SimResult> results(static_cast<size_t>(n));
-  util::ThreadPool pool(3);
-  util::parallel_for(pool, n, [&](int i) {
+  util::parallel_for(3, n, [&](int i) {
     const auto& w = workloads[static_cast<size_t>(i) % workloads.size()];
     results[static_cast<size_t>(i)] =
         run_simulation(w.trace, w.cluster, w.placement, *w.provider);
@@ -234,19 +232,18 @@ TEST(ConcurrentReplays, DistinctWorkloadsShareWorkersWithoutCrosstalk) {
         results[static_cast<size_t>(i)]);
 }
 
-TEST(ConcurrentReplays, ClientsSharingOnePoolGetIdenticalReplays) {
-  // Several client threads fan their batches out on one shared pool at the
-  // same time, as concurrent QueryService clients do; each client waits
+TEST(ConcurrentReplays, ConcurrentClientsGetIdenticalReplays) {
+  // Several client threads fan their batches out at the same time, each
+  // through its own parallel_for and so its own threads; each client waits
   // only for its own batch and every replay matches its serial twin.
   const auto workloads = mixed_workloads();
   constexpr int kPerClient = 5;
-  util::ThreadPool pool(4);
   std::vector<std::vector<SimResult>> per_client(workloads.size());
   std::vector<std::thread> clients;
   for (size_t c = 0; c < workloads.size(); ++c) {
     clients.emplace_back([&, c] {
       const auto& w = workloads[c];
-      per_client[c] = replay_concurrently(pool, kPerClient, w.trace,
+      per_client[c] = replay_concurrently(4, kPerClient, w.trace,
                                           w.cluster, w.placement,
                                           *w.provider, EngineConfig{});
     });
@@ -278,13 +275,13 @@ class MapStore : public SolveStore {
 /// Concurrent replays of `w`, each driving its own SolveMemo over `frozen`;
 /// the memos are read only after the batch joins.
 std::vector<std::unique_ptr<SolveMemo>> memo_replays(
-    util::ThreadPool& pool, const Workload& w, const SolveStore* frozen,
+    int threads, const Workload& w, const SolveStore* frozen,
     std::vector<SimResult>& results) {
   std::vector<std::unique_ptr<SolveMemo>> memos;
   for (int i = 0; i < kReplays; ++i)
     memos.push_back(std::make_unique<SolveMemo>(frozen));
   results.assign(static_cast<size_t>(kReplays), SimResult{});
-  util::parallel_for(pool, kReplays, [&](int i) {
+  util::parallel_for(threads, kReplays, [&](int i) {
     EngineConfig cfg;
     cfg.solve_memo = memos[static_cast<size_t>(i)].get();
     results[static_cast<size_t>(i)] =
@@ -298,10 +295,9 @@ TEST(ConcurrentReplays, PrivateMemosRecordIdenticallyUnderConcurrency) {
   // own memo, must replay bit-identically to a memo-less run and record
   // the same solve sequence: equal counters and equal staged solutions.
   const auto workloads = mixed_workloads();
-  util::ThreadPool pool(4);
   for (const auto& w : workloads) {
     std::vector<SimResult> results;
-    const auto memos = memo_replays(pool, w, nullptr, results);
+    const auto memos = memo_replays(4, w, nullptr, results);
     for (const auto& result : results) expect_bit_identical(w.serial, result);
     const SolveMemo& first = *memos.front();
     EXPECT_GT(first.misses(), 0u);
@@ -321,7 +317,6 @@ TEST(ConcurrentReplays, SharedFrozenStoreWarmStartsConcurrentReplays) {
   // from the store (no misses, nothing staged) and still matches the
   // memo-less replay bit for bit.
   const auto workloads = mixed_workloads();
-  util::ThreadPool pool(4);
   for (const auto& w : workloads) {
     SolveMemo recorder;
     EngineConfig cfg;
@@ -334,7 +329,7 @@ TEST(ConcurrentReplays, SharedFrozenStoreWarmStartsConcurrentReplays) {
     const MapStore frozen(recorder.staged());
 
     std::vector<SimResult> results;
-    const auto memos = memo_replays(pool, w, &frozen, results);
+    const auto memos = memo_replays(4, w, &frozen, results);
     for (const auto& result : results) expect_bit_identical(w.serial, result);
     for (const auto& memo : memos) {
       EXPECT_EQ(memo->frozen_hits(), lookups);
