@@ -22,6 +22,7 @@
 #include "eval/sweep.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -64,7 +65,7 @@ int main(int argc, char** argv) try {
   spec.seeds = {42};          // static schemes; seed only labels the cells
 
   const eval::Sweep sweep(std::move(spec));
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = args.get_int_in("threads", 0, 0, util::kMaxThreads);
   const auto result = sweep.run(threads);
 
   TextTable table({"graph", "network", "model", "comms", "T_m sum [s]",

@@ -186,41 +186,12 @@ bool check_flags(const CliArgs& args, const std::string& subcommand,
   return unknown.empty();
 }
 
-/// An integer flag as the int its consumer takes, checked against [lo, hi]
-/// before the narrowing cast, so an out-of-range value is an error instead
-/// of a wrapped count.
-int int_flag(const CliArgs& args, const std::string& name, long fallback,
-             long lo, long hi) {
-  const long v = args.get_int(name, fallback);
-  BWS_CHECK(v >= lo && v <= hi,
-            strformat("flag --%s must be in [%ld, %ld], got %ld",
-                      name.c_str(), lo, hi, v));
-  return static_cast<int>(v);
-}
-
-/// One seed, digits only: strtoull would silently wrap "-1" to 2^64-1.
-std::uint64_t parse_seed(const std::string& name, const std::string& text) {
-  std::uint64_t seed = 0;
-  const auto st = try_parse_u64(text, seed);
-  BWS_CHECK(st != ParseIntStatus::kMalformed,
-            "flag --" + name + " expects a non-negative integer, got '" +
-                text + "'");
-  BWS_CHECK(st == ParseIntStatus::kOk,
-            "flag --" + name + " integer out of range: '" + text + "'");
-  return seed;
-}
-
-std::uint64_t seed_flag(const CliArgs& args, const std::string& name,
-                        std::uint64_t fallback) {
-  return args.has(name) ? parse_seed(name, args.get(name, "")) : fallback;
-}
-
 int run_scheme(const CliArgs& args, const std::string& path) {
   const auto parsed = graph::parse_scheme_file(path);
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
-  const int nodes = int_flag(args, "nodes",
-                            std::max(16, parsed.declared_nodes), 1, kMaxCount);
-  const int cores = int_flag(args, "cores", 2, 1, kMaxCount);
+  const int nodes = args.get_int_in(
+      "nodes", std::max(16, parsed.declared_nodes), 1, kMaxCount);
+  const int cores = args.get_int_in("cores", 2, 1, kMaxCount);
   const auto cluster = topo::ClusterSpec::uniform(
       "cli", nodes, cores, topo::calibration_for(tech));
 
@@ -252,7 +223,7 @@ sim::Scenario scenario_from_flags(const CliArgs& args, int nodes) {
   sim::Scenario scenario;
   const double churn = args.get_double("churn", 0.0);
   const double background = args.get_double("background", 0.0);
-  const std::uint64_t seed = seed_flag(args, "scenario-seed", 42);
+  const std::uint64_t seed = args.get_u64("scenario-seed", 42);
   if (churn > 0.0) {
     graph::ChurnSpec spec;
     spec.rate = churn;
@@ -279,8 +250,8 @@ int run_trace(const CliArgs& args, const std::string& path) {
   const auto trace = sim::read_trace_file(path);
   trace.validate();
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
-  const int nodes = int_flag(args, "nodes", 16, 1, kMaxCount);
-  const int cores = int_flag(args, "cores", 2, 1, kMaxCount);
+  const int nodes = args.get_int_in("nodes", 16, 1, kMaxCount);
+  const int cores = args.get_int_in("cores", 2, 1, kMaxCount);
   const auto cluster = topo::ClusterSpec::uniform(
       "cli", nodes, cores, topo::calibration_for(tech));
   const auto policy =
@@ -313,8 +284,8 @@ int run_trace(const CliArgs& args, const std::string& path) {
 
 int run_multijob(const CliArgs& args, const std::vector<std::string>& paths) {
   const auto tech = topo::network_tech_from_string(args.get("network", "gige"));
-  const int nodes = int_flag(args, "nodes", 16, 1, kMaxCount);
-  const int cores = int_flag(args, "cores", 2, 1, kMaxCount);
+  const int nodes = args.get_int_in("nodes", 16, 1, kMaxCount);
+  const int cores = args.get_int_in("cores", 2, 1, kMaxCount);
   const auto cluster = topo::ClusterSpec::uniform(
       "cli", nodes, cores, topo::calibration_for(tech));
   const auto policy =
@@ -423,11 +394,11 @@ int run_sweep(const CliArgs& args) {
   eval::SweepSpec spec = grid_axes_from_flags(args, "mk1,mk2");
   spec.seeds.clear();
   for (const auto& text : split_list(args, "seeds", "1,2,3")) {
-    spec.seeds.push_back(parse_seed("seeds", text));
+    spec.seeds.push_back(parse_u64_flag("seeds", text));
   }
 
   const eval::Sweep sweep(std::move(spec));
-  const int threads = int_flag(args, "threads", 0, 0, util::kMaxThreads);
+  const int threads = args.get_int_in("threads", 0, 0, util::kMaxThreads);
   const int effective_threads =
       threads > 0 ? threads : util::hardware_threads();
   std::cout << "sweep: " << sweep.num_jobs() << " cells on "
@@ -492,18 +463,17 @@ int run_campaign(const CliArgs& args) {
       stats::stopping_rule_from_string(args.get("rule", "best-arm"));
   spec.stop.tolerance = args.get_double("tolerance", 0.05);
   spec.stop.confidence = args.get_double("confidence", 0.95);
-  spec.stop.min_replicates =
-      int_flag(args, "min-replicates", 8, 1, kMaxCount);
+  spec.stop.min_replicates = args.get_int_in("min-replicates", 8, 1, kMaxCount);
   spec.stop.max_replicates =
-      int_flag(args, "max-replicates", 256, 1, kMaxCount);
+      args.get_int_in("max-replicates", 256, 1, kMaxCount);
   spec.stop.resamples = static_cast<size_t>(
-      int_flag(args, "resamples", 400, 1, kMaxCount));
-  spec.batch = int_flag(args, "batch", 8, 1, kMaxCount);
-  spec.seed = seed_flag(args, "seed", 42);
+      args.get_int_in("resamples", 400, 1, kMaxCount));
+  spec.batch = args.get_int_in("batch", 8, 1, kMaxCount);
+  spec.seed = args.get_u64("seed", 42);
   spec.stop.ci_seed = spec.seed;
 
   const eval::Campaign campaign(std::move(spec));
-  const int threads = int_flag(args, "threads", 0, 0, util::kMaxThreads);
+  const int threads = args.get_int_in("threads", 0, 0, util::kMaxThreads);
   const int effective_threads =
       threads > 0 ? threads : util::hardware_threads();
   std::cout << "campaign: " << campaign.num_arms() << " arm(s), rule "
@@ -564,7 +534,7 @@ int run_campaign(const CliArgs& args) {
 
 int run_serve(const CliArgs& args) {
   serve::ServiceConfig config;
-  config.threads = int_flag(args, "threads", 0, 0, util::kMaxThreads);
+  config.threads = args.get_int_in("threads", 0, 0, util::kMaxThreads);
   const long cache = args.get_int("cache", 64);
   const long memo = args.get_int("memo", 65536);
   BWS_CHECK(cache >= 0, "--cache must be >= 0");

@@ -17,6 +17,9 @@
 #include "mpi/minimpi.hpp"
 #include "topo/network.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
+#include "util/limits.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -54,15 +57,15 @@ sim::AppTrace halo_app(int ranks) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
-  const int tasks = static_cast<int>(args.get_int("tasks", 16));
+  const int tasks = args.get_int_in("tasks", 16, 1, kMaxCount);
 
   hpl::HplParams hpl_params;
   hpl_params.n = 20500;
   hpl_params.nb = 120;
   hpl_params.tasks = tasks;
-  hpl_params.max_panels = static_cast<int>(args.get_int("panels", 24));
+  hpl_params.max_panels = args.get_int_in("panels", 24, 1, kMaxCount);
 
   struct App {
     std::string name;
@@ -88,11 +91,11 @@ int main(int argc, char** argv) {
   spec.stop.confidence = args.get_double("confidence", 0.95);
   spec.stop.min_replicates = 4;
   spec.stop.max_replicates =
-      static_cast<int>(args.get_int("max-replicates", 40));
-  spec.batch = static_cast<int>(args.get_int("batch", 4));
-  spec.seed = static_cast<uint64_t>(args.get_int("seed", 42));
+      args.get_int_in("max-replicates", 40, 1, kMaxCount);
+  spec.batch = args.get_int_in("batch", 4, 1, kMaxCount);
+  spec.seed = args.get_u64("seed", 42);
   spec.stop.ci_seed = spec.seed;
-  const int threads = static_cast<int>(args.get_int("threads", 0));
+  const int threads = args.get_int_in("threads", 0, 0, util::kMaxThreads);
 
   std::cout << "Interconnect advisor (adaptive campaign, best-arm rule at "
             << strformat("%.0f%%", spec.stop.confidence * 100.0)
@@ -137,4 +140,7 @@ int main(int argc, char** argv) {
                "shares more gracefully\n(the paper's closing observation in "
                "SIV-C).\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

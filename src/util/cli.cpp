@@ -72,6 +72,21 @@ long CliArgs::get_int(const std::string& name, long fallback) const {
             "'");
 }
 
+int CliArgs::get_int_in(const std::string& name, int fallback, int lo,
+                        int hi) const {
+  const long v = get_int(name, fallback);
+  BWS_CHECK(v >= lo && v <= hi,
+            strformat("flag --%s must be in [%d, %d], got %ld", name.c_str(),
+                      lo, hi, v));
+  return static_cast<int>(v);
+}
+
+std::uint64_t CliArgs::get_u64(const std::string& name,
+                               std::uint64_t fallback) const {
+  const auto it = values_.find(name);
+  return it == values_.end() ? fallback : parse_u64_flag(name, it->second);
+}
+
 double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
@@ -92,6 +107,18 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   BWS_THROW("flag --" + name + " expects a boolean, got '" + v + "'");
+}
+
+std::uint64_t parse_u64_flag(const std::string& name, std::string_view text) {
+  std::uint64_t v = 0;
+  const auto st = try_parse_u64(text, v);
+  BWS_CHECK(st != ParseIntStatus::kMalformed,
+            "flag --" + name + " expects a non-negative integer, got '" +
+                std::string(text) + "'");
+  BWS_CHECK(st == ParseIntStatus::kOk,
+            "flag --" + name + " integer out of range: '" + std::string(text) +
+                "'");
+  return v;
 }
 
 }  // namespace bwshare

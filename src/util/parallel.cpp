@@ -38,7 +38,8 @@ void parallel_for(int threads, int n, const std::function<void(int)>& fn) {
   };
 
   std::vector<std::thread> helpers;
-  const int extra = std::min(threads, n) - 1;
+  // n <= 1 first: std::min(threads, INT_MIN) - 1 would overflow.
+  const int extra = n <= 1 ? 0 : std::min(threads, n) - 1;
   if (extra > 0) helpers.reserve(static_cast<size_t>(extra));
   for (int k = 0; k < extra; ++k) {
     try {

@@ -14,6 +14,7 @@
 
 #include "sim/trace_io.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace bwshare::eval {
 namespace {
@@ -105,6 +106,33 @@ TEST(Campaign, Validation) {
                                Objective::kEabsPct}) {
     EXPECT_EQ(objective_from_string(to_string(objective)), objective);
   }
+}
+
+TEST(Campaign, ThreadCountsOutsideTheRangeAreErrors) {
+  CampaignSpec spec;
+  spec.grid.schemes = {"mk1"};
+  spec.grid.networks = {topo::NetworkTech::kGigabitEthernet,
+                        topo::NetworkTech::kMyrinet2000};
+  spec.grid.models = {"network"};
+  spec.stop.min_replicates = 2;
+  spec.stop.max_replicates = 4;
+  spec.stop.resamples = 50;
+  spec.batch = 2;
+  const Campaign campaign(std::move(spec));
+  for (const int threads : {-1, util::kMaxThreads + 1}) {
+    try {
+      (void)campaign.run(threads);
+      ADD_FAILURE() << "threads=" << threads << " ran";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("threads must be in [0, 4096]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest count is accepted and starts only as many threads as a
+  // round has replays; the report does not change.
+  EXPECT_EQ(campaign.run(util::kMaxThreads).to_json(),
+            campaign.run(1).to_json());
 }
 
 TEST(Campaign, ErroredArmIsRecordedAndNeverAbortsTheCampaign) {

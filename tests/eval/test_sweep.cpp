@@ -8,6 +8,7 @@
 #include <string>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace bwshare::eval {
 namespace {
@@ -100,6 +101,27 @@ TEST(Sweep, NumJobsIsTheCrossProduct) {
   // schemes: 3 * 2 * 2 * 1 * 3 (policies do not apply)   = 36
   // traces:  1 * 2 * 2 * 1 * 2 * 3                       = 24
   EXPECT_EQ(sweep.num_jobs(), 60u);
+}
+
+TEST(Sweep, ThreadCountsOutsideTheRangeAreErrors) {
+  SweepSpec spec;
+  spec.schemes = {"mk1"};
+  spec.networks = {topo::NetworkTech::kGigabitEthernet};
+  spec.models = {"network"};
+  spec.seeds = {1};
+  const Sweep sweep(std::move(spec));
+  for (const int threads : {-1, util::kMaxThreads + 1}) {
+    try {
+      (void)sweep.run(threads);
+      ADD_FAILURE() << "threads=" << threads << " ran";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("threads must be in [0, 4096]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest count is accepted; one cell still runs on the caller.
+  EXPECT_EQ(sweep.run(util::kMaxThreads).to_csv(), sweep.run(1).to_csv());
 }
 
 TEST(Sweep, RunsTheAcceptanceGrid) {

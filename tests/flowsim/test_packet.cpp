@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "flowsim/fluid_network.hpp"
 #include "graph/schemes.hpp"
+#include "util/error.hpp"
 
 namespace bwshare::flowsim {
 namespace {
@@ -89,6 +92,21 @@ TEST(PacketSim, EmptyGraph) {
   const graph::CommGraph g;
   EXPECT_TRUE(
       measure_scheme_packet(g, topo::gigabit_ethernet_calibration()).empty());
+}
+
+TEST(PacketSim, RejectsACalibrationWithoutLinkBandwidth) {
+  // Checked before anything else, so an empty graph does not slip past.
+  graph::CommGraph g;
+  g.add("a", 0, 1, 1e6);
+  for (const double bandwidth :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    auto cal = topo::gigabit_ethernet_calibration();
+    cal.link_bandwidth = bandwidth;
+    EXPECT_THROW((void)measure_scheme_packet(g, cal), Error) << bandwidth;
+    EXPECT_THROW((void)measure_penalties_packet(g, cal), Error) << bandwidth;
+    EXPECT_THROW((void)measure_scheme_packet(graph::CommGraph{}, cal), Error)
+        << bandwidth;
+  }
 }
 
 }  // namespace

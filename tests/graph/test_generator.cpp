@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -279,6 +280,30 @@ TEST(ChurnSpec, ScriptsMatchTheLinearScanReference) {
     }
   }
   EXPECT_GT(all_down_runs, 0);
+}
+
+TEST(ChurnSpec, ScriptsNextToPowersOfTwoMatchTheLinearScanReference) {
+  // The Fenwick walk starts at the largest power of two <= nodes: node
+  // counts on either side of one, up to the 65536-node cap, each with
+  // enough events to pick up and down nodes across the whole range.
+  for (const int nodes : {4095, 4096, 4097, 65535, 65536}) {
+    ChurnSpec spec;
+    spec.nodes = nodes;
+    spec.rate = 1500.0;
+    bool all_down = false;
+    const auto expect = linear_scan_churn(spec, 11, all_down);
+    const auto got = generate_churn(spec, 11);
+    ASSERT_EQ(got.size(), expect.size()) << "nodes=" << nodes;
+    int highest = 0;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].time, expect[i].time) << "event " << i;
+      ASSERT_EQ(got[i].kind, expect[i].kind) << "event " << i;
+      ASSERT_EQ(got[i].node, expect[i].node) << "event " << i;
+      highest = std::max(highest, got[i].node);
+    }
+    // Some event lands in the top quarter of the nodes.
+    EXPECT_GE(highest, nodes - nodes / 4) << "nodes=" << nodes;
+  }
 }
 
 TEST(BackgroundSpec, ExpectedFlowCountIsCappedAtTheCountLimit) {

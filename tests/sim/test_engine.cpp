@@ -127,6 +127,51 @@ TEST(Engine, AnySourceMatchesEarliestPostedSend) {
   EXPECT_GE(result.comms[1].start, result.comms[0].finish - 1e-6);
 }
 
+TEST(Engine, PostedReceivesMatchInPostingOrder) {
+  // Task 0 posts two receives from task 1, at t=0 and t=3ms, before either
+  // send arrives: the first send takes the earlier receive.
+  AppTrace trace(2);
+  trace.push(0, Event::irecv(1, 1e6));
+  trace.push(0, Event::compute(0.003));
+  trace.push(0, Event::irecv(1, 2e6));
+  trace.push(0, Event::wait_all());
+  trace.push(1, Event::compute(0.010));
+  trace.push(1, Event::send(0, 1e6));
+  trace.push(1, Event::send(0, 2e6));
+  const auto provider = fluid();
+  const auto result =
+      run_simulation(trace, cluster(), identity_placement(2), provider);
+  ASSERT_EQ(result.comms.size(), 2u);
+  EXPECT_EQ(result.comms[0].bytes, 1e6);
+  EXPECT_DOUBLE_EQ(result.comms[0].recv_post, 0.0);
+  EXPECT_DOUBLE_EQ(result.comms[0].start, 0.010);
+  EXPECT_EQ(result.comms[1].bytes, 2e6);
+  EXPECT_DOUBLE_EQ(result.comms[1].recv_post, 0.003);
+}
+
+TEST(Engine, ATransferMovesTheSendsBytes) {
+  // The receive's declared size never sizes the transfer, whichever side
+  // posts first: 4 MB move where the receive says 1 MB.
+  const auto spec = cluster();
+  const auto& net = spec.network();
+  const double expect = net.latency + 4e6 / net.reference_bandwidth();
+  for (const bool recv_first : {true, false}) {
+    SCOPED_TRACE(recv_first ? "receive posted first" : "send posted first");
+    AppTrace trace(2);
+    trace.push(recv_first ? 0 : 1, Event::compute(0.010));
+    trace.push(0, Event::send(1, 4e6));
+    trace.push(1, Event::recv(0, 1e6));
+    const auto provider = fluid();
+    const auto result =
+        run_simulation(trace, spec, identity_placement(2), provider);
+    ASSERT_EQ(result.comms.size(), 1u);
+    EXPECT_EQ(result.comms[0].bytes, 4e6);
+    EXPECT_NEAR(result.comms[0].start, 0.010, 1e-12);
+    EXPECT_NEAR(result.comms[0].duration(), expect, 1e-3);
+    EXPECT_NEAR(result.makespan, 0.010 + expect, 1e-3);
+  }
+}
+
 TEST(Engine, BarrierSynchronizesTasks) {
   AppTrace trace(3);
   trace.push(0, Event::compute(0.3));

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+#include <string>
+
 #include "util/error.hpp"
 
 namespace bwshare {
@@ -11,6 +15,22 @@ CliArgs make(std::initializer_list<const char*> args) {
   std::vector<const char*> argv{"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
   return CliArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+/// The message of the bwshare::Error `fn` throws ("" if it throws none).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `haystack` contains `needle`.
+bool contains(const std::string& haystack, const std::string& needle) {
+  return haystack.find(needle) != std::string::npos;
 }
 
 TEST(Cli, SpaceSeparatedValue) {
@@ -85,6 +105,81 @@ TEST(Cli, UnknownFlagsSortedAlphabetically) {
   const auto args = make({"--zeta", "1", "--alpha", "2"});
   EXPECT_EQ(args.unknown_flags({}),
             (std::vector<std::string>{"alpha", "zeta"}));
+}
+
+TEST(Cli, IntInRangeAcceptsBothBoundsAndFallsBackWhenAbsent) {
+  EXPECT_EQ(make({"--threads", "0"}).get_int_in("threads", 7, 0, 4096), 0);
+  EXPECT_EQ(make({"--threads", "4096"}).get_int_in("threads", 7, 0, 4096),
+            4096);
+  EXPECT_EQ(make({"--threads=+12"}).get_int_in("threads", 7, 0, 4096), 12);
+  EXPECT_EQ(make({}).get_int_in("threads", 7, 0, 4096), 7);
+  EXPECT_EQ(make({"--n", "-5"}).get_int_in("n", 0, INT_MIN, INT_MAX), -5);
+}
+
+TEST(Cli, IntInRangeNamesTheFlagAndTheRangeItMissed) {
+  EXPECT_TRUE(contains(
+      error_of([] { (void)make({"--threads", "-3"}).get_int_in(
+                        "threads", 0, 0, 4096); }),
+      "flag --threads must be in [0, 4096], got -3"));
+  EXPECT_TRUE(contains(
+      error_of([] { (void)make({"--batch", "1000001"}).get_int_in(
+                        "batch", 8, 1, 1000000); }),
+      "flag --batch must be in [1, 1000000], got 1000001"));
+  // Text that is no integer keeps get_int's message.
+  EXPECT_TRUE(contains(
+      error_of([] { (void)make({"--batch", "4x"}).get_int_in(
+                        "batch", 8, 1, 1000000); }),
+      "flag --batch expects an integer, got '4x'"));
+}
+
+TEST(Cli, IntInRangeRejectsValuesThatWouldWrapTheIntCast) {
+  // 2^32 + 1 and -(2^32 - 1) both cast to 1; 2^31 casts to INT_MIN.
+  for (const char* text : {"4294967297", "-4294967295", "2147483648"}) {
+    const auto args = make({"--threads", text});
+    EXPECT_THROW((void)args.get_int_in("threads", 0, 0, 4096), Error) << text;
+    EXPECT_THROW((void)args.get_int_in("threads", 0, INT_MIN, INT_MAX), Error)
+        << text;
+  }
+  EXPECT_TRUE(contains(
+      error_of([] { (void)make({"--threads", "4294967297"}).get_int_in(
+                        "threads", 0, 0, 4096); }),
+      "got 4294967297"));
+}
+
+TEST(Cli, U64ReadsTheWholeUnsignedRangeAndFallsBackWhenAbsent) {
+  EXPECT_EQ(make({"--seed", "0"}).get_u64("seed", 42), 0u);
+  EXPECT_EQ(make({"--seed", "18446744073709551615"}).get_u64("seed", 42),
+            UINT64_MAX);
+  EXPECT_EQ(make({"--seed=007"}).get_u64("seed", 42), 7u);
+  EXPECT_EQ(make({}).get_u64("seed", 42), 42u);
+  EXPECT_EQ(parse_u64_flag("seeds", "9223372036854775808"),
+            std::uint64_t{1} << 63);
+}
+
+TEST(Cli, U64RejectsSignsAndNonDigits) {
+  // "-1" once read as 2^64 - 1 through strtoull.
+  for (const char* text : {"-1", "+1", "1e3", "0x10", " 5", "5 ", "", "1.0"}) {
+    EXPECT_TRUE(contains(
+        error_of([text] { (void)make({"--seed", text}).get_u64("seed", 42); }),
+        "flag --seed expects a non-negative integer, got '" +
+            std::string(text) + "'"))
+        << "'" << text << "'";
+    EXPECT_TRUE(contains(error_of([text] {
+                           (void)parse_u64_flag("scenario-seed", text);
+                         }),
+                         "flag --scenario-seed expects a non-negative "
+                         "integer"))
+        << "'" << text << "'";
+  }
+}
+
+TEST(Cli, U64RejectsValuesPastTheUnsignedRange) {
+  for (const char* text : {"18446744073709551616", "99999999999999999999"}) {
+    EXPECT_TRUE(contains(
+        error_of([text] { (void)make({"--seed", text}).get_u64("seed", 42); }),
+        "flag --seed integer out of range: '" + std::string(text) + "'"))
+        << text;
+  }
 }
 
 }  // namespace
