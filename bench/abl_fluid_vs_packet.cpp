@@ -10,9 +10,10 @@
 #include "graph/schemes.hpp"
 #include "stats/descriptive.hpp"
 #include "topo/network.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
   const double bytes = parse_size(args.get("size", "2M"));
@@ -60,4 +61,7 @@ int main(int argc, char** argv) {
         agreement.mean(), agreement.min(), agreement.max());
   }
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

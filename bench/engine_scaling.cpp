@@ -50,6 +50,7 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -133,7 +134,7 @@ void usage(const char* prog) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   if (args.get_bool("help", false)) {
     usage(args.program().c_str());
@@ -150,16 +151,23 @@ int main(int argc, char** argv) {
 
   const std::string nodes_list = args.get(
       "nodes", "64,128,256,512,1024,2048,4096,8192,16384,32768,65536");
-  const int rounds = static_cast<int>(args.get_int("rounds", 3));
+  const int rounds = args.get_int_in("rounds", 3, 1, kMaxCount);
   const double bytes = args.get_double("bytes", 4e6);
-  const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 1));
+  const uint64_t seed = args.get_u64("seed", 1);
   const long max_verify = args.get_int("max-verify-nodes", 1024);
   const std::string out_path = args.get("out", "BENCH_engine.json");
   const std::string providers = args.get("providers", "fluid");
 
   std::vector<int> sizes;
-  for (const auto& tok : split(nodes_list, ','))
-    sizes.push_back(static_cast<int>(parse_size(trim(tok))));
+  for (const auto& tok : split(nodes_list, ',')) {
+    // Checked before the int cast; a perfect matching needs two nodes.
+    const double n = parse_size(trim(tok));
+    BWS_CHECK(n >= 2.0 && n <= kMaxCount && n == std::floor(n),
+              strformat("flag --nodes entries must be whole numbers in "
+                        "[2, %d], got '%s'",
+                        kMaxCount, std::string(trim(tok)).c_str()));
+    sizes.push_back(static_cast<int>(n));
+  }
   std::vector<double> churn_rates;
   for (const auto& tok : split(args.get("churn", "0"), ',')) {
     double rate = 0.0;
@@ -189,7 +197,6 @@ int main(int argc, char** argv) {
     }
 
     for (const int n : sizes) {
-      BWS_CHECK(n >= 2, "node counts must be at least 2");
       const auto trace = sparse_matching_trace(n, rounds, bytes, seed);
       // One-round twin of the same schedule: the (R-round - 1-round)
       // allocation delta cancels per-replay setup costs (engine state,
@@ -293,4 +300,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -16,6 +16,8 @@
 #include "sim/engine.hpp"
 #include "sim/rate_model.hpp"
 #include "topo/cluster.hpp"
+#include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -31,9 +33,9 @@ double simulate(const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
-  const int p = static_cast<int>(args.get_int("tasks", 16));
+  const int p = args.get_int_in("tasks", 16, 1, kMaxCount);
   const double bytes = parse_size(args.get("size", "4M"));
 
   print_banner(std::cout, "Extension - collectives under sharing models");
@@ -85,4 +87,7 @@ int main(int argc, char** argv) {
                "1.00); tree/scatter shapes\n  stress the models the way "
                "fig-2's fans do.\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

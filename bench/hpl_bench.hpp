@@ -11,24 +11,26 @@
 #include "hpl/hpl_trace.hpp"
 #include "models/penalty_model.hpp"
 #include "topo/cluster.hpp"
+#include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/strings.hpp"
 
 namespace bwshare::bench {
 
 inline int run_hpl_bench(int argc, char** argv, const std::string& title,
                          const topo::ClusterSpec& cluster,
-                         const models::PenaltyModel& model) {
+                         const models::PenaltyModel& model) try {
   const CliArgs args(argc, argv);
 
   hpl::HplParams params;
-  params.n = static_cast<int>(args.get_int("n", 20500));
-  params.nb = static_cast<int>(args.get_int("nb", 120));
+  params.n = args.get_int_in("n", 20500, 1, kMaxCount);
+  params.nb = args.get_int_in("nb", 120, 1, kMaxCount);
   // One MPI task per core, as HPL is normally run (the paper's nodes are
   // dual-CPU, so 16 nodes carry 32 tasks).
-  params.tasks = static_cast<int>(args.get_int("tasks", 32));
+  params.tasks = args.get_int_in("tasks", 32, 1, kMaxCount);
   // 0 = the full factorization (~171 panels). The late panels are where the
   // lookahead broadcasts overlap and conflicts appear.
-  params.max_panels = static_cast<int>(args.get_int("panels", 0));
+  params.max_panels = args.get_int_in("panels", 0, 0, kMaxCount);
 
   print_banner(std::cout, title);
   std::cout << strformat(
@@ -61,6 +63,9 @@ inline int run_hpl_bench(int argc, char** argv, const std::string& title,
         human_seconds(cmp.predicted_makespan).c_str());
   }
   return 0;
+} catch (const Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }
 
 }  // namespace bwshare::bench

@@ -10,22 +10,24 @@
 #include "models/registry.hpp"
 #include "topo/cluster.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
+#include "util/limits.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
 
   const auto tech =
       topo::network_tech_from_string(args.get("network", "myrinet"));
-  const int tasks = static_cast<int>(args.get_int("tasks", 16));
+  const int tasks = args.get_int_in("tasks", 16, 1, kMaxCount);
 
   hpl::HplParams params;
-  params.n = static_cast<int>(args.get_int("n", 20500));
-  params.nb = static_cast<int>(args.get_int("nb", 120));
+  params.n = args.get_int_in("n", 20500, 1, kMaxCount);
+  params.nb = args.get_int_in("nb", 120, 1, kMaxCount);
   params.tasks = tasks;
-  params.max_panels = static_cast<int>(args.get_int("panels", 32));
+  params.max_panels = args.get_int_in("panels", 32, 1, kMaxCount);
 
   const auto cluster = topo::ClusterSpec::uniform(
       "advisor", tasks, 2, topo::calibration_for(tech));
@@ -52,4 +54,7 @@ int main(int argc, char** argv) {
                "shared-memory copies);\nRandom placement scatters them and "
                "pays full network cost.\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

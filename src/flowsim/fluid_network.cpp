@@ -39,9 +39,8 @@ std::vector<int> RateProvider::coupling_keys(topo::NodeId /*src*/,
   return {};
 }
 
-FluidRateProvider::FluidRateProvider(topo::NetworkCalibration cal,
-                                     std::optional<topo::FatTree> topology)
-    : cal_(cal), topology_(std::move(topology)) {
+FluidRateProvider::FluidRateProvider(topo::NetworkCalibration cal)
+    : cal_(cal) {
   BWS_CHECK(cal_.link_bandwidth > 0.0, "link bandwidth must be positive");
   BWS_CHECK(cal_.single_stream_efficiency > 0.0 &&
                 cal_.single_stream_efficiency <= 1.0,
@@ -117,26 +116,6 @@ AllocationProblem FluidRateProvider::build_problem(
   // Shared-memory engine per node for intra-node copies.
   for (const auto& [node, members] : shm_at)
     problem.resources.push_back(Resource{cal_.shm_bandwidth, members});
-
-  // Fat-tree inner links, when a topology is attached.
-  if (topology_) {
-    std::map<topo::LinkId, std::vector<FlowIndex>> on_link;
-    for (graph::CommId i = 0; i < n; ++i) {
-      if (active.is_intra_node(i)) continue;
-      const auto& c = active.comm(i);
-      for (topo::LinkId l : topology_->route(c.src, c.dst)) {
-        // Host up/down links are already modelled above; only inner links
-        // add information.
-        if (l == topology_->host_uplink(c.src) ||
-            l == topology_->host_downlink(c.dst))
-          continue;
-        on_link[l].push_back(i);
-      }
-    }
-    for (const auto& [l, members] : on_link)
-      problem.resources.push_back(
-          Resource{topology_->link(l).capacity, members});
-  }
 
   return problem;
 }
@@ -234,39 +213,9 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
       weights[static_cast<size_t>(f)] = cal_.rx_bus_weight;
   }
 
-  // Fat-tree inner links: (link, comm) pairs collected in comm order, then
-  // sorted by (link, comm) — groups come out in ascending link id with
-  // members in comm order, matching the std::map<LinkId, vector> ordering.
-  struct LinkUse {
-    topo::LinkId link;
-    graph::CommId comm;
-    bool operator<(const LinkUse& o) const {
-      return link != o.link ? link < o.link : comm < o.comm;
-    }
-  };
-  std::span<LinkUse> link_uses;
-  size_t n_link_groups = 0;
-  if (topology_) {
-    auto pairs =
-        scratch.make_span_uninit<LinkUse>(2 * static_cast<size_t>(n));
-    size_t np = 0;
-    for (graph::CommId i = 0; i < n; ++i) {
-      if (intra[static_cast<size_t>(i)]) continue;
-      const auto& c = active.comm(i);
-      topo::LinkId inner[2];
-      const int cnt = topology_->inner_links(c.src, c.dst, inner);
-      for (int j = 0; j < cnt; ++j) pairs[np++] = {inner[j], i};
-    }
-    std::sort(pairs.begin(), pairs.begin() + np);
-    link_uses = pairs.first(np);
-    for (size_t p = 0; p < np; ++p)
-      if (p == 0 || link_uses[p].link != link_uses[p - 1].link)
-        ++n_link_groups;
-  }
-
   // Resource table, in build_problem order: host TX per node, host RX per
-  // node, duplex bus at saturated nodes, shm engine per node, inner links.
-  size_t n_res = n_link_groups;
+  // node, duplex bus at saturated nodes, shm engine per node.
+  size_t n_res = 0;
   size_t dup_total = 0;
   for (size_t k = 0; k < m; ++k) {
     if (tx_n(k) > 0) ++n_res;
@@ -301,17 +250,6 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
           cal_.shm_bandwidth,
           std::span<const FlowIndex>(
               shm_members.data() + shm_off[k], static_cast<size_t>(shm_n(k)))};
-  for (size_t p = 0; p < link_uses.size();) {
-    const topo::LinkId l = link_uses[p].link;
-    size_t q = p;
-    while (q < link_uses.size() && link_uses[q].link == l) ++q;
-    // The pair run is strided (link, comm) — compact the comms into a
-    // contiguous member span.
-    auto members = scratch.make_span_uninit<FlowIndex>(q - p);
-    for (size_t r = p; r < q; ++r) members[r - p] = link_uses[r].comm;
-    resources[res_at++] = {topology_->link(l).capacity, members};
-    p = q;
-  }
   BWS_ASSERT(res_at == n_res, "resource table fill mismatch");
 
   AllocationProblemView view;
@@ -320,18 +258,6 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
   view.caps = caps;
   view.resources = resources;
   max_min_rates_into(view, scratch, out);
-}
-
-std::vector<int> FluidRateProvider::coupling_keys(topo::NodeId src,
-                                                  topo::NodeId dst) const {
-  if (!topology_ || src == dst) return {};
-  std::vector<int> keys;
-  for (const topo::LinkId l : topology_->route(src, dst)) {
-    if (l == topology_->host_uplink(src) || l == topology_->host_downlink(dst))
-      continue;
-    keys.push_back(l);
-  }
-  return keys;
 }
 
 std::vector<double> measure_scheme(const graph::CommGraph& graph,

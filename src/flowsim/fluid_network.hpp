@@ -8,18 +8,17 @@
 // in flowsim/packet.hpp, which agree with the fluid model within a few
 // percent — see bench/abl_fluid_vs_packet).
 //
-// See docs/PERFORMANCE.md for the component-closure contract
-// (`coupling_keys`) that the incremental sim::Engine builds on: the engine
-// hands a provider one closed component at a time.
+// See docs/PERFORMANCE.md for the locality contract that the incremental
+// sim::Engine builds on: the engine hands a provider one component at a
+// time, closed under shared endpoint nodes.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "flowsim/fluid.hpp"
 #include "graph/comm_graph.hpp"
-#include "topo/fattree.hpp"
+#include "topo/cluster.hpp"
 #include "topo/network.hpp"
 #include "util/arena.hpp"
 
@@ -66,21 +65,25 @@ class RateProvider {
       const graph::CommGraph& active,
       std::span<const graph::CommId> subset) const;
 
-  /// Opaque keys of shared resources beyond the two endpoint hosts that a
-  /// src -> dst communication would occupy (e.g. fat-tree inner links). Two
-  /// communications whose key sets intersect must be solved in the same
-  /// component even when they share no endpoint. The default declares no
-  /// extra coupling.
+  /// Nothing calls this, and the default returns no keys. No key relaxes
+  /// the locality contract the engine relies on: a communication's rate may
+  /// depend only on the communications reachable from it through shared
+  /// endpoint nodes, so each such component is solved on its own, and
+  /// sim::EngineConfig::verify checks this by re-solving the whole active
+  /// set after every flush. The virtual stays only because perfbench's
+  /// TracingProvider overrides it; the benchmark change that leaves
+  /// RateProvider with rates_into alone deletes it together with
+  /// rates(active, subset) (ROADMAP, "Two virtuals on RateProvider").
   [[nodiscard]] virtual std::vector<int> coupling_keys(
       topo::NodeId src, topo::NodeId dst) const;
 };
 
-/// Max-min fluid rates under a network calibration, optionally constrained
-/// by a fat-tree topology's inner links.
+/// Max-min fluid rates under a network calibration: each host's TX and RX
+/// links, its duplex bus under heavy bidirectional load, and its
+/// shared-memory engine for intra-node copies.
 class FluidRateProvider final : public RateProvider {
  public:
-  explicit FluidRateProvider(topo::NetworkCalibration cal,
-                             std::optional<topo::FatTree> topology = {});
+  explicit FluidRateProvider(topo::NetworkCalibration cal);
 
   using RateProvider::rates;
   [[nodiscard]] std::vector<double> rates(
@@ -92,15 +95,10 @@ class FluidRateProvider final : public RateProvider {
   /// wrapper over this). Hosts are numbered by one sort of packed endpoint
   /// keys (graph/endpoint_keys.hpp), which also fills each host's member
   /// lists in comm order. Resource construction order replicates
-  /// build_problem() exactly (ascending node id, then ascending inner-link
-  /// id), so results are bitwise equal to max_min_rates(build_problem()).
+  /// build_problem() exactly (each resource kind in ascending node id), so
+  /// results are bitwise equal to max_min_rates(build_problem()).
   void rates_into(const graph::CommGraph& active, util::Arena& scratch,
                   std::span<double> out) const override;
-
-  /// Inner (non host-adjacent) fat-tree links on the src -> dst route; empty
-  /// without an attached topology.
-  [[nodiscard]] std::vector<int> coupling_keys(
-      topo::NodeId src, topo::NodeId dst) const override;
 
   [[nodiscard]] const topo::NetworkCalibration& calibration() const {
     return cal_;
@@ -113,7 +111,6 @@ class FluidRateProvider final : public RateProvider {
 
  private:
   topo::NetworkCalibration cal_;
-  std::optional<topo::FatTree> topology_;
 };
 
 /// One communication's simulated timing.

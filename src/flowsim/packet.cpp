@@ -1,12 +1,14 @@
 #include "flowsim/packet.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <map>
 #include <memory>
 
 #include "core/clock.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bwshare::flowsim {
 
@@ -18,8 +20,13 @@ using topo::FlowControlKind;
 constexpr int kWindowPackets = 64;
 /// Link-level credits per flow (kCreditBased).
 constexpr int kCredits = 16;
-/// Safety cap on simulated events.
-constexpr size_t kMaxEvents = 50'000'000;
+/// Ceiling on one simulation's packets, summed over its flows and checked
+/// before it runs. A network packet costs at most six events: its injection,
+/// the source IO engine, the uplink, the downlink, the destination IO engine,
+/// and an ACK or a credit return (Stop&Go's one wormhole grant replaces the
+/// two link stages and returns nothing). An intra-node packet costs two. So
+/// no run passes 4.8e7 events.
+constexpr double kMaxPackets = 8e6;
 
 struct Packet {
   int flow = 0;
@@ -168,15 +175,22 @@ class PacketSim {
     flows_.resize(static_cast<size_t>(graph.size()));
     std::map<topo::NodeId, int> tx_count;
     std::map<topo::NodeId, int> rx_count;
+    double total_packets = 0.0;
     for (graph::CommId i = 0; i < graph.size(); ++i) {
       auto& f = flows_[static_cast<size_t>(i)];
       const auto& c = graph.comm(i);
       f.src = c.src;
       f.dst = c.dst;
       f.intra_node = graph.is_intra_node(i);
-      f.total_packets =
-          std::max<long>(1, static_cast<long>((c.bytes + cal.mtu - 1.0) /
-                                              cal.mtu));
+      const double packets =
+          std::max(1.0, std::floor((c.bytes + cal.mtu - 1.0) / cal.mtu));
+      total_packets += packets;
+      // Checked before the cast, which the ceiling keeps inside a long.
+      BWS_CHECK(total_packets <= kMaxPackets,
+                strformat("packet simulation must total at most %.0f "
+                          "packets, got at least %.3g",
+                          kMaxPackets, total_packets));
+      f.total_packets = static_cast<long>(packets);
       if (!f.intra_node) {
         ++tx_count[c.src];
         ++rx_count[c.dst];
@@ -194,9 +208,7 @@ class PacketSim {
 
   std::vector<double> run() {
     for (graph::CommId i = 0; i < graph_.size(); ++i) try_inject(i);
-    size_t events = sim_.run();
-    BWS_CHECK(events < kMaxEvents,
-              "packet simulation exceeded its cap of 5e7 events");
+    sim_.run();
 
     std::vector<double> times(flows_.size());
     for (size_t i = 0; i < flows_.size(); ++i) {

@@ -84,7 +84,6 @@ enum class TaskState { kReady, kComputing, kSendBlocked, kRecvBlocked,
 
 struct PendingSend {
   TaskId src = 0;
-  uint64_t order = 0;   // posting order among sends (any-source matching)
   double bytes = 0.0;
   double post_time = 0.0;
   bool rendezvous = false;
@@ -104,9 +103,7 @@ struct PendingRecv {
 ///
 /// Deliberately trivially copyable: slots are recycled with a plain
 /// assignment and completion snapshots the struct by value, so any owning
-/// member here would put an allocation on the per-event path. The provider
-/// coupling keys (the one variable-length attribute) live in the engine's
-/// parallel `slot_keys_` side storage.
+/// member here would put an allocation on the per-event path.
 struct Transfer {
   size_t record = 0;
   TaskId src = 0;
@@ -154,14 +151,6 @@ SolveScratch& solve_scratch() {
 /// last flush whose component search reached the node.
 struct NodeIndex {
   size_t head = kNoSlot;
-  uint64_t seen = 0;
-};
-
-/// The alive transfers holding one provider coupling key. The only keys in
-/// use are fat-tree inner links, far fewer than nodes, so each keeps its own
-/// vector (whose capacity survives the key falling idle).
-struct KeyIndex {
-  std::vector<size_t> slots;
   uint64_t seen = 0;
 };
 
@@ -376,7 +365,6 @@ class Engine {
 
     PendingSend ps;
     ps.src = t;
-    ps.order = next_order_++;
     ps.bytes = e.bytes;
     ps.post_time = now();
     ps.rendezvous = rendezvous;
@@ -417,16 +405,16 @@ class Engine {
       blocked_since_[static_cast<size_t>(t)] = now();
     }
 
-    // Match the earliest pending send addressed to us (by posting order).
+    // Match the earliest pending send addressed to us. The queue is in
+    // posting order: sends are only appended, and an erase keeps the order.
     auto& sends = pending_sends_[static_cast<size_t>(t)];
-    auto best = sends.end();
-    for (auto it = sends.begin(); it != sends.end(); ++it) {
-      if (e.peer != kAnySource && it->src != e.peer) continue;
-      if (best == sends.end() || it->order < best->order) best = it;
-    }
-    if (best != sends.end()) {
-      PendingSend ps = *best;
-      sends.erase(best);
+    const auto match =
+        std::find_if(sends.begin(), sends.end(), [&](const PendingSend& ps) {
+          return e.peer == kAnySource || ps.src == e.peer;
+        });
+    if (match != sends.end()) {
+      PendingSend ps = *match;
+      sends.erase(match);
       result_.comms[ps.record].recv_post = now();
       start_transfer(ps, t, nonblocking);
       return;
@@ -476,8 +464,8 @@ class Engine {
   }
 
   /// Put a fresh transfer of `bytes` for comm `record` into the active set:
-  /// a recycled or new slot, its coupling keys, a finish-time queue entry
-  /// and the node/key index. The caller fills in the task-side fields.
+  /// a recycled or new slot, a finish-time queue entry and the node index.
+  /// The caller fills in the task-side fields.
   Transfer& open_transfer(size_t record, topo::NodeId src_node,
                           topo::NodeId dst_node, double bytes) {
     size_t slot;
@@ -486,7 +474,6 @@ class Engine {
       free_slots_.pop_back();
     } else {
       transfers_.emplace_back();
-      slot_keys_.emplace_back();
       slot = transfers_.size() - 1;
     }
     Transfer& tr = transfers_[slot];
@@ -497,9 +484,6 @@ class Engine {
     tr.remaining = std::max(bytes, 1.0);  // 0-length still costs latency
     tr.advance_time = now();
     tr.alive = true;
-    // Providers without extra coupling return an empty vector (no
-    // allocation).
-    slot_keys_[slot] = provider_.coupling_keys(src_node, dst_node);
     // The finish-time index entry lives as long as the transfer does; the
     // next flush re-keys it to the first real prediction.
     tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(record), slot);
@@ -579,8 +563,8 @@ class Engine {
     release_endpoints(tr, /*latency=*/0.0);
   }
 
-  /// Admit one background flow: a task-less transfer that contends for
-  /// nodes/coupling keys like any other active-set member but blocks nobody.
+  /// Admit one background flow: a task-less transfer that contends for its
+  /// endpoint nodes like any other active-set member but blocks nobody.
   /// Flows touching a down node are dropped (counted, not queued).
   void inject_background(const ScriptEvent& ev) {
     if (!node_up_[static_cast<size_t>(ev.src)] ||
@@ -608,11 +592,10 @@ class Engine {
   // --- component search ----------------------------------------------------
   //
   // Components are not kept between flushes. The alive transfers are indexed
-  // by endpoint node (nodes_) and coupling key (keys_); every start and
-  // departure records the nodes and keys it touched, and the flush collects
-  // each component reachable from them by a search over that index. Two
-  // transfers share a component iff they share an endpoint node or a
-  // coupling key (transitively).
+  // by endpoint node (nodes_); every start and departure records the nodes
+  // it touched, and the flush collects each component reachable from them by
+  // a search over that index. Two transfers share a component iff they share
+  // an endpoint node (transitively).
 
   /// `slot`'s next link in `node`'s list.
   size_t& next_at(size_t slot, topo::NodeId node) {
@@ -633,27 +616,18 @@ class Engine {
     *at = next_at(slot, node);
   }
 
-  /// Record `slot`'s nodes and keys for the next flush's search.
+  /// Record `slot`'s nodes for the next flush's search.
   void touch(size_t slot) {
     const Transfer& tr = transfers_[slot];
     touched_nodes_.push_back(tr.src_node);
     touched_nodes_.push_back(tr.dst_node);
-    const std::vector<int>& keys = slot_keys_[slot];
-    touched_keys_.insert(touched_keys_.end(), keys.begin(), keys.end());
   }
 
-  /// Index a fresh transfer under its endpoint nodes and coupling keys.
+  /// Index a fresh transfer under its endpoint nodes.
   void attach_transfer(size_t slot) {
     const Transfer& tr = transfers_[slot];
     link(slot, tr.src_node);
     if (tr.dst_node != tr.src_node) link(slot, tr.dst_node);
-    for (const int k : slot_keys_[slot]) {
-      // Key ids come from the provider and are dense but unbounded a priori;
-      // the index grows to the high-water key id and stays there.
-      if (static_cast<size_t>(k) >= keys_.size())
-        keys_.resize(static_cast<size_t>(k) + 1);
-      keys_[static_cast<size_t>(k)].slots.push_back(slot);
-    }
     touch(slot);
   }
 
@@ -662,11 +636,6 @@ class Engine {
     Transfer& tr = transfers_[slot];
     unlink(slot, tr.src_node);
     if (tr.dst_node != tr.src_node) unlink(slot, tr.dst_node);
-    for (const int k : slot_keys_[slot]) {
-      auto& slots = keys_[static_cast<size_t>(k)].slots;
-      *std::find(slots.begin(), slots.end(), slot) = slots.back();
-      slots.pop_back();
-    }
     touch(slot);
     transfer_q_.erase(tr.qh);
     tr.qh = core::kNullEventHandle;
@@ -688,12 +657,12 @@ class Engine {
     }
   }
 
-  /// Solve each component holding an alive transfer on a touched node or
-  /// key, once, in the order the touched lists reach them. That is exactly
-  /// the set of components that gained or lost a member since the last flush
-  /// (a departed transfer shared a node or key with every piece its old
-  /// component split into). Solves read and write only their own members,
-  /// so their order does not matter.
+  /// Solve each component holding an alive transfer on a touched node,
+  /// once, in the order the touched list reaches them. That is exactly the
+  /// set of components that gained or lost a member since the last flush (a
+  /// departed transfer shared a node with every piece its old component
+  /// split into). Solves read and write only their own members, so their
+  /// order does not matter.
   void resolve_dirty() {
     ++flush_;
     for (const topo::NodeId v : touched_nodes_) {
@@ -701,13 +670,7 @@ class Engine {
       reach_node(v);
       solve_members();
     }
-    for (const int k : touched_keys_) {
-      members_.clear();
-      reach_key(k);
-      solve_members();
-    }
     touched_nodes_.clear();
-    touched_keys_.clear();
   }
 
   void reach_node(topo::NodeId v) {
@@ -715,13 +678,6 @@ class Engine {
     if (node.seen == flush_) return;
     node.seen = flush_;
     for (size_t s = node.head; s != kNoSlot; s = next_at(s, v)) reach_slot(s);
-  }
-
-  void reach_key(int k) {
-    KeyIndex& key = keys_[static_cast<size_t>(k)];
-    if (key.seen == flush_) return;
-    key.seen = flush_;
-    for (const size_t s : key.slots) reach_slot(s);
   }
 
   void reach_slot(size_t s) {
@@ -736,7 +692,6 @@ class Engine {
       const size_t s = members_[i];
       reach_node(transfers_[s].src_node);
       reach_node(transfers_[s].dst_node);
-      for (const int k : slot_keys_[s]) reach_key(k);
     }
     if (members_.empty()) return;
     for (const size_t s : members_) advance(transfers_[s]);
@@ -752,8 +707,8 @@ class Engine {
 
   /// Solve one component: build the induced communication graph of its
   /// members and hand it to the provider's full-graph entry point (a
-  /// component is closed under shared endpoints and coupling keys, so
-  /// solving it in isolation is exact).
+  /// component is closed under shared endpoints, so solving it in isolation
+  /// is exact).
   ///
   /// With EngineConfig::solve_memo set, the induced subproblem is first
   /// hashed — (salt, then per member: src node, dst node, remaining-bytes
@@ -1114,7 +1069,6 @@ class Engine {
   EngineConfig cfg_;
 
   core::Clock clock_;  // the shared event-core time source
-  uint64_t next_order_ = 0;
   int num_done_ = 0;
 
   std::vector<TaskState> state_;
@@ -1155,17 +1109,13 @@ class Engine {
   std::vector<Wake> eligible_;  // wake sweep scratch, sorted by task id
 
   std::vector<Transfer> transfers_;  // slot-addressed; see Transfer::alive
-  std::vector<std::vector<int>> slot_keys_;  // coupling keys, slot-parallel
   std::vector<size_t> free_slots_;
   size_t num_active_ = 0;
   // The component search's index and scratch (see "component search").
-  // nodes_ is sized to the cluster up front; keys_ grows to the high-water
-  // coupling-key id. `seen` marks hold flush_, bumped once per flush, so
-  // they never need clearing.
+  // nodes_ is sized to the cluster up front. `seen` marks hold flush_,
+  // bumped once per flush, so they never need clearing.
   std::vector<NodeIndex> nodes_;
-  std::vector<KeyIndex> keys_;
   std::vector<topo::NodeId> touched_nodes_;  // since the last flush
-  std::vector<int> touched_keys_;            // since the last flush
   uint64_t flush_ = 0;
   std::vector<size_t> members_;  // the component being solved
   std::vector<double> rates_;    // its solved rates

@@ -17,14 +17,15 @@
 //     earliest posted pending send (the paper's MPI_ANY_SOURCE method).
 //   * Barriers release when every task has arrived.
 //
-// Rate refresh is incremental and component-scoped: when a transfer starts
-// or finishes, only the connected component(s) of the conflict structure it
-// touches are re-solved, and untouched components keep their cached rates
-// with lazily advanced byte counts. Components are not maintained between
-// events: the engine indexes alive transfers by endpoint node and coupling
-// key, records the nodes and keys each start or departure touches, and at
-// the one *flush point*, the top of the event loop, searches that index
-// for each touched component and solves it — the clock cannot move in
+// Rate refresh is incremental and component-scoped: a component is a set of
+// transfers connected through shared endpoint nodes, and when a transfer
+// starts or finishes, only the component(s) it touches are re-solved, while
+// untouched components keep their cached rates with lazily advanced byte
+// counts. Components are not maintained between events: the engine indexes
+// alive transfers by endpoint node, records the nodes each start or
+// departure touches, and at the one *flush point*, the top of the event
+// loop, searches that index for each touched component and solves it — the
+// clock cannot move in
 // between, so deferral is unobservable, and it batches all the components a
 // same-time event cascade touched into one flush. The event loop itself
 // runs on the shared event-core (core::EventQueue): predicted finish times

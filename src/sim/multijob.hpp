@@ -7,7 +7,7 @@
 // are matched by the receiver's global task id, and jobs never address each
 // other), and barriers stay job-scoped through Scenario::job_of, so job A's
 // barrier never waits on job B. The contention is then real: all transfers
-// share nodes, links and the rate provider's coupling structure.
+// share the cluster's nodes and their links.
 //
 // For each job the runner also replays it ALONE on the same cluster under
 // the same churn/background scenario; the interference percentage is the

@@ -16,8 +16,8 @@
 //   draining (or abort, on kFail) so the replay always terminates, and the
 //   disruption shows up as aborted records and inflated completion times.
 //
-//   * Background flows are task-less transfers: they contend for nodes and
-//     coupling keys like any member of the active set (so they join and
+//   * Background flows are task-less transfers: they contend for their
+//     endpoint nodes like any member of the active set (so they join and
 //     split conflict components), but nothing blocks on them and they are
 //     excluded from average_penalty().
 //

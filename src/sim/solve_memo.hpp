@@ -2,7 +2,7 @@
 // machinery behind serve::QueryService (docs/SERVING.md).
 //
 // The engine's incremental refresh already scopes every rate solve to one
-// coupling-closed connected component, and flowsim::RateProvider documents
+// endpoint-closed connected component, and flowsim::RateProvider documents
 // rates() as a *pure function of the induced subproblem*: the same members
 // (source node, destination node, remaining bytes — by bit pattern) against
 // the same provider always yield the same rate vector, bit for bit. That

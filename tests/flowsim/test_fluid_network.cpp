@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/schemes.hpp"
-#include "topo/fattree.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/arena.hpp"
 #include "util/error.hpp"
@@ -213,17 +212,27 @@ TEST(FluidSubstrate, RatesIntoMatchesBuildProblemBitwise) {
   }
 }
 
-TEST(FluidSubstrate, RatesIntoMatchesBuildProblemUnderAFatTree) {
-  // Inner links add fat-tree resources after the host buses; the arena path
-  // must replicate that construction order exactly.
-  const auto cal = gigabit_ethernet_calibration();
-  const auto cluster = topo::ClusterSpec::uniform("ft", 16, 1, cal);
-  const FluidRateProvider provider(cal,
-                                   topo::FatTree::for_cluster(cluster, 4));
+// Myrinet and InfiniBand hosts have a duplex factor above 1 and heavier RX
+// weights than GigE, which changes where a host bus saturates and how much
+// an incoming flow weighs on it; the arena path must follow both.
+TEST(FluidSubstrate, RatesIntoMatchesBuildProblemUnderMyrinet) {
+  const FluidRateProvider provider(myrinet2000_calibration());
   util::Arena arena;
   Rng rng(7);
-  for (int iter = 0; iter < 50; ++iter) {
-    const auto g = random_graph(rng, 16, 1 + static_cast<int>(rng.below(16)));
+  for (int iter = 0; iter < 100; ++iter) {
+    const auto g = random_graph(rng, 2 + static_cast<int>(rng.below(8)),
+                                1 + static_cast<int>(rng.below(16)));
+    expect_rates_into_matches_build_problem(provider, g, arena, iter);
+  }
+}
+
+TEST(FluidSubstrate, RatesIntoMatchesBuildProblemUnderInfiniband) {
+  const FluidRateProvider provider(infiniband_calibration());
+  util::Arena arena;
+  Rng rng(13);
+  for (int iter = 0; iter < 100; ++iter) {
+    const auto g = random_graph(rng, 2 + static_cast<int>(rng.below(8)),
+                                1 + static_cast<int>(rng.below(16)));
     expect_rates_into_matches_build_problem(provider, g, arena, iter);
   }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "flowsim/fluid_network.hpp"
 #include "graph/schemes.hpp"
@@ -106,6 +107,30 @@ TEST(PacketSim, RejectsACalibrationWithoutLinkBandwidth) {
     EXPECT_THROW((void)measure_penalties_packet(g, cal), Error) << bandwidth;
     EXPECT_THROW((void)measure_scheme_packet(graph::CommGraph{}, cal), Error)
         << bandwidth;
+  }
+}
+
+TEST(PacketSim, RejectsMorePacketsThanItsCeilingBeforeRunning) {
+  // About 6.7e11 and 6.7e26 GigE packets: past the ceiling, and the second
+  // past what a long holds. Run, the first would take hours; both throw at
+  // once. Two 5e6-packet flows are each under the ceiling, but their sum is
+  // not.
+  const auto cal = topo::gigabit_ethernet_calibration();
+  for (const double bytes : {1e15, 1e30}) {
+    graph::CommGraph g;
+    g.add("a", 0, 1, bytes);
+    EXPECT_THROW((void)measure_scheme_packet(g, cal), Error) << bytes;
+  }
+  graph::CommGraph pair;
+  pair.add("a", 0, 1, 5e6 * cal.mtu);
+  pair.add("b", 2, 3, 5e6 * cal.mtu);
+  try {
+    (void)measure_scheme_packet(pair, cal);
+    ADD_FAILURE() << "1e7 packets ran";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 8000000 packets"),
+              std::string::npos)
+        << e.what();
   }
 }
 

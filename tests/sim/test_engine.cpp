@@ -127,6 +127,37 @@ TEST(Engine, AnySourceMatchesEarliestPostedSend) {
   EXPECT_GE(result.comms[1].start, result.comms[0].finish - 1e-6);
 }
 
+TEST(Engine, AnySourceReceiveTakesTheEarliestOfSeveralPendingSends) {
+  // Tasks 3, 1 and 2 post eager sends to task 0 at 2, 4 and 6 ms, so all
+  // three are pending when task 0 starts receiving at 10 ms. The receive
+  // from task 1 skips task 3's earlier send; the two any-source receives
+  // then take the sends left in posting order: task 3's, then task 2's.
+  AppTrace trace(4);
+  trace.push(3, Event::compute(0.002));
+  trace.push(3, Event::send(0, 1e3));
+  trace.push(1, Event::compute(0.004));
+  trace.push(1, Event::send(0, 1e3));
+  trace.push(2, Event::compute(0.006));
+  trace.push(2, Event::send(0, 1e3));
+  trace.push(0, Event::compute(0.010));
+  trace.push(0, Event::recv(1, 1e3));
+  trace.push(0, Event::recv_any(1e3));
+  trace.push(0, Event::recv_any(1e3));
+  const auto provider = fluid();
+  const auto result =
+      run_simulation(trace, cluster(), identity_placement(4), provider);
+  // Records are in posting order: task 3's, task 1's, then task 2's send.
+  ASSERT_EQ(result.comms.size(), 3u);
+  EXPECT_EQ(result.comms[0].src_task, 3);
+  EXPECT_EQ(result.comms[1].src_task, 1);
+  EXPECT_EQ(result.comms[2].src_task, 2);
+  // Each receive is posted when the one before it has delivered.
+  EXPECT_DOUBLE_EQ(result.comms[1].recv_post, 0.010);
+  EXPECT_DOUBLE_EQ(result.comms[0].recv_post, result.comms[1].finish);
+  EXPECT_DOUBLE_EQ(result.comms[2].recv_post, result.comms[0].finish);
+  EXPECT_DOUBLE_EQ(result.makespan, result.comms[2].finish);
+}
+
 TEST(Engine, PostedReceivesMatchInPostingOrder) {
   // Task 0 posts two receives from task 1, at t=0 and t=3ms, before either
   // send arrives: the first send takes the earlier receive.

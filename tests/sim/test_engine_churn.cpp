@@ -21,7 +21,6 @@
 #include "sim/rate_model.hpp"
 #include "sim/schedule.hpp"
 #include "topo/cluster.hpp"
-#include "topo/fattree.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -50,27 +49,24 @@ TEST_P(ChurnScenarioFuzz, VerifyReplayIsBitIdenticalUnderChurn) {
                                 scenario);
 }
 
-TEST_P(ChurnScenarioFuzz, FatTreeCouplingVerifiesUnderChurn) {
-  // Oversubscribed inner links merge endpoint-disjoint transfers — aborts
-  // and background injections then dirty a large coupled component plus
-  // small independent ones, the worst case for the flush batching.
-  const int tasks = 8;
+TEST_P(ChurnScenarioFuzz, MyrinetModelVerifiesUnderChurn) {
+  // The Myrinet model on two tasks per node: intra-node copies run beside
+  // network flows, and aborts and background injections reshape the
+  // conflict graphs whose state sets the model enumerates.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 700001 + 1301);
+  const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace =
       churn_trace(static_cast<uint64_t>(GetParam()) + 1300, tasks);
   ASSERT_NO_THROW(trace.validate());
-  const auto cal = topo::gigabit_ethernet_calibration();
-  const auto cluster = topo::ClusterSpec::uniform("churntree", tasks, 1, cal);
-  topo::FatTree::Params params;
-  params.num_hosts = tasks;
-  params.radix = 4;
-  params.host_bandwidth = cal.link_bandwidth;
-  params.uplink_factor = 0.5;
-  params.num_core = 1;
-  const flowsim::FluidRateProvider provider(cal, topo::FatTree(params));
+  const int nodes = (tasks + 1) / 2;
+  const auto cal = topo::myrinet2000_calibration();
+  const auto cluster = topo::ClusterSpec::uniform("churnmyri", nodes, 2, cal);
   const auto placement =
-      make_placement(SchedulingPolicy::kRoundRobinNode, cluster, tasks);
+      make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
+  const ModelRateProvider provider(models::make_model("myrinet"), cal);
   const auto scenario =
-      churn_scenario(static_cast<uint64_t>(GetParam()) + 71, tasks);
+      churn_scenario(static_cast<uint64_t>(GetParam()) + 71, nodes);
+  ASSERT_NO_THROW(scenario.validate(tasks, nodes));
   expect_verify_matches_default(trace, cluster, placement, provider,
                                 scenario);
 }

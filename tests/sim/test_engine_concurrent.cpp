@@ -4,13 +4,13 @@
 // Every replay must stay bit-identical to the same replay run alone on the
 // calling thread — no arithmetic may depend on which thread ran it, on what
 // that thread solved before, or on what ran beside it. Exercised over the
-// shared churn fuzz (barrier-heavy batching), fat-tree coupling, and every
-// generator family under the fluid, gige-model and myrinet-model providers,
-// at 1, 2 and 8 threads, plus EngineConfig::verify replays (whose whole-set
-// re-solves run through the same per-thread scratch) and per-replay
-// SolveMemos over a shared frozen store. This suite is the TSan CI target
-// for concurrent engines: any data race between replays sharing a provider
-// surfaces here.
+// shared churn fuzz (barrier-heavy batching) under the fluid and
+// myrinet-model providers, and every generator family under the fluid,
+// gige-model and myrinet-model providers, at 1, 2 and 8 threads, plus
+// EngineConfig::verify replays (whose whole-set re-solves run through the
+// same per-thread scratch) and per-replay SolveMemos over a shared frozen
+// store. This suite is the TSan CI target for concurrent engines: any data
+// race between replays sharing a provider surfaces here.
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -31,7 +31,6 @@
 #include "sim/schedule.hpp"
 #include "sim/solve_memo.hpp"
 #include "topo/cluster.hpp"
-#include "topo/fattree.hpp"
 #include "util/rng.hpp"
 #include "util/parallel.hpp"
 
@@ -97,25 +96,21 @@ TEST_P(ConcurrentChurnFuzz, ConcurrentReplaysAreBitIdenticalToSerial) {
   check_concurrent_matches_serial(trace, cluster, placement, provider);
 }
 
-TEST_P(ConcurrentChurnFuzz, ConcurrentReplaysMatchSerialUnderFatTreeCoupling) {
-  // Oversubscribed inner links merge endpoint-disjoint transfers into one
-  // component, so concurrent replays solve one big coupled problem beside
-  // small independent ones through their threads' scratch.
-  const int tasks = 8;
+TEST_P(ConcurrentChurnFuzz, MyrinetModelReplaysMatchSerial) {
+  // The Myrinet model on two tasks per node: concurrent replays enumerate
+  // state sets over conflict graphs that mix intra-node copies with network
+  // flows, through their threads' scratch.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 500009 + 901);
+  const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace =
       churn_trace(static_cast<uint64_t>(GetParam()) + 900, tasks);
   ASSERT_NO_THROW(trace.validate());
-  const auto cal = topo::gigabit_ethernet_calibration();
-  const auto cluster = topo::ClusterSpec::uniform("conctree", tasks, 1, cal);
-  topo::FatTree::Params params;
-  params.num_hosts = tasks;
-  params.radix = 4;
-  params.host_bandwidth = cal.link_bandwidth;
-  params.uplink_factor = 0.5;
-  params.num_core = 1;
-  const flowsim::FluidRateProvider provider(cal, topo::FatTree(params));
+  const auto cal = topo::myrinet2000_calibration();
+  const auto cluster =
+      topo::ClusterSpec::uniform("concmyri", (tasks + 1) / 2, 2, cal);
   const auto placement =
-      make_placement(SchedulingPolicy::kRoundRobinNode, cluster, tasks);
+      make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
+  const ModelRateProvider provider(models::make_model("myrinet"), cal);
   check_concurrent_matches_serial(trace, cluster, placement, provider);
 }
 
@@ -181,8 +176,9 @@ struct Workload {
   SimResult serial;
 };
 
-/// Churn traces of different sizes under the fluid, fat-tree fluid,
-/// gige-model and myrinet-model providers, each with its serial replay.
+/// Churn traces of different sizes under the fluid provider on one and on
+/// two tasks per node, and under the gige-model and myrinet-model
+/// providers, each with its serial replay.
 std::vector<Workload> mixed_workloads() {
   std::vector<Workload> out;
   const auto gige = topo::gigabit_ethernet_calibration();
@@ -190,20 +186,17 @@ std::vector<Workload> mixed_workloads() {
   for (int k = 0; k < 4; ++k) {
     const int tasks = 6 + 2 * k;
     const auto cal = k == 3 ? myri : gige;
-    Workload w{churn_trace(static_cast<uint64_t>(k) + 4242, tasks),
-               topo::ClusterSpec::uniform("concmix", tasks, 1, cal),
-               identity_placement(tasks), nullptr, {}};
-    if (k == 0) {
+    // Workload 1 packs two tasks per node (RRP fills each node's cores in
+    // turn), so its intra-node copies share each node's shm engine.
+    const int cores = k == 1 ? 2 : 1;
+    const auto cluster =
+        topo::ClusterSpec::uniform("concmix", tasks / cores, cores, cal);
+    Workload w{churn_trace(static_cast<uint64_t>(k) + 4242, tasks), cluster,
+               make_placement(SchedulingPolicy::kRoundRobinProcessor, cluster,
+                              tasks),
+               nullptr, {}};
+    if (k <= 1) {
       w.provider = std::make_unique<flowsim::FluidRateProvider>(cal);
-    } else if (k == 1) {
-      topo::FatTree::Params params;
-      params.num_hosts = tasks;
-      params.radix = 4;
-      params.host_bandwidth = cal.link_bandwidth;
-      params.uplink_factor = 0.5;
-      params.num_core = 1;
-      w.provider = std::make_unique<flowsim::FluidRateProvider>(
-          cal, topo::FatTree(params));
     } else {
       w.provider = std::make_unique<ModelRateProvider>(
           models::make_model(k == 2 ? "gige" : "myrinet"), cal);

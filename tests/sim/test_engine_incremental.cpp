@@ -3,12 +3,16 @@
 // whole active set as one unrestricted problem and throws if any cached
 // component rate drifts beyond 1e-9 relative; it must otherwise be
 // bit-identical to the default replay. Fuzzed over randomized schedules
-// from every graph::generator family under the fluid, gige-model and
-// myrinet-model providers, with and without fat-tree inner-link coupling,
-// plus the provider entry points themselves.
+// from every graph::generator family under the fluid, gige-model,
+// myrinet-model and infiniband-model providers, plus the provider entry
+// points themselves and the scope of each component solve.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,7 +23,7 @@
 #include "sim/engine.hpp"
 #include "sim/rate_model.hpp"
 #include "sim/schedule.hpp"
-#include "topo/fattree.hpp"
+#include "util/arena.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -66,21 +70,11 @@ TEST_P(GeneratedSchemes, MyrinetModelProviderPassesVerify) {
   check_scheme(scheme, provider, cal);
 }
 
-TEST_P(GeneratedSchemes, FatTreeCoupledFluidPassesVerify) {
-  // An oversubscribed two-level tree: inner links constrain and *couple*
-  // conflict components that share no endpoint. The engine must merge them
-  // via RateProvider::coupling_keys for the per-component solve to stay
-  // exact.
+TEST_P(GeneratedSchemes, InfinibandModelProviderPassesVerify) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
   const auto scheme = graph::generate_scheme(spec, std::get<1>(GetParam()));
-  const auto cal = topo::gigabit_ethernet_calibration();
-  topo::FatTree::Params params;
-  params.num_hosts = scheme.num_nodes();
-  params.radix = 4;
-  params.host_bandwidth = cal.link_bandwidth;
-  params.uplink_factor = 0.5;  // 2:1 oversubscription per edge uplink
-  params.num_core = 1;
-  const flowsim::FluidRateProvider provider(cal, topo::FatTree(params));
+  const auto cal = topo::infiniband_calibration();
+  const ModelRateProvider provider(models::make_model("infiniband"), cal);
   check_scheme(scheme, provider, cal);
 }
 
@@ -163,6 +157,113 @@ TEST(VerifyOracle, CatchesAComponentSolveThatDisagreesWithTheWholeSet) {
                Error);
 }
 
+// --- the scope of each component solve --------------------------------------
+
+/// Forwards every solve to the GigE fluid provider and keeps a copy of each
+/// graph the engine hands it (serial replays only).
+class RecordingProvider final : public flowsim::RateProvider {
+ public:
+  explicit RecordingProvider(std::vector<graph::CommGraph>& solved)
+      : inner_(topo::gigabit_ethernet_calibration()), solved_(solved) {}
+
+  using flowsim::RateProvider::rates;
+  [[nodiscard]] std::vector<double> rates(
+      const graph::CommGraph& active) const override {
+    return inner_.rates(active);
+  }
+
+  void rates_into(const graph::CommGraph& active, util::Arena& scratch,
+                  std::span<double> out) const override {
+    solved_.push_back(active);
+    inner_.rates_into(active, scratch, out);
+  }
+
+ private:
+  flowsim::FluidRateProvider inner_;
+  std::vector<graph::CommGraph>& solved_;
+};
+
+/// True when every comm of `g` is reachable from comm 0 through shared
+/// endpoint nodes.
+bool endpoint_connected(const graph::CommGraph& g) {
+  if (g.empty()) return false;
+  std::set<topo::NodeId> nodes{g.comm(0).src, g.comm(0).dst};
+  std::vector<bool> joined(static_cast<size_t>(g.size()), false);
+  joined[0] = true;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (graph::CommId i = 0; i < g.size(); ++i) {
+      const auto& c = g.comm(i);
+      if (joined[static_cast<size_t>(i)] ||
+          (nodes.count(c.src) == 0 && nodes.count(c.dst) == 0))
+        continue;
+      joined[static_cast<size_t>(i)] = true;
+      nodes.insert(c.src);
+      nodes.insert(c.dst);
+      grew = true;
+    }
+  }
+  return std::find(joined.begin(), joined.end(), false) == joined.end();
+}
+
+/// Replays `scheme` (all comms posted at t=0, one task per node) and
+/// returns every graph the engine solved.
+std::vector<graph::CommGraph> solved_graphs(const graph::CommGraph& scheme,
+                                            SimResult* result = nullptr) {
+  std::vector<graph::CommGraph> solved;
+  const RecordingProvider provider(solved);
+  const auto cluster = topo::ClusterSpec::uniform(
+      "scope", scheme.num_nodes(), 1, topo::gigabit_ethernet_calibration());
+  const auto r = run_simulation(trace_from_scheme(scheme), cluster,
+                                identity_placement(scheme.num_nodes()),
+                                provider);
+  if (result != nullptr) *result = r;
+  return solved;
+}
+
+TEST(ComponentScope, TransfersLinkedThroughSharedEndpointsAreSolvedTogether) {
+  // a and c share no node; b shares node 1 with a and node 2 with c, so
+  // while all three are in flight they form one component.
+  graph::CommGraph scheme;
+  scheme.add("a", 0, 1, 4e6);
+  scheme.add("b", 2, 1, 6e6);
+  scheme.add("c", 2, 3, 8e6);
+  const auto solved = solved_graphs(scheme);
+  ASSERT_FALSE(solved.empty());
+  EXPECT_EQ(solved.front().size(), 3);
+  for (const auto& g : solved) EXPECT_TRUE(endpoint_connected(g));
+}
+
+TEST(ComponentScope, EndpointDisjointTransfersAreSolvedApart) {
+  // A fan-in at node 1 and a lone pair 3->4: no solve may mix them, and the
+  // lone pair finishes exactly as it does with nothing else in flight.
+  graph::CommGraph scheme;
+  scheme.add("a", 0, 1, 4e6);
+  scheme.add("b", 2, 1, 4e6);
+  scheme.add("c", 3, 4, 4e6);
+  SimResult mixed;
+  const auto solved = solved_graphs(scheme, &mixed);
+  int largest = 0;
+  for (const auto& g : solved) {
+    EXPECT_TRUE(endpoint_connected(g));
+    largest = std::max(largest, g.size());
+  }
+  EXPECT_EQ(largest, 2) << "the fan-in was never solved as one component, "
+                        << "or the lone pair joined it";
+
+  graph::CommGraph lone;
+  lone.add("c", 3, 4, 4e6);
+  SimResult alone;
+  (void)solved_graphs(lone, &alone);
+  ASSERT_EQ(mixed.comms.size(), 3u);
+  ASSERT_EQ(alone.comms.size(), 1u);
+  const auto pair = std::find_if(
+      mixed.comms.begin(), mixed.comms.end(),
+      [](const CommRecord& r) { return r.src_node == 3; });
+  ASSERT_NE(pair, mixed.comms.end());
+  EXPECT_EQ(pair->finish, alone.comms[0].finish);
+}
+
 // --- provider entry points -------------------------------------------------
 
 TEST(RateProviderSubset, ModelProviderInducedSolveMatchesProjection) {
@@ -209,56 +310,6 @@ TEST(RateProviderSubset, NonClosedSubsetsAreExpandedToClosure) {
   const ModelRateProvider gige(models::make_model("gige"), cal);
   EXPECT_DOUBLE_EQ(gige.rates(g, lone)[0], gige.rates(g)[0]);
   EXPECT_LT(gige.rates(g)[0], gige.rates(solo)[0]);
-}
-
-TEST(RateProviderSubset, FluidMergesTopologyCoupledComponents) {
-  // Hosts 0->4 and 1->5 share no endpoint but cross the same oversubscribed
-  // edge-to-core uplink: a subset holding only one of them must still see
-  // the other, never be solved in isolation.
-  const auto cal = topo::gigabit_ethernet_calibration();
-  topo::FatTree::Params params;
-  params.num_hosts = 8;
-  params.radix = 4;
-  params.host_bandwidth = cal.link_bandwidth;
-  params.uplink_factor = 0.5;
-  params.num_core = 1;
-  const flowsim::FluidRateProvider provider(cal, topo::FatTree(params));
-
-  graph::CommGraph g;
-  g.add("a", 0, 4, 4e6);
-  g.add("b", 1, 5, 4e6);
-  const auto all = provider.rates(g);
-  const std::vector<graph::CommId> lone{0};
-  const auto restricted = provider.rates(g, lone);
-  ASSERT_EQ(restricted.size(), 1u);
-  EXPECT_DOUBLE_EQ(restricted[0], all[0]);
-  // Sanity: the shared uplink really constrains (each flow gets half of the
-  // 0.5x-capacity trunk, i.e. less than its solo single-stream rate).
-  graph::CommGraph solo;
-  solo.add("a", 0, 4, 4e6);
-  EXPECT_LT(all[0], provider.rates(solo)[0]);
-}
-
-TEST(RateProviderSubset, FluidCouplingKeysListInnerLinksOnly) {
-  const auto cal = topo::gigabit_ethernet_calibration();
-  topo::FatTree::Params params;
-  params.num_hosts = 8;
-  params.radix = 4;
-  params.host_bandwidth = cal.link_bandwidth;
-  params.uplink_factor = 0.5;
-  params.num_core = 1;
-  const topo::FatTree tree(params);
-  const flowsim::FluidRateProvider coupled(cal, tree);
-  // Cross-edge route: host uplink + edge-up + edge-down + host downlink;
-  // only the two inner hops are coupling keys.
-  EXPECT_EQ(coupled.coupling_keys(0, 4).size(), 2u);
-  // Same-edge route never leaves the edge switch: no inner links.
-  EXPECT_TRUE(coupled.coupling_keys(0, 1).empty());
-  // Intra-node traffic bypasses the NIC entirely.
-  EXPECT_TRUE(coupled.coupling_keys(3, 3).empty());
-  // Without a topology there is nothing beyond the endpoint hosts.
-  const flowsim::FluidRateProvider flat(cal);
-  EXPECT_TRUE(flat.coupling_keys(0, 4).empty());
 }
 
 TEST(RateProviderSubset, BaseDefaultProjectsFullSolve) {

@@ -9,17 +9,19 @@
 // both directions: hotspot fan-ins make every new transfer shrink its
 // component's rates (finish times grow, increase-key) and every completion
 // grows them again (finish times shrink, decrease-key). Same-time barrier
-// releases batch many disjoint components into one flush.
+// releases batch many disjoint components into one flush. The fluid
+// provider and the InfiniBand model both run these traces.
 #include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "engine_fuzz_util.hpp"
 #include "flowsim/fluid_network.hpp"
+#include "models/registry.hpp"
 #include "sim/engine.hpp"
+#include "sim/rate_model.hpp"
 #include "sim/schedule.hpp"
 #include "topo/cluster.hpp"
-#include "topo/fattree.hpp"
 #include "util/rng.hpp"
 
 namespace bwshare::sim {
@@ -40,26 +42,21 @@ TEST_P(VerifyChurnFuzz, VerifyReplayIsBitIdenticalOnChurningTraces) {
   expect_verify_matches_default(trace, cluster, placement, provider);
 }
 
-TEST_P(VerifyChurnFuzz, VerifyReplayIsBitIdenticalUnderFatTreeCoupling) {
-  // Oversubscribed inner links couple endpoint-disjoint transfers into one
-  // component: a single completion then re-predicts many finish times at
-  // once, all of which the heap must re-key before the next pop, and a
-  // flush mixes one big coupled component with small independent ones.
-  const int tasks = 8;
+TEST_P(VerifyChurnFuzz, InfinibandModelVerifiesOnChurningTraces) {
+  // The InfiniBand model on two tasks per node: its penalties re-predict at
+  // every fan-in join and completion, while intra-node copies run beside
+  // the network flows of the same node.
+  Rng rng(static_cast<uint64_t>(GetParam()) * 444443 + 19);
+  const int tasks = 5 + static_cast<int>(rng.below(5));
   const auto trace =
       churn_trace(static_cast<uint64_t>(GetParam()) + 100, tasks);
   ASSERT_NO_THROW(trace.validate());
-  const auto cal = topo::gigabit_ethernet_calibration();
-  const auto cluster = topo::ClusterSpec::uniform("queuetree", tasks, 1, cal);
-  topo::FatTree::Params params;
-  params.num_hosts = tasks;
-  params.radix = 4;
-  params.host_bandwidth = cal.link_bandwidth;
-  params.uplink_factor = 0.5;
-  params.num_core = 1;
-  const flowsim::FluidRateProvider provider(cal, topo::FatTree(params));
+  const auto cal = topo::infiniband_calibration();
+  const auto cluster =
+      topo::ClusterSpec::uniform("queueib", (tasks + 1) / 2, 2, cal);
   const auto placement =
-      make_placement(SchedulingPolicy::kRoundRobinNode, cluster, tasks);
+      make_placement(SchedulingPolicy::kRandom, cluster, tasks, rng());
+  const ModelRateProvider provider(models::make_model("infiniband"), cal);
   expect_verify_matches_default(trace, cluster, placement, provider);
 }
 

@@ -46,6 +46,53 @@ TEST(Cluster, Validation) {
   EXPECT_THROW((void)c.node(-1), Error);
 }
 
+TEST(Cluster, HeterogeneousNodesKeepTheirOwnCoreCounts) {
+  const ClusterSpec c("mixed",
+                      {NodeSpec{1, 1e9}, NodeSpec{4, 8e9}, NodeSpec{2, 2e9}},
+                      myrinet2000_calibration());
+  EXPECT_EQ(c.name(), "mixed");
+  EXPECT_EQ(c.num_nodes(), 3);
+  EXPECT_EQ(c.node(0).cores, 1);
+  EXPECT_EQ(c.node(1).cores, 4);
+  EXPECT_EQ(c.node(1).memory_bytes, 8e9);
+  EXPECT_EQ(c.node(2).cores, 2);
+  EXPECT_EQ(c.total_cores(), 7);
+  EXPECT_EQ(c.network().tech, NetworkTech::kMyrinet2000);
+}
+
+TEST(Cluster, RejectsANetworkWithoutBandwidth) {
+  // A default NetworkCalibration has no link bandwidth: every rate the
+  // substrate derives from it would be zero or a division by zero.
+  EXPECT_THROW(ClusterSpec::uniform("x", 2, 1, NetworkCalibration{}), Error);
+  auto cal = gigabit_ethernet_calibration();
+  cal.link_bandwidth = -1.0;
+  EXPECT_THROW(ClusterSpec("x", {NodeSpec{}}, cal), Error);
+  cal.link_bandwidth = 1.0;
+  EXPECT_EQ(ClusterSpec("x", {NodeSpec{}}, cal).num_nodes(), 1);
+}
+
+TEST(Cluster, UniformRejectsCorelessNodes) {
+  EXPECT_THROW(
+      ClusterSpec::uniform("x", 4, 0, gigabit_ethernet_calibration()), Error);
+  EXPECT_THROW(
+      ClusterSpec::uniform("x", 4, -2, gigabit_ethernet_calibration()), Error);
+  EXPECT_THROW(
+      ClusterSpec::uniform("x", -3, 1, gigabit_ethernet_calibration()), Error);
+}
+
+TEST(Cluster, PaperClustersTakeANodeCount) {
+  const auto gige = ClusterSpec::ibm_eserver326_gige(8);
+  EXPECT_EQ(gige.num_nodes(), 8);
+  EXPECT_EQ(gige.total_cores(), 16);
+  const auto myri = ClusterSpec::ibm_eserver325_myrinet(3);
+  EXPECT_EQ(myri.num_nodes(), 3);
+  EXPECT_EQ(myri.total_cores(), 6);
+  const auto ib = ClusterSpec::bull_novascale_ib(2);
+  EXPECT_EQ(ib.num_nodes(), 2);
+  EXPECT_EQ(ib.total_cores(), 8);
+  EXPECT_THROW((void)ClusterSpec::ibm_eserver325_myrinet(0), Error);
+}
+
 TEST(Cluster, NodeCountCeiling) {
   // Checked before the node vector is sized: 2^31 - 1 nodes used to abort
   // with std::bad_alloc.

@@ -48,6 +48,47 @@ TEST(Network, ReferenceTime) {
   EXPECT_NEAR(gige.reference_time(20e6), 20e6 / (0.75 * 125e6), 1e-3);
 }
 
+TEST(Network, ReferenceTimeOfAnEmptyMessageIsTheLatency) {
+  for (const auto tech :
+       {NetworkTech::kGigabitEthernet, NetworkTech::kMyrinet2000,
+        NetworkTech::kInfinibandInfinihost3}) {
+    const auto cal = calibration_for(tech);
+    EXPECT_EQ(cal.reference_time(0.0), cal.latency);
+    EXPECT_EQ(cal.reference_bandwidth(),
+              cal.link_bandwidth * cal.single_stream_efficiency);
+    EXPECT_GT(cal.reference_time(2e6), cal.reference_time(1e6));
+  }
+}
+
+TEST(Network, FlowControlMatchesTheInterconnect) {
+  // Paper §III: TCP with pause frames on GigE, Stop & Go on Myrinet,
+  // credits on InfiniBand.
+  EXPECT_EQ(gigabit_ethernet_calibration().flow_control,
+            FlowControlKind::kTcpPauseFrames);
+  EXPECT_EQ(myrinet2000_calibration().flow_control,
+            FlowControlKind::kStopAndGo);
+  EXPECT_EQ(infiniband_calibration().flow_control,
+            FlowControlKind::kCreditBased);
+}
+
+TEST(Network, EveryAliasNamesItsTechnology) {
+  EXPECT_EQ(network_tech_from_string("ethernet"),
+            NetworkTech::kGigabitEthernet);
+  EXPECT_EQ(network_tech_from_string("myrinet"), NetworkTech::kMyrinet2000);
+  EXPECT_EQ(network_tech_from_string("mx"), NetworkTech::kMyrinet2000);
+  EXPECT_EQ(network_tech_from_string("infiniband"),
+            NetworkTech::kInfinibandInfinihost3);
+  // Names are matched exactly.
+  EXPECT_THROW((void)network_tech_from_string("GigE"), Error);
+  EXPECT_THROW((void)network_tech_from_string(""), Error);
+}
+
+TEST(Network, OutOfRangeTechIsRejected) {
+  const auto bogus = static_cast<NetworkTech>(7);
+  EXPECT_THROW((void)calibration_for(bogus), Error);
+  EXPECT_EQ(to_string(bogus), "?");
+}
+
 TEST(Network, StringRoundTrip) {
   for (const auto tech :
        {NetworkTech::kGigabitEthernet, NetworkTech::kMyrinet2000,
