@@ -8,11 +8,13 @@
 #include "graph/schemes.hpp"
 #include "models/registry.hpp"
 #include "topo/cluster.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"csv"}, std::cerr)) return 2;
 
   print_banner(std::cout, "Ablation - paper models vs SII baselines (E_abs %)");
 
@@ -56,4 +58,7 @@ int main(int argc, char** argv) {
                "misses sharing entirely;\n  Kim-Lee over-penalizes "
                "asymmetric conflicts; the paper's models win.\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -16,6 +16,7 @@
 int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"size", "csv"}, std::cerr)) return 2;
   const double bytes = parse_size(args.get("size", "2M"));
 
   print_banner(std::cout,

@@ -140,11 +140,9 @@ int main(int argc, char** argv) try {
     usage(args.program().c_str());
     return 0;
   }
-  const auto unknown = args.unknown_flags(
-      {"nodes", "rounds", "bytes", "seed", "churn", "providers",
-       "max-verify-nodes", "out", "help"});
-  if (!unknown.empty()) {
-    std::cerr << "error: unknown flag --" << unknown.front() << "\n";
+  if (!args.check_flags({"nodes", "rounds", "bytes", "seed", "churn",
+                         "providers", "max-verify-nodes", "out", "help"},
+                        std::cerr)) {
     usage(args.program().c_str());
     return 2;
   }

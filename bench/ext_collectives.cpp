@@ -35,6 +35,7 @@ double simulate(const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"tasks", "size", "csv"}, std::cerr)) return 2;
   const int p = args.get_int_in("tasks", 16, 1, kMaxCount);
   const double bytes = parse_size(args.get("size", "4M"));
 

@@ -13,11 +13,13 @@
 #include "graph/schemes.hpp"
 #include "models/registry.hpp"
 #include "topo/cluster.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"size", "csv"}, std::cerr)) return 2;
   const double bytes = parse_size(args.get("size", "20M"));
 
   print_banner(std::cout,
@@ -74,4 +76,7 @@ int main(int argc, char** argv) {
                "error grows with\n  the income/outgo load — the gap the "
                "paper's future work was after.\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -15,6 +15,7 @@
 #include "flowsim/fluid_network.hpp"
 #include "graph/schemes.hpp"
 #include "topo/network.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -52,8 +53,9 @@ const std::map<int, std::map<std::string, std::array<double, 3>>> kPaper = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"size", "csv"}, std::cerr)) return 2;
   const double bytes = parse_size(args.get("size", "20M"));
 
   print_banner(std::cout, "Fig 2 — penalties per scheme and interconnect "
@@ -93,4 +95,7 @@ int main(int argc, char** argv) {
   std::cout << "\n  Note: S5/S6 'd' diverges from the paper (see DESIGN.md "
                "S2 on the arrow-geometry reconstruction).\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

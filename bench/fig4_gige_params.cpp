@@ -16,6 +16,7 @@
 #include "models/gige.hpp"
 #include "mpi/measurement.hpp"
 #include "topo/cluster.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -39,8 +40,9 @@ models::MeasureFn packet_measure(const topo::ClusterSpec& cluster) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"csv"}, std::cerr)) return 2;
   const auto cluster = topo::ClusterSpec::ibm_eserver326_gige(8);
 
   print_banner(std::cout,
@@ -98,4 +100,7 @@ int main(int argc, char** argv) {
   bench::emit(args, "fig4_verify", verify);
   std::cout << strformat("  E_abs over the scheme: %.1f %%\n", cmp.eabs);
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

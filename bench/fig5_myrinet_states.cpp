@@ -7,11 +7,13 @@
 #include "bench_util.hpp"
 #include "graph/schemes.hpp"
 #include "models/myrinet.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"csv"}, std::cerr)) return 2;
 
   print_banner(std::cout, "Fig 5/6 — Myrinet send/wait state enumeration");
 
@@ -58,4 +60,7 @@ int main(int argc, char** argv) {
   std::cout << "  Paper fig 6:   Sum 1 2 2 2 2 3 | Minimum 1 1 1 2 2 2 | "
                "penalty 5 5 5 2.5 2.5 2.5\n";
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -42,12 +42,7 @@ std::string paper_reference(const eval::SweepCell& cell) {
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
-  const auto unknown = args.unknown_flags({"size", "threads", "csv"});
-  if (!unknown.empty()) {
-    std::cerr << "error: unknown flag --" << unknown.front()
-              << " (flags: --size, --threads, --csv)\n";
-    return 2;
-  }
+  if (!args.check_flags({"size", "threads", "csv"}, std::cerr)) return 2;
 
   print_banner(std::cout,
                "Fig 7 — synthetic graphs MK1 (tree) and MK2 (complete)");

@@ -21,6 +21,8 @@ inline int run_hpl_bench(int argc, char** argv, const std::string& title,
                          const topo::ClusterSpec& cluster,
                          const models::PenaltyModel& model) try {
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"n", "nb", "tasks", "panels", "csv"}, std::cerr))
+    return 2;
 
   hpl::HplParams params;
   params.n = args.get_int_in("n", 20500, 1, kMaxCount);

@@ -18,6 +18,8 @@
 int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"network", "tasks", "n", "nb", "panels"}, std::cerr))
+    return 2;
 
   const auto tech =
       topo::network_tech_from_string(args.get("network", "myrinet"));

@@ -59,6 +59,11 @@ sim::AppTrace halo_app(int ranks) {
 
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"tasks", "panels", "confidence", "max-replicates",
+                         "batch", "seed", "threads"},
+                        std::cerr)) {
+    return 2;
+  }
   const int tasks = args.get_int_in("tasks", 16, 1, kMaxCount);
 
   hpl::HplParams hpl_params;

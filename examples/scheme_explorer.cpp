@@ -11,6 +11,7 @@
 #include "graph/scheme_parser.hpp"
 #include "models/registry.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -29,9 +30,10 @@ comm f 2 -> 5
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
+  if (!args.check_flags({"model", "dot"}, std::cerr)) return 2;
 
   graph::ParsedScheme parsed;
   if (!args.positional().empty()) {
@@ -68,4 +70,7 @@ int main(int argc, char** argv) {
     std::cout << "\n" << graph::to_dot(g, notes);
   }
   return 0;
+} catch (const bwshare::Error& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

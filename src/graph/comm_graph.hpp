@@ -6,10 +6,10 @@
 // degree), Δi(v) = number arriving at v (incoming degree).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "topo/cluster.hpp"
@@ -36,9 +36,10 @@ class CommGraph {
 
   /// Add a labelled communication (the parse-time path); label must be
   /// unique and src != dst for network communications (intra-node arcs are
-  /// allowed but flagged). The label is interned: stored once, indexed for
-  /// find(), and never consulted again on the solving path.
-  CommId add(std::string label, topo::NodeId src, topo::NodeId dst,
+  /// allowed but flagged). The label is interned: its characters are copied
+  /// into one buffer shared by every label, indexed for find(), and never
+  /// consulted again on the solving path.
+  CommId add(std::string_view label, topo::NodeId src, topo::NodeId dst,
              double bytes);
 
   /// Add an unlabelled communication — the allocation-free hot path used by
@@ -61,10 +62,10 @@ class CommGraph {
   [[nodiscard]] std::string_view label(CommId id) const;
 
   /// Find a communication by its label.
-  [[nodiscard]] std::optional<CommId> find(const std::string& label) const;
+  [[nodiscard]] std::optional<CommId> find(std::string_view label) const;
 
   /// Drop all communications but keep allocated capacity — scratch graphs
-  /// rebuilt per component solve reuse their storage across flushes.
+  /// rebuilt per component solve reuse their storage across flushes. O(1).
   void clear();
 
   /// Pre-size comm storage (capacity is retained by clear()).
@@ -94,11 +95,24 @@ class CommGraph {
   [[nodiscard]] bool is_intra_node(CommId id) const;
 
  private:
+  /// Grow label_index_ to hold one more label at load at most 1/2, and
+  /// re-insert every label.
+  void grow_label_index();
+  /// The label_index_ slot holding `label`, or the empty slot where it
+  /// would go.
+  [[nodiscard]] size_t label_slot(std::string_view label) const;
+
   std::vector<Comm> comms_;
-  // Interned labels, parallel to comms_ but only as long as the last
-  // labelled add — unlabelled comms past the end implicitly have "".
-  std::vector<std::string> labels_;
-  std::unordered_map<std::string, CommId> by_label_;  // find()/dup check
+  // Interned labels: every label's characters back to back, and the end
+  // offset of comm i's label in label_ends_[i]. label_ends_ is parallel to
+  // comms_ only as long as the last labelled add: unlabelled comms before
+  // it have empty ranges, and those past its end implicitly have "".
+  std::string label_chars_;
+  std::vector<size_t> label_ends_;
+  // Linear-probing index over the labels for find() and the duplicate
+  // check: comm id + 1 per slot, 0 for an empty slot. Its size is 0 or a
+  // power of two at least twice the length of label_ends_.
+  std::vector<CommId> label_index_;
   int num_nodes_ = 0;
 };
 

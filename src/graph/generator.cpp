@@ -1,5 +1,6 @@
 #include "graph/generator.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -22,12 +23,12 @@ std::string to_string(SchemeFamily family) {
   BWS_THROW("invalid SchemeFamily");
 }
 
-SchemeFamily scheme_family_from_string(const std::string& name) {
+SchemeFamily scheme_family_from_string(std::string_view name) {
   if (name == "ring") return SchemeFamily::kRing;
   if (name == "hotspot") return SchemeFamily::kHotspot;
   if (name == "random") return SchemeFamily::kUniformRandom;
   if (name == "alltoall") return SchemeFamily::kAllToAll;
-  BWS_THROW("unknown scheme family '" + name +
+  BWS_THROW("unknown scheme family '" + std::string(name) +
             "' (expected ring, hotspot, random or alltoall)");
 }
 
@@ -64,27 +65,32 @@ GeneratorSpec parse_generator_spec(std::string_view text) {
             "generator spec must look like 'family:key=value,...', got '" +
                 std::string(text) + "'");
   GeneratorSpec spec;
-  spec.family =
-      scheme_family_from_string(std::string(trim(text.substr(0, colon))));
+  spec.family = scheme_family_from_string(trim(text.substr(0, colon)));
   const std::string_view params = text.substr(colon + 1);
   if (!trim(params).empty()) {
-    for (const auto& item : split(params, ',')) {
+    // Comma-separated items, empty ones included, each a view of `text`.
+    for (std::string_view rest = params;;) {
+      const size_t comma = rest.find(',');
+      const std::string_view item = rest.substr(0, comma);
       const auto eq = item.find('=');
-      BWS_CHECK(eq != std::string::npos,
-                "generator parameter '" + item + "' is not key=value");
-      const std::string key(trim(std::string_view(item).substr(0, eq)));
-      const std::string value(trim(std::string_view(item).substr(eq + 1)));
+      BWS_CHECK(eq != std::string_view::npos,
+                "generator parameter '" + std::string(item) +
+                    "' is not key=value");
+      const std::string_view key = trim(item.substr(0, eq));
+      const std::string_view value = trim(item.substr(eq + 1));
       // Bounds-checked before the int cast: strtol's long would otherwise
-      // wrap values like 2^32+2 into the valid range silently.
-      const auto parse_int = [&value](const char* what) {
+      // wrap values like 2^32+2 into the valid range silently. The messages
+      // print the value as a C string, up to a NUL byte.
+      const auto parse_int = [value](const char* what) {
         long v = 0;
         const auto st = try_parse_long(value, v, -kMaxCount, kMaxCount);
+        const int len = static_cast<int>(value.size());
         BWS_CHECK(st != ParseIntStatus::kMalformed,
-                  strformat("generator: %s expects an integer, got '%s'",
-                            what, value.c_str()));
+                  strformat("generator: %s expects an integer, got '%.*s'",
+                            what, len, value.data()));
         BWS_CHECK(st == ParseIntStatus::kOk,
-                  strformat("generator: %s value '%s' is out of range", what,
-                            value.c_str()));
+                  strformat("generator: %s value '%.*s' is out of range", what,
+                            len, value.data()));
         return static_cast<int>(v);
       };
       if (key == "nodes") {
@@ -97,15 +103,17 @@ GeneratorSpec parse_generator_spec(std::string_view text) {
         // An empty value reads as 0 and a NUL byte ends the value: spread
         // keeps the set of spellings it accepted as a C string
         // (tests/util/test_number_grammar.cpp).
-        const std::string_view number =
-            std::string_view(value).substr(0, value.find('\0'));
+        const std::string_view number = value.substr(0, value.find('\0'));
         spec.spread = 0.0;
         BWS_CHECK(number.empty() || try_parse_double(number, spec.spread),
-                  "generator: spread expects a number, got '" + value + "'");
+                  "generator: spread expects a number, got '" +
+                      std::string(value) + "'");
       } else {
-        BWS_THROW("generator: unknown parameter '" + key +
+        BWS_THROW("generator: unknown parameter '" + std::string(key) +
                   "' (expected nodes, comms, bytes or spread)");
       }
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
     }
   }
   spec.validate();
@@ -119,6 +127,20 @@ double draw_bytes(const GeneratorSpec& spec, Rng& rng) {
   return spec.bytes * std::exp2(rng.uniform(-spec.spread, spec.spread));
 }
 
+/// Writes a generated comm's label, "c<a>" or, when b >= 0, "c<a>_<b>",
+/// into `buf`: the text strformat("c%d") or strformat("c%d_%d") gives,
+/// without a std::string per comm.
+std::string_view comm_label(char (&buf)[32], int a, int b = -1) {
+  buf[0] = 'c';
+  // An int takes at most 11 characters, so "c<a>" ends by buf + 12.
+  char* end = std::to_chars(buf + 1, buf + 12, a).ptr;
+  if (b >= 0) {
+    *end = '_';
+    end = std::to_chars(end + 1, buf + sizeof(buf), b).ptr;
+  }
+  return {buf, static_cast<size_t>(end - buf)};
+}
+
 }  // namespace
 
 CommGraph generate_scheme(const GeneratorSpec& spec, uint64_t seed) {
@@ -129,11 +151,12 @@ CommGraph generate_scheme(const GeneratorSpec& spec, uint64_t seed) {
                           (static_cast<uint64_t>(spec.family) + 1));
   Rng rng(splitmix64(salt));
   CommGraph g;
+  char label[32];
   const int n = spec.nodes;
   switch (spec.family) {
     case SchemeFamily::kRing:
       for (int i = 0; i < n; ++i) {
-        g.add(strformat("c%d", i), i, (i + 1) % n, draw_bytes(spec, rng));
+        g.add(comm_label(label, i), i, (i + 1) % n, draw_bytes(spec, rng));
       }
       break;
     case SchemeFamily::kHotspot:
@@ -143,7 +166,7 @@ CommGraph generate_scheme(const GeneratorSpec& spec, uint64_t seed) {
         const bool into_hotspot = v == 1 || rng.below(2) == 0;
         const int src = into_hotspot ? v : 0;
         const int dst = into_hotspot ? 0 : v;
-        g.add(strformat("c%d", v - 1), src, dst, draw_bytes(spec, rng));
+        g.add(comm_label(label, v - 1), src, dst, draw_bytes(spec, rng));
       }
       break;
     case SchemeFamily::kUniformRandom: {
@@ -152,7 +175,7 @@ CommGraph generate_scheme(const GeneratorSpec& spec, uint64_t seed) {
         const int src = static_cast<int>(rng.below(static_cast<uint64_t>(n)));
         int dst = static_cast<int>(rng.below(static_cast<uint64_t>(n - 1)));
         if (dst >= src) ++dst;  // uniform over the n-1 non-self targets
-        g.add(strformat("c%d", k), src, dst, draw_bytes(spec, rng));
+        g.add(comm_label(label, k), src, dst, draw_bytes(spec, rng));
       }
       break;
     }
@@ -160,8 +183,7 @@ CommGraph generate_scheme(const GeneratorSpec& spec, uint64_t seed) {
       for (int src = 0; src < n; ++src) {
         for (int dst = 0; dst < n; ++dst) {
           if (src == dst) continue;
-          g.add(strformat("c%d_%d", src, dst), src, dst,
-                draw_bytes(spec, rng));
+          g.add(comm_label(label, src, dst), src, dst, draw_bytes(spec, rng));
         }
       }
       break;

@@ -33,7 +33,7 @@ namespace bwshare::graph {
 enum class SchemeFamily { kRing, kHotspot, kUniformRandom, kAllToAll };
 
 [[nodiscard]] std::string to_string(SchemeFamily family);
-[[nodiscard]] SchemeFamily scheme_family_from_string(const std::string& name);
+[[nodiscard]] SchemeFamily scheme_family_from_string(std::string_view name);
 
 struct GeneratorSpec {
   SchemeFamily family = SchemeFamily::kUniformRandom;

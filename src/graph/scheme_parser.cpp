@@ -71,7 +71,10 @@ class Parser {
 
  private:
   void parse_comm(ParsedScheme& out, double default_size) {
-    std::string label(expect(TokenKind::kIdent, "comm label").text);
+    // A view of the source, which outlives the parse: the graph copies the
+    // characters into its label buffer.
+    const std::string_view label =
+        expect(TokenKind::kIdent, "comm label").text;
     const int first = parse_node("source node");
     int src = first;
     int dst = 0;
@@ -91,7 +94,7 @@ class Parser {
       advance();
       size = parse_size_token();
     }
-    out.graph.add(std::move(label), src, dst, size);
+    out.graph.add(label, src, dst, size);
   }
 
   [[nodiscard]] const Token& peek() const { return token_; }

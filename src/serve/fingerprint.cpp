@@ -19,9 +19,22 @@ namespace bwshare::serve {
 
 namespace {
 
-/// Absorb the resolved workload: pure event content, per task in task
-/// order. Labels, file paths and scheme names are display-only and
-/// deliberately absent.
+// Both mixers absorb pure workload content. Labels, file paths and scheme
+// names are display-only and deliberately absent.
+
+/// A scheme's graph: what sim::trace_from_scheme lifts it from (the node
+/// count and every comm, in order), at three words per comm.
+void mix_scheme(util::StructuralHash& h, const graph::CommGraph& graph) {
+  h.mix_i64(graph.num_nodes());
+  h.mix_i64(graph.size());
+  for (const graph::Comm& c : graph.comms()) {
+    h.mix_i64(c.src);
+    h.mix_i64(c.dst);
+    h.mix_f64(c.bytes);
+  }
+}
+
+/// A trace: its event content, per task in task order.
 void mix_trace(util::StructuralHash& h, const sim::AppTrace& trace) {
   h.mix_i64(trace.num_tasks());
   for (sim::TaskId t = 0; t < trace.num_tasks(); ++t) {
@@ -38,10 +51,8 @@ void mix_trace(util::StructuralHash& h, const sim::AppTrace& trace) {
 
 }  // namespace
 
-CanonicalQuery canonicalize(const Query& q) {
+CanonicalQuery plan_query(const Query& q) {
   CanonicalQuery cq;
-  cq.id = q.id;
-
   const int workloads = (q.scheme.empty() ? 0 : 1) +
                         (q.scheme_text.empty() ? 0 : 1) +
                         (q.trace.empty() ? 0 : 1) +
@@ -76,11 +87,9 @@ CanonicalQuery canonicalize(const Query& q) {
   cq.background = q.background;
   cq.seed = q.seed;
 
-  // Resolve the workload to a trace. Schemes — builtin, file, generator or
-  // inline — are lifted through sim::trace_from_scheme, so every served
-  // query replays through the one run_simulation path the conformance suite
-  // compares against; the cluster grows to fit a scheme, mirroring
-  // eval::run_cell.
+  // Resolve the workload: a trace to its validated trace, a scheme —
+  // builtin, file, generator or inline — to its graph. The cluster grows
+  // to fit a scheme, mirroring eval::run_cell.
   if (!q.trace.empty()) {
     cq.workload = eval::resolve_trace_workload(q.trace);
     cq.nodes = q.nodes;
@@ -92,33 +101,39 @@ CanonicalQuery canonicalize(const Query& q) {
         std::make_shared<const sim::AppTrace>(std::move(trace));
     cq.nodes = q.nodes;
   } else {
-    graph::CommGraph graph;
     if (!q.scheme.empty()) {
-      const auto w = eval::resolve_scheme_workload(q.scheme);
-      graph = w.generator ? graph::generate_scheme(*w.generator, q.seed)
-                          : *w.scheme;
+      auto w = eval::resolve_scheme_workload(q.scheme);
+      cq.scheme = w.generator ? std::make_shared<const graph::CommGraph>(
+                                    graph::generate_scheme(*w.generator,
+                                                           q.seed))
+                              : std::move(w.scheme);
       cq.workload.key = q.scheme;
     } else {
       auto parsed = graph::parse_scheme(q.scheme_text);
-      graph = std::move(parsed.graph);
+      cq.scheme =
+          std::make_shared<const graph::CommGraph>(std::move(parsed.graph));
       cq.workload.key =
           parsed.name.empty() ? std::string("scheme_text") : parsed.name;
     }
-    BWS_CHECK(graph.size() > 0, "query: scheme has no communications");
-    cq.nodes = std::max(q.nodes, graph.num_nodes());
-    cq.workload.trace = std::make_shared<const sim::AppTrace>(
-        sim::trace_from_scheme(graph));
+    BWS_CHECK(cq.scheme->size() > 0, "query: scheme has no communications");
+    cq.nodes = std::max(q.nodes, cq.scheme->num_nodes());
   }
 
   // The seed only reaches the replay through random placement and the
-  // scenario scripts (a generator expansion is already baked into the trace
-  // content above); otherwise canonicalize it away.
+  // scenario scripts (a generator expansion is already baked into the
+  // graph above); otherwise canonicalize it away.
   cq.seed_live = cq.policy == sim::SchedulingPolicy::kRandom ||
                  cq.churn > 0.0 || cq.background > 0.0;
 
   util::StructuralHash h;
-  h.mix_str("bwshare.serve.query.v1");
-  mix_trace(h, *cq.workload.trace);
+  h.mix_str("bwshare.serve.query.v2");
+  if (cq.scheme) {
+    h.mix_str("scheme");
+    mix_scheme(h, *cq.scheme);
+  } else {
+    h.mix_str("trace");
+    mix_trace(h, *cq.workload.trace);
+  }
   h.mix_i64(static_cast<int64_t>(cq.tech));
   h.mix_str(cq.model);
   h.mix_i64(cq.nodes);
@@ -128,6 +143,20 @@ CanonicalQuery canonicalize(const Query& q) {
   h.mix_f64(cq.background);
   h.mix_u64(cq.seed_live ? cq.seed : 0);
   cq.fingerprint = h.digest();
+  return cq;
+}
+
+void lift_query(CanonicalQuery& cq) {
+  if (cq.workload.is_trace()) return;
+  // Every served scheme replays through the one run_simulation path the
+  // conformance suite compares against.
+  cq.workload.trace = std::make_shared<const sim::AppTrace>(
+      sim::trace_from_scheme(*cq.scheme));
+}
+
+CanonicalQuery canonicalize(const Query& q) {
+  CanonicalQuery cq = plan_query(q);
+  lift_query(cq);
   return cq;
 }
 

@@ -1,18 +1,29 @@
-// Query canonicalization and fingerprinting for serve::QueryService
+// Query planning, lifting and fingerprinting for serve::QueryService
 // (docs/SERVING.md).
 //
 // A Query arrives as surface syntax — a builtin scheme name, a .scheme or
 // .trace path, inline scheme/trace text, axis spellings like "gige" or
-// "RRN". Canonicalization resolves all of it to *content*: every workload
-// becomes a validated sim::AppTrace (schemes through sim::trace_from_scheme,
-// generator specs expanded with the query's seed), the interconnect and
-// model to their registry identities, the cluster to its effective shape.
-// The fingerprint is a util::StructuralHash over that resolved content, so
-// two queries that mean the same replay hash the same even when they were
+// "RRN". Planning (plan_query) resolves all of it to *content*: a scheme
+// workload — builtin, file, generator spec expanded with the query's seed,
+// or inline — to its parsed graph::CommGraph, a trace workload to a
+// validated sim::AppTrace, the interconnect and model to their registry
+// identities, the cluster to its effective shape. The fingerprint is a
+// util::StructuralHash over that resolved content:
+//   * a scheme is fingerprinted by its graph content: its node count and
+//     each comm's source, destination and bytes, in order;
+//   * a trace is fingerprinted by its trace content: every task's events;
+//   * so a scheme and the text of its lifted trace (write_trace of
+//     sim::trace_from_scheme), sent as trace_text, are two cache lines
+//     that replay the same trace and give the same result.
+// Two queries that mean the same replay hash the same even when they were
 // spelled differently (path vs inline text, "network" vs the explicit model
-// name, a cluster too small for its scheme vs one already grown), and any
-// semantically distinct field — one byte more, one node elsewhere — hashes
-// differently.
+// name, renamed labels, a cluster too small for its scheme vs one already
+// grown), and any semantically distinct field — one byte more, one node
+// elsewhere — hashes differently.
+//
+// Lifting (lift_query) builds the replay's trace: a scheme is lifted
+// through sim::trace_from_scheme. QueryService lifts only the queries it
+// replays; a cache hit or a coalesced query is answered from the plan.
 //
 // Deliberately excluded from the fingerprint:
 //   * `id` — client correlation tag, echoed verbatim;
@@ -28,9 +39,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "eval/sweep.hpp"
+#include "graph/comm_graph.hpp"
 #include "sim/engine.hpp"
 #include "sim/schedule.hpp"
 #include "topo/network.hpp"
@@ -68,12 +81,15 @@ struct Query {
   uint64_t seed = 42;
 };
 
-/// A Query resolved to executable content plus its fingerprint.
+/// A Query resolved to content plus its fingerprint.
 struct CanonicalQuery {
-  std::string id;
-  /// Always a trace workload (schemes are lifted via trace_from_scheme);
+  /// The replay's workload, always a trace workload once it has one: a
+  /// trace query's trace from planning, a scheme query's from lift_query.
   /// `key` keeps the query's display spelling.
   eval::ResolvedWorkload workload;
+  /// A scheme query's planned graph, which lift_query turns into
+  /// `workload.trace`; null for a trace query.
+  std::shared_ptr<const graph::CommGraph> scheme;
   topo::NetworkTech tech{};
   std::string model;  // resolved registry name
   int nodes = 0;      // effective: grown to fit a scheme workload
@@ -89,9 +105,18 @@ struct CanonicalQuery {
   uint64_t fingerprint = 0;
 };
 
-/// Resolve and fingerprint one query. Throws bwshare::Error on malformed
-/// input: no workload (or more than one), unknown network/model/schedule,
-/// out-of-range shape or rates, unparsable scheme/trace content.
+/// Resolve and fingerprint one query without building a scheme's trace.
+/// Throws bwshare::Error on malformed input: no workload (or more than
+/// one), unknown network/model/schedule, out-of-range shape or rates,
+/// unparsable scheme/trace content.
+[[nodiscard]] CanonicalQuery plan_query(const Query& q);
+
+/// Give a planned query its replay trace: lift a scheme query's graph
+/// through sim::trace_from_scheme into `cq.workload.trace`. A trace query
+/// already has its trace, and is left as it is.
+void lift_query(CanonicalQuery& cq);
+
+/// plan_query, then lift_query: a query resolved to a replayable trace.
 [[nodiscard]] CanonicalQuery canonicalize(const Query& q);
 
 /// Content hash of a full replay result — every field bit_identical()

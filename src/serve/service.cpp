@@ -105,36 +105,39 @@ QueryService::QueryService(ServiceConfig config)
 }
 
 Response QueryService::query(const Query& q) {
-  return query_batch({q}).front();
+  return query_batch(std::span<const Query>(&q, 1)).front();
 }
 
 std::vector<Response> QueryService::query_batch(
-    const std::vector<Query>& queries) {
+    std::span<const Query> queries) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Response> responses(queries.size());
   std::vector<std::unique_ptr<Job>> jobs;
   // fingerprint -> job index, for single-flight coalescing within the batch
   std::map<uint64_t, size_t> planned;
+  const auto reject = [this](Response& r, const std::exception& e) {
+    r.ok = false;
+    r.source = Source::kError;
+    r.error = e.what();
+    ++stats_.errors;
+  };
 
   // Phase 1 — plan, sequentially in request order. Every cache and
   // coalescing decision happens here, before any replay runs, so the
   // response for each slot is fixed no matter which thread runs which
-  // replay in phase 2.
+  // replay in phase 2. Cache hits and coalesced queries are answered from
+  // the plan; only a new job's query is lifted to its replay trace.
   for (size_t i = 0; i < queries.size(); ++i) {
     Response& r = responses[i];
+    r.id = queries[i].id;
     ++stats_.queries;
     CanonicalQuery cq;
     try {
-      cq = canonicalize(queries[i]);
+      cq = plan_query(queries[i]);
     } catch (const std::exception& e) {
-      r.id = queries[i].id;
-      r.ok = false;
-      r.source = Source::kError;
-      r.error = e.what();
-      ++stats_.errors;
+      reject(r, e);
       continue;
     }
-    r.id = cq.id;
     r.fingerprint = cq.fingerprint;
     if (auto hit = results_.lookup(cq.fingerprint)) {
       r.ok = hit->cell.ok;
@@ -148,6 +151,12 @@ std::vector<Response> QueryService::query_batch(
       jobs[it->second]->request_slots.push_back(i);
       r.source = Source::kCoalesced;
       ++stats_.coalesced;
+      continue;
+    }
+    try {
+      lift_query(cq);
+    } catch (const std::exception& e) {
+      reject(r, e);
       continue;
     }
     auto job = std::make_unique<Job>();
@@ -167,6 +176,10 @@ std::vector<Response> QueryService::query_batch(
   util::parallel_for(cfg_.threads, static_cast<int>(jobs.size()), [&](int j) {
     Job& job = *jobs[static_cast<size_t>(j)];
     const CanonicalQuery& cq = job.cq;
+    // A scheme workload here would run compare_scheme's static comparison
+    // instead of a replay.
+    BWS_ASSERT(cq.workload.is_trace(),
+               "serve: a job reached its replay unlifted");
     eval::CellJob cell_job;
     cell_job.workload = &cq.workload;
     cell_job.tech = cq.tech;

@@ -37,6 +37,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -113,7 +114,7 @@ class QueryService {
   /// misses in parallel, commit in order. Responses align with `queries`
   /// by index. Malformed queries and failed replays yield ok=false
   /// responses; nothing is thrown for per-query trouble.
-  std::vector<Response> query_batch(const std::vector<Query>& queries);
+  std::vector<Response> query_batch(std::span<const Query> queries);
 
   [[nodiscard]] ServiceStats stats() const;
 

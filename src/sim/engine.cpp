@@ -981,6 +981,12 @@ class Engine {
     // are marked done rather than erased (an erase is a memmove, which made
     // a sweep over N same-time wake-ups quadratic); they all sit at or below
     // `last`, where upper_bound never looks, so they never wake twice.
+    //
+    // The drain window, now() + 1e-15, is absolute: it spans several ulps
+    // of sim time below 8 s and exactly one ulp in [8, 16) s, so compute
+    // ends that close wake in one sweep, in id order. From 16 s on an ulp
+    // exceeds 1e-15, the sum rounds to now(), and only ends at now() are
+    // drained. The sim.Engine.WakeSweep* tests pin both regimes.
     const auto drain = [&] {
       bool grew = false;
       while (!compute_q_.empty() &&

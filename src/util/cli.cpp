@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <ostream>
+
 #include "util/error.hpp"
 #include "util/parse.hpp"
 #include "util/strings.hpp"
@@ -43,6 +45,21 @@ std::vector<std::string> CliArgs::unknown_flags(
     if (!found) unknown.push_back(entry.first);
   }
   return unknown;  // values_ is an ordered map, so already alphabetical
+}
+
+bool CliArgs::check_flags(std::initializer_list<std::string_view> allowed,
+                          std::ostream& err) const {
+  const auto unknown = unknown_flags(allowed);
+  if (unknown.empty()) return true;
+  err << "error: unknown flag --" << unknown.front() << " (flags: ";
+  if (allowed.size() == 0) err << "none";
+  const char* sep = "";
+  for (const auto flag : allowed) {
+    err << sep << "--" << flag;
+    sep = ", ";
+  }
+  err << ")\n";
+  return false;
 }
 
 bool CliArgs::has(const std::string& name) const {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -43,6 +44,12 @@ class CliArgs {
   /// "--nodes") instead of silently ignoring them.
   [[nodiscard]] std::vector<std::string> unknown_flags(
       std::initializer_list<std::string_view> allowed) const;
+  /// True if every flag given is in `allowed`. Otherwise writes "error:
+  /// unknown flag --<first unknown> (flags: --<allowed>, ...)" to `err` and
+  /// returns false, and the binary exits 2, its usage-error status.
+  [[nodiscard]] bool check_flags(
+      std::initializer_list<std::string_view> allowed,
+      std::ostream& err) const;
   [[nodiscard]] const std::string& program() const { return program_; }
 
  private:

@@ -1,12 +1,18 @@
 #include "graph/comm_graph.hpp"
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/dot.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace bwshare::graph {
 namespace {
@@ -133,6 +139,75 @@ TEST(CommGraph, ClearKeepsCapacityAndDropsLabels) {
     g.clear();
   }
   EXPECT_EQ(util::alloc_count(), a0);
+
+  // Labels go with clear(): none is found, and none is a duplicate of a
+  // label added again. A warmed labelled graph refills without allocating
+  // too, its label characters and index included.
+  for (int i = 0; i < 40; ++i) g.add(strformat("l%d", i), i, i + 1, 1.0);
+  g.clear();
+  EXPECT_FALSE(g.find("l0").has_value());
+  EXPECT_FALSE(g.find("l39").has_value());
+  const std::vector<std::string> labels = {"l39", "l0", "x", "l12"};
+  const uint64_t a1 = util::alloc_count();
+  for (int rep = 0; rep < 4; ++rep) {
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(g.add(labels[static_cast<size_t>(i)], i, i + 1, 1.0), i);
+    }
+    EXPECT_EQ(g.find("l12"), 3);
+    g.clear();
+  }
+  EXPECT_EQ(util::alloc_count(), a1);
+}
+
+TEST(CommGraph, LabelIndexMatchesAMapReference) {
+  // Seeded label sets from a small alphabet, so duplicates are frequent,
+  // with labelled and unlabelled adds interleaved. Several hundred labels
+  // grow the index past several load limits; each round clears the graph
+  // and refills it.
+  Rng rng(20240613);
+  CommGraph g;
+  for (int round = 0; round < 6; ++round) {
+    std::unordered_map<std::string, CommId> ref;
+    std::vector<std::string> expected;  // label(id) for every id
+    const int adds = 50 + static_cast<int>(rng.below(700));
+    for (int k = 0; k < adds; ++k) {
+      if (rng.below(4) == 0) {
+        expected.emplace_back();
+        ASSERT_EQ(g.add(0, 1, 1.0), static_cast<CommId>(expected.size()) - 1);
+        continue;
+      }
+      std::string label;
+      const auto len = 1 + rng.below(3);
+      for (uint64_t c = 0; c < len; ++c) {
+        label += "abcdefghij_0123456789"[rng.below(21)];
+      }
+      if (ref.count(label) != 0) {
+        EXPECT_THROW(g.add(label, 2, 3, 1.0), Error) << label;
+        continue;
+      }
+      const CommId id = g.add(label, 2, 3, 1.0);
+      ASSERT_EQ(id, static_cast<CommId>(expected.size()));
+      ref.emplace(label, id);
+      expected.push_back(label);
+    }
+    ASSERT_EQ(g.size(), static_cast<int>(expected.size()));
+    for (CommId id = 0; id < g.size(); ++id) {
+      EXPECT_EQ(g.label(id), expected[static_cast<size_t>(id)]) << id;
+    }
+    for (const auto& [label, id] : ref) EXPECT_EQ(g.find(label), id);
+    // Absent labels: the empty one, longer ones, and one-character ones
+    // the round may not have drawn.
+    EXPECT_EQ(g.find(""), std::nullopt);
+    EXPECT_EQ(g.find("abcd"), std::nullopt);
+    for (const char* probe : {"a", "j", "_", "9", "k", "zz"}) {
+      const auto it = ref.find(probe);
+      EXPECT_EQ(g.find(probe),
+                it == ref.end() ? std::nullopt : std::optional(it->second))
+          << probe;
+    }
+    g.clear();
+    EXPECT_EQ(g.find(ref.begin()->first), std::nullopt);
+  }
 }
 
 TEST(CommGraph, DotOutputUsesInternedLabels) {

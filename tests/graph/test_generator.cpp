@@ -10,6 +10,7 @@
 #include "util/error.hpp"
 #include "util/limits.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace bwshare::graph {
 namespace {
@@ -149,6 +150,25 @@ TEST(GenerateScheme, RandomCommsDefaultsToTwiceNodes) {
   const auto g =
       generate_scheme(parse_generator_spec("random:nodes=5"), 11);
   EXPECT_EQ(g.size(), 10);
+}
+
+TEST(GenerateScheme, LabelsMatchTheirPrintfSpelling) {
+  // Labels are written without strformat; the text must not change:
+  // "c<k>", or "c<src>_<dst>" for alltoall.
+  for (const char* text : {"ring:nodes=256", "hotspot:nodes=200",
+                           "random:nodes=256,comms=4096", "alltoall:nodes=8"}) {
+    const auto spec = parse_generator_spec(text);
+    const CommGraph g = generate_scheme(spec, 7);
+    ASSERT_GT(g.size(), 0) << text;
+    for (CommId i = 0; i < g.size(); ++i) {
+      const Comm& c = g.comm(i);
+      const std::string want = spec.family == SchemeFamily::kAllToAll
+                                   ? strformat("c%d_%d", c.src, c.dst)
+                                   : strformat("c%d", i);
+      ASSERT_EQ(g.label(i), want) << text;
+      ASSERT_EQ(g.find(want), i) << text;
+    }
+  }
 }
 
 TEST(GenerateScheme, StableForAFixedSeed) {

@@ -17,8 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/scheme_text.hpp"
+#include "graph/generator.hpp"
+#include "graph/scheme_parser.hpp"
+#include "graph/schemes.hpp"
 #include "serve/cache.hpp"
 #include "sim/engine.hpp"
+#include "sim/events.hpp"
+#include "sim/trace_io.hpp"
 #include "util/error.hpp"
 
 namespace bwshare::serve {
@@ -216,6 +222,99 @@ TEST(Fingerprint, MalformedQueriesThrow) {
   Query empty_scheme;
   empty_scheme.scheme_text = "scheme \"hollow\"\nnodes 3\n";
   EXPECT_THROW(static_cast<void>(canonicalize(empty_scheme)), Error);
+}
+
+TEST(Fingerprint, GeneratorSpecAndItsInlineTextShareAFingerprint) {
+  // A scheme is fingerprinted by its graph content, so the spec expanded
+  // with the query's seed and the same graph spelled inline are one cache
+  // line (the inline query's own seed is inert).
+  for (const char* text : {"random:nodes=256,comms=160,spread=1",
+                           "ring:nodes=12,bytes=3M,spread=1",
+                           "hotspot:nodes=9", "alltoall:nodes=5,spread=2"}) {
+    Query spec;
+    spec.scheme = text;
+    spec.seed = 1009;
+    Query inline_text;
+    inline_text.scheme_text = graph::scheme_text_17_digits(
+        graph::generate_scheme(graph::parse_generator_spec(text), 1009));
+    EXPECT_EQ(fp(spec), fp(inline_text)) << text;
+    Query other_seed = spec;
+    other_seed.seed = 1010;
+    EXPECT_NE(fp(spec), fp(other_seed)) << text;
+  }
+  // The expansion is hashed, not the seed: a ring of uniform sizes is the
+  // same graph at every seed.
+  Query ring;
+  ring.scheme = "ring:nodes=12";
+  ring.seed = 1;
+  Query ring_other_seed = ring;
+  ring_other_seed.seed = 2;
+  EXPECT_EQ(fp(ring), fp(ring_other_seed));
+}
+
+TEST(Fingerprint, SchemeAndItsLiftedTraceTextAreTwoCacheLines) {
+  // The decision pinned here: a scheme hashes its graph and a trace its
+  // events, so a scheme and the text of its lifted trace are two cache
+  // lines. They replay the same trace (QueryService.
+  // SchemeAndItsLiftedTraceTextGiveTheSameResult).
+  const Query scheme = base_query();
+  Query lifted;
+  lifted.trace_text = sim::write_trace(sim::trace_from_scheme(
+      graph::parse_scheme(kSchemeText).graph));
+  const CanonicalQuery a = canonicalize(scheme);
+  const CanonicalQuery b = canonicalize(lifted);
+  EXPECT_NE(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(sim::write_trace(*a.workload.trace),
+            sim::write_trace(*b.workload.trace));
+  EXPECT_EQ(a.nodes, b.nodes);
+}
+
+TEST(Fingerprint, PlanningLiftsNoSchemeAndLiftingKeepsTheFingerprint) {
+  Query builtin;
+  builtin.scheme = "fig2_s4";
+  Query file;
+  file.scheme = std::string(BWSHARE_SOURCE_DIR) + "/data/mixed_sizes.scheme";
+  Query generated;
+  generated.scheme = "random:nodes=10,comms=18,spread=1";
+  for (const Query& q : {builtin, file, generated, base_query()}) {
+    CanonicalQuery cq = plan_query(q);
+    ASSERT_NE(cq.scheme, nullptr);
+    EXPECT_FALSE(cq.workload.is_trace());
+    const uint64_t planned = cq.fingerprint;
+    lift_query(cq);
+    ASSERT_TRUE(cq.workload.is_trace());
+    EXPECT_EQ(sim::write_trace(*cq.workload.trace),
+              sim::write_trace(sim::trace_from_scheme(*cq.scheme)));
+    EXPECT_EQ(cq.fingerprint, planned);
+    EXPECT_EQ(canonicalize(q).fingerprint, planned);
+  }
+  // A trace query has its trace, and no graph, from planning.
+  Query trace;
+  trace.trace = std::string(BWSHARE_SOURCE_DIR) + "/data/ring8.trace";
+  const CanonicalQuery cq = plan_query(trace);
+  EXPECT_EQ(cq.scheme, nullptr);
+  EXPECT_TRUE(cq.workload.is_trace());
+}
+
+TEST(Fingerprint, CanonicalizeReturnsALiftedTraceForEveryWorkloadKind) {
+  const std::string dir = std::string(BWSHARE_SOURCE_DIR) + "/data/";
+  std::vector<Query> queries(6);
+  queries[0].scheme = "mk1";
+  queries[1].scheme = dir + "fig5_myrinet.scheme";
+  queries[2].scheme = "hotspot:nodes=9,bytes=2M";
+  queries[3].scheme_text = kSchemeText;
+  queries[4].trace = dir + "ring8.trace";
+  queries[5].trace_text = "tasks 2\n0 send 1 4000000\n1 recv 0 4000000\n";
+  for (const Query& q : queries) {
+    const CanonicalQuery cq = canonicalize(q);
+    ASSERT_TRUE(cq.workload.is_trace());
+    EXPECT_GT(cq.workload.trace->num_tasks(), 0);
+    if (cq.scheme) {
+      EXPECT_EQ(cq.workload.trace->num_tasks(), cq.scheme->num_nodes());
+    }
+  }
+  EXPECT_EQ(canonicalize(queries[0]).workload.trace->total_sends(),
+            static_cast<size_t>(graph::schemes::mk1_tree().size()));
 }
 
 TEST(HashSimResult, TracksEveryField) {

@@ -18,15 +18,20 @@
 #include <gtest/gtest.h>
 
 #include "common/result_expect.hpp"
+#include "common/scheme_text.hpp"
 #include "eval/sweep.hpp"
 #include "flowsim/fluid_network.hpp"
 #include "graph/generator.hpp"
+#include "graph/scheme_parser.hpp"
 #include "models/registry.hpp"
 #include "serve/protocol.hpp"
+#include "sim/events.hpp"
 #include "sim/rate_model.hpp"
 #include "sim/scenario.hpp"
 #include "sim/schedule.hpp"
+#include "sim/trace_io.hpp"
 #include "topo/cluster.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -149,6 +154,59 @@ TEST(QueryService, CacheHitReturnsTheSameObject) {
   EXPECT_EQ(service.stats().cache_hits, 1u);
 }
 
+TEST(QueryService, SchemeAndItsLiftedTraceTextGiveTheSameResult) {
+  // Two cache lines (Fingerprint.SchemeAndItsLiftedTraceTextAreTwoCacheLines)
+  // for one replay: the trace text is replayed again, not served from the
+  // cache, and gives the scheme's answer bit for bit.
+  QueryService service;
+  const Query scheme = disjoint_query(kDisjointScheme);
+  Query lifted;
+  lifted.trace_text = sim::write_trace(sim::trace_from_scheme(
+      graph::parse_scheme(kDisjointScheme).graph));
+  const Response a = service.query(scheme);
+  const Response b = service.query(lifted);
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_NE(a.fingerprint, b.fingerprint);
+  EXPECT_NE(b.source, Source::kCache);
+  EXPECT_EQ(service.stats().replays, 2u);
+  EXPECT_EQ(a.result->result_hash, b.result->result_hash);
+  sim::expect_bit_identical(*a.result->measured, *b.result->measured);
+  sim::expect_bit_identical(*a.result->predicted, *b.result->predicted);
+}
+
+TEST(QueryService, CacheHitsAreAnsweredWithoutALift) {
+  // Lifting a 256-node scheme allocates at least once per task, 256 times,
+  // so a hit under 64 allocations was answered from its plan. Both
+  // spellings of the scheme are checked: the generator spec and the same
+  // graph inline at 17 significant digits.
+  const char* const spec_text = "random:nodes=256,comms=160,spread=1";
+  Query generated;
+  generated.scheme = spec_text;
+  generated.seed = 1009;
+  Query inline_text;
+  inline_text.scheme_text = graph::scheme_text_17_digits(
+      graph::generate_scheme(graph::parse_generator_spec(spec_text), 1009));
+
+  ServiceConfig config;
+  config.threads = 1;
+  QueryService service(config);
+  const Response cold = service.query(generated);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  ASSERT_EQ(cold.source, Source::kCold);
+  for (const Query* q : {&generated, &inline_text}) {
+    for (int hit = 0; hit < 20; ++hit) {
+      const uint64_t before = util::alloc_count();
+      const Response r = service.query(*q);
+      const uint64_t allocs = util::alloc_count() - before;
+      ASSERT_EQ(r.source, Source::kCache);
+      EXPECT_EQ(r.result.get(), cold.result.get());
+      EXPECT_LT(allocs, 64u) << (q == &generated ? "spec" : "inline text");
+    }
+  }
+  EXPECT_EQ(service.stats().replays, 1u);
+}
+
 TEST(QueryService, SchemeQueriesFallBackToCommLevelEabs) {
   // Schemes are lifted to nonblocking traces (isend + wait_all), so no
   // task ever accrues blocked-send time and the §VI task-level E_abs is
@@ -187,7 +245,7 @@ TEST(QueryService, IdenticalQueriesInOneBatchCoalesce) {
   a.id = "leader";
   Query b = a;
   b.id = "follower";
-  const auto responses = service.query_batch({a, b});
+  const auto responses = service.query_batch(std::vector<Query>{a, b});
   ASSERT_EQ(responses.size(), 2u);
   ASSERT_TRUE(responses[0].ok);
   ASSERT_TRUE(responses[1].ok);
@@ -423,7 +481,7 @@ TEST(QueryService, MalformedQueriesErrorWithoutPoisoningTheBatch) {
   bad.id = "bad";  // no workload at all
   Query good = disjoint_query(kDisjointScheme);
   good.id = "good";
-  const auto responses = service.query_batch({bad, good});
+  const auto responses = service.query_batch(std::vector<Query>{bad, good});
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_FALSE(responses[0].ok);
   EXPECT_EQ(responses[0].source, Source::kError);
@@ -449,7 +507,7 @@ TEST(QueryService, ReplayFailuresAreErrorResponsesAndNeverCached) {
   Query twin = stuck;
   twin.id = "twin";
   QueryService service;
-  const auto responses = service.query_batch({stuck, twin});
+  const auto responses = service.query_batch(std::vector<Query>{stuck, twin});
   ASSERT_EQ(responses.size(), 2u);
   for (const auto& r : responses) {
     EXPECT_FALSE(r.ok) << r.id;
@@ -501,7 +559,7 @@ TEST(QueryService, ScriptRatesBeyondTheCountCeilingAreErrorResponses) {
   churn.churn = 1e9;
   Query background = disjoint_query(kDisjointScheme);
   background.background = 1e9;
-  const auto responses = service.query_batch({churn, background});
+  const auto responses = service.query_batch(std::vector<Query>{churn, background});
   ASSERT_EQ(responses.size(), 2u);
   for (const Response& r : responses) {
     EXPECT_FALSE(r.ok);

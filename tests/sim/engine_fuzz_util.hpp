@@ -10,6 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,6 +28,28 @@
 #include "util/rng.hpp"
 
 namespace bwshare::sim {
+
+/// The parameter of the AllFamilies suites: a generator spec and a seed.
+/// The spec is a std::string so that gtest prints its text, not the
+/// address of a literal, into each test's listing.
+using SpecSeed = std::tuple<std::string, uint64_t>;
+
+/// One generator spec per family, the AllFamilies suites' first axis.
+inline auto all_family_specs() {
+  return ::testing::Values(std::string("ring:nodes=8"),
+                           std::string("hotspot:nodes=9,bytes=2M"),
+                           std::string("random:nodes=10,comms=18,spread=1"),
+                           std::string("alltoall:nodes=4"));
+}
+
+/// Names an AllFamilies case by its spec's family and its seed, "ring_1":
+/// stable across builds, so ctest names can be listed and filtered.
+inline std::string spec_seed_name(
+    const ::testing::TestParamInfo<SpecSeed>& info) {
+  const std::string_view spec = std::get<0>(info.param);
+  return std::string(spec.substr(0, spec.find(':'))) + "_" +
+         std::to_string(std::get<1>(info.param));
+}
 
 /// The engine's oracle contract on one workload: a verify replay must not
 /// throw, and must be bit-identical to the default replay.

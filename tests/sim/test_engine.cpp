@@ -2,6 +2,7 @@
 // barriers, conflict-driven slowdown, deadlock detection.
 #include "sim/engine.hpp"
 
+#include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -156,6 +157,43 @@ TEST(Engine, AnySourceReceiveTakesTheEarliestOfSeveralPendingSends) {
   EXPECT_DOUBLE_EQ(result.comms[0].recv_post, result.comms[1].finish);
   EXPECT_DOUBLE_EQ(result.comms[2].recv_post, result.comms[0].finish);
   EXPECT_DOUBLE_EQ(result.makespan, result.comms[2].finish);
+}
+
+/// Tasks 1 and 2 end computes at nextafter(a) and at a, then each sends
+/// 1 KiB to task 0, which posts two any-source receives. Returns the task
+/// whose send was posted first: the one woken first.
+TaskId first_woken_of_two_compute_ends(double a) {
+  AppTrace trace(3);
+  trace.push(0, Event::recv_any(1024));
+  trace.push(0, Event::recv_any(1024));
+  trace.push(1, Event::compute(std::nextafter(a, 2 * a)));
+  trace.push(1, Event::send(0, 1024));
+  trace.push(2, Event::compute(a));
+  trace.push(2, Event::send(0, 1024));
+  const auto provider = fluid();
+  const auto result =
+      run_simulation(trace, cluster(), identity_placement(3), provider);
+  EXPECT_EQ(result.comms.size(), 2u);
+  return result.comms.empty() ? -1 : result.comms[0].src_task;
+}
+
+TEST(Engine, WakeSweepTakesComputeEndsWithinItsWindowInIdOrder) {
+  // The sweep drains every compute end at or before now() + 1e-15, an
+  // absolute window: several ulps below 8 s and exactly one ulp in
+  // [8, 16) s. Task 1, ending one ulp after task 2, wakes in the same
+  // sweep and, with the lower id, first.
+  for (const double a : {0.5, 4.0, 8.5, 12.0}) {
+    EXPECT_EQ(first_woken_of_two_compute_ends(a), 1) << "a = " << a;
+  }
+}
+
+TEST(Engine, WakeSweepWindowIsBelowOneUlpFromSixteenSeconds) {
+  // From 16 s on, one ulp exceeds 1e-15 and now() + 1e-15 rounds to now():
+  // the window holds only ends at now(), so the two tasks wake in time
+  // order, task 2 first.
+  for (const double a : {16.5, 100.0}) {
+    EXPECT_EQ(first_woken_of_two_compute_ends(a), 2) << "a = " << a;
+  }
 }
 
 TEST(Engine, PostedReceivesMatchInPostingOrder) {

@@ -88,8 +88,7 @@ void check_scheme_churn(const graph::CommGraph& scheme,
                                 provider, scenario);
 }
 
-class ChurnGeneratedSchemes
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+class ChurnGeneratedSchemes : public ::testing::TestWithParam<SpecSeed> {};
 
 TEST_P(ChurnGeneratedSchemes, FluidProviderVerifiesUnderChurn) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
@@ -115,13 +114,10 @@ TEST_P(ChurnGeneratedSchemes, MyrinetModelProviderVerifiesUnderChurn) {
   check_scheme_churn(scheme, provider, cal, std::get<1>(GetParam()));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, ChurnGeneratedSchemes,
-    ::testing::Combine(::testing::Values("ring:nodes=8",
-                                         "hotspot:nodes=9,bytes=2M",
-                                         "random:nodes=10,comms=18,spread=1",
-                                         "alltoall:nodes=4"),
-                       ::testing::Values(1u, 2u)));
+INSTANTIATE_TEST_SUITE_P(AllFamilies, ChurnGeneratedSchemes,
+                         ::testing::Combine(all_family_specs(),
+                                            ::testing::Values(1u, 2u)),
+                         spec_seed_name);
 
 // --- fail / leave / join semantics -----------------------------------------
 

@@ -130,8 +130,7 @@ void check_scheme_concurrent(const graph::CommGraph& scheme,
                                   provider);
 }
 
-class ConcurrentGeneratedSchemes
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+class ConcurrentGeneratedSchemes : public ::testing::TestWithParam<SpecSeed> {};
 
 TEST_P(ConcurrentGeneratedSchemes, FluidProviderMatchesSerial) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
@@ -157,13 +156,10 @@ TEST_P(ConcurrentGeneratedSchemes, MyrinetModelProviderMatchesSerial) {
   check_scheme_concurrent(scheme, provider, cal);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, ConcurrentGeneratedSchemes,
-    ::testing::Combine(::testing::Values("ring:nodes=8",
-                                         "hotspot:nodes=9,bytes=2M",
-                                         "random:nodes=10,comms=18,spread=1",
-                                         "alltoall:nodes=4"),
-                       ::testing::Values(1u, 2u)));
+INSTANTIATE_TEST_SUITE_P(AllFamilies, ConcurrentGeneratedSchemes,
+                         ::testing::Combine(all_family_specs(),
+                                            ::testing::Values(1u, 2u)),
+                         spec_seed_name);
 
 // --- mixed workloads, concurrent callers, memos ---------------------------
 

@@ -43,8 +43,7 @@ void check_scheme(const graph::CommGraph& scheme,
                                 provider);
 }
 
-class GeneratedSchemes
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {};
+class GeneratedSchemes : public ::testing::TestWithParam<SpecSeed> {};
 
 TEST_P(GeneratedSchemes, FluidProviderPassesVerify) {
   const auto spec = graph::parse_generator_spec(std::get<0>(GetParam()));
@@ -78,13 +77,10 @@ TEST_P(GeneratedSchemes, InfinibandModelProviderPassesVerify) {
   check_scheme(scheme, provider, cal);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, GeneratedSchemes,
-    ::testing::Combine(::testing::Values("ring:nodes=8",
-                                         "hotspot:nodes=9,bytes=2M",
-                                         "random:nodes=10,comms=18,spread=1",
-                                         "alltoall:nodes=4"),
-                       ::testing::Values(1u, 2u, 3u)));
+INSTANTIATE_TEST_SUITE_P(AllFamilies, GeneratedSchemes,
+                         ::testing::Combine(all_family_specs(),
+                                            ::testing::Values(1u, 2u, 3u)),
+                         spec_seed_name);
 
 // Staggered schedules: random compute bursts, eager and rendezvous sizes,
 // non-blocking patterns and multi-core placements (intra-node comms share

@@ -4,6 +4,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "util/error.hpp"
@@ -105,6 +106,21 @@ TEST(Cli, UnknownFlagsSortedAlphabetically) {
   const auto args = make({"--zeta", "1", "--alpha", "2"});
   EXPECT_EQ(args.unknown_flags({}),
             (std::vector<std::string>{"alpha", "zeta"}));
+}
+
+TEST(Cli, CheckFlagsNamesTheFirstUnknownFlagAndTheAllowedOnes) {
+  std::ostringstream err;
+  EXPECT_TRUE(make({"--size", "4M", "--csv"})
+                  .check_flags({"size", "threads", "csv"}, err));
+  EXPECT_EQ(err.str(), "");
+  EXPECT_FALSE(make({"--zeta", "1", "--no-such-flag", "1"})
+                   .check_flags({"size", "threads", "csv"}, err));
+  EXPECT_EQ(err.str(),
+            "error: unknown flag --no-such-flag (flags: --size, --threads, "
+            "--csv)\n");
+  err.str("");
+  EXPECT_FALSE(make({"--x"}).check_flags({}, err));
+  EXPECT_EQ(err.str(), "error: unknown flag --x (flags: none)\n");
 }
 
 TEST(Cli, IntInRangeAcceptsBothBoundsAndFallsBackWhenAbsent) {
