@@ -4,8 +4,11 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace bwshare::sim {
 namespace {
@@ -102,6 +105,73 @@ TEST(Schedule, RandomRejectsMoreCoresThanTheCountLimit) {
   EXPECT_EQ(
       make_placement(SchedulingPolicy::kRandom, cluster(1000, 1000), 3).num_tasks(),
       3);
+}
+
+// The node-by-node placement loops, written out for `nodes` nodes of
+// `cores` cores each: RRN cycles over the nodes while a per-node count of
+// used cores stays under the node's cores, and RRP and Random walk the core
+// slots in node order, [n0 x cores, n1 x cores, ...].
+std::vector<topo::NodeId> reference_core_slots(int nodes, int cores,
+                                               size_t count) {
+  std::vector<topo::NodeId> slots;
+  for (topo::NodeId n = 0; n < nodes && slots.size() < count; ++n)
+    for (int c = 0; c < cores && slots.size() < count; ++c) slots.push_back(n);
+  return slots;
+}
+
+std::vector<topo::NodeId> reference_placement(SchedulingPolicy policy,
+                                              int nodes, int cores,
+                                              int num_tasks, uint64_t seed) {
+  std::vector<topo::NodeId> node_of(static_cast<size_t>(num_tasks));
+  switch (policy) {
+    case SchedulingPolicy::kRoundRobinNode: {
+      std::vector<int> used(static_cast<size_t>(nodes), 0);
+      int t = 0;
+      while (t < num_tasks) {
+        for (topo::NodeId n = 0; n < nodes && t < num_tasks; ++n) {
+          if (used[static_cast<size_t>(n)] >= cores) continue;
+          ++used[static_cast<size_t>(n)];
+          node_of[static_cast<size_t>(t++)] = n;
+        }
+      }
+      break;
+    }
+    case SchedulingPolicy::kRoundRobinProcessor:
+      node_of =
+          reference_core_slots(nodes, cores, static_cast<size_t>(num_tasks));
+      break;
+    case SchedulingPolicy::kRandom: {
+      auto slots = reference_core_slots(nodes, cores,
+                                        static_cast<size_t>(nodes * cores));
+      Rng rng(seed);
+      for (size_t i = slots.size() - 1; i > 0; --i)
+        std::swap(slots[i], slots[rng.below(i + 1)]);
+      for (int t = 0; t < num_tasks; ++t)
+        node_of[static_cast<size_t>(t)] = slots[static_cast<size_t>(t)];
+      break;
+    }
+  }
+  return node_of;
+}
+
+TEST(Schedule, EveryPolicyMatchesTheNodeByNodeLoops) {
+  for (int nodes = 1; nodes <= 6; ++nodes) {
+    for (int cores = 1; cores <= 4; ++cores) {
+      const auto c = cluster(nodes, cores);
+      for (int tasks = 1; tasks <= nodes * cores; ++tasks) {
+        for (const auto policy : {SchedulingPolicy::kRoundRobinNode,
+                                  SchedulingPolicy::kRoundRobinProcessor,
+                                  SchedulingPolicy::kRandom}) {
+          for (uint64_t seed = 1; seed <= 3; ++seed) {
+            EXPECT_EQ(make_placement(policy, c, tasks, seed).nodes(),
+                      reference_placement(policy, nodes, cores, tasks, seed))
+                << to_string(policy) << " on " << nodes << "x" << cores
+                << ", " << tasks << " tasks, seed " << seed;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Schedule, PolicyNames) {
