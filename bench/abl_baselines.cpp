@@ -8,6 +8,7 @@
 #include "graph/schemes.hpp"
 #include "models/registry.hpp"
 #include "topo/cluster.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -15,6 +16,7 @@ int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
   if (!args.check_flags({"csv"}, std::cerr)) return 2;
+  const bool csv = args.get_bool("csv", false);
 
   print_banner(std::cout, "Ablation - paper models vs SII baselines (E_abs %)");
 
@@ -52,7 +54,7 @@ int main(int argc, char** argv) try {
     }
     std::cout << "\n  " << net.cluster.name() << " (paper model: "
               << net.paper_model << "):\n";
-    bench::emit(args, "abl_baselines_" + net.paper_model, table);
+    bench::emit(csv, "abl_baselines_" + net.paper_model, table);
   }
   std::cout << "\n  Expectation (paper SII): the linear LogGP baseline "
                "misses sharing entirely;\n  Kim-Lee over-penalizes "

@@ -10,6 +10,7 @@
 #include "graph/schemes.hpp"
 #include "stats/descriptive.hpp"
 #include "topo/network.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -17,6 +18,7 @@ int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
   if (!args.check_flags({"size", "csv"}, std::cerr)) return 2;
+  const bool csv = args.get_bool("csv", false);
   const double bytes = parse_size(args.get("size", "2M"));
 
   print_banner(std::cout,
@@ -56,7 +58,7 @@ int main(int argc, char** argv) try {
       }
     }
     std::cout << "\n  " << to_string(cal.tech) << ":\n";
-    bench::emit(args, "abl_fluid_vs_packet_" + to_string(cal.tech), table);
+    bench::emit(csv, "abl_fluid_vs_packet_" + to_string(cal.tech), table);
     std::cout << strformat(
         "  packet/fluid ratio: mean %.3f, min %.3f, max %.3f\n",
         agreement.mean(), agreement.min(), agreement.max());

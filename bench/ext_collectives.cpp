@@ -16,6 +16,7 @@
 #include "sim/engine.hpp"
 #include "sim/rate_model.hpp"
 #include "topo/cluster.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/limits.hpp"
 #include "util/strings.hpp"
@@ -36,6 +37,7 @@ double simulate(const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   if (!args.check_flags({"tasks", "size", "csv"}, std::cerr)) return 2;
+  const bool csv = args.get_bool("csv", false);
   const int p = args.get_int_in("tasks", 16, 1, kMaxCount);
   const double bytes = parse_size(args.get("size", "4M"));
 
@@ -82,7 +84,7 @@ int main(int argc, char** argv) try {
                      strformat("%.3f", tp / tm)});
     }
     std::cout << "\n  " << to_string(tech) << ":\n";
-    bench::emit(args, "ext_collectives_" + to_string(tech), table);
+    bench::emit(csv, "ext_collectives_" + to_string(tech), table);
   }
   std::cout << "\n  Reading: the ring broadcast is conflict-free (ratio "
                "1.00); tree/scatter shapes\n  stress the models the way "

@@ -13,6 +13,7 @@
 #include "graph/schemes.hpp"
 #include "models/registry.hpp"
 #include "topo/cluster.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -20,6 +21,7 @@ int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
   if (!args.check_flags({"size", "csv"}, std::cerr)) return 2;
+  const bool csv = args.get_bool("csv", false);
   const double bytes = parse_size(args.get("size", "20M"));
 
   print_banner(std::cout,
@@ -43,7 +45,7 @@ int main(int argc, char** argv) try {
     }
     table.add_row(row);
   }
-  bench::emit(args, "ext_multicore", table);
+  bench::emit(csv, "ext_multicore", table);
   std::cout
       << "  The fan penalty formulas are linear in the degree, so the models "
          "track the\n  substrate at any core count; on real hardware the "
@@ -71,7 +73,7 @@ int main(int argc, char** argv) try {
     }
     table2.add_row(row);
   }
-  bench::emit(args, "ext_multicore_duplex", table2);
+  bench::emit(csv, "ext_multicore_duplex", table2);
   std::cout << "  The same-direction models ignore the duplex bus, so their "
                "error grows with\n  the income/outgo load — the gap the "
                "paper's future work was after.\n";

@@ -15,6 +15,7 @@
 #include "flowsim/fluid_network.hpp"
 #include "graph/schemes.hpp"
 #include "topo/network.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -56,6 +57,7 @@ const std::map<int, std::map<std::string, std::array<double, 3>>> kPaper = {
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   if (!args.check_flags({"size", "csv"}, std::cerr)) return 2;
+  const bool csv = args.get_bool("csv", false);
   const double bytes = parse_size(args.get("size", "20M"));
 
   print_banner(std::cout, "Fig 2 — penalties per scheme and interconnect "
@@ -89,7 +91,7 @@ int main(int argc, char** argv) try {
                      strformat("%.2f", paper_row[2])});
     }
     std::cout << "\n  Scheme S" << scheme << ":\n";
-    bench::emit(args, strformat("fig2_s%d", scheme), table);
+    bench::emit(csv, strformat("fig2_s%d", scheme), table);
   }
 
   std::cout << "\n  Note: S5/S6 'd' diverges from the paper (see DESIGN.md "

@@ -16,6 +16,7 @@
 #include "models/gige.hpp"
 #include "mpi/measurement.hpp"
 #include "topo/cluster.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -43,6 +44,7 @@ models::MeasureFn packet_measure(const topo::ClusterSpec& cluster) {
 int main(int argc, char** argv) try {
   const CliArgs args(argc, argv);
   if (!args.check_flags({"csv"}, std::cerr)) return 2;
+  const bool csv = args.get_bool("csv", false);
   const auto cluster = topo::ClusterSpec::ibm_eserver326_gige(8);
 
   print_banner(std::cout,
@@ -57,7 +59,7 @@ int main(int argc, char** argv) try {
     beta_table.add_row({strformat("%zu", k + 2),
                         strformat("%.4f", beta_fluid.per_degree[k]),
                         strformat("%.4f", beta_packet.per_degree[k])});
-  bench::emit(args, "fig4_beta", beta_table);
+  bench::emit(csv, "fig4_beta", beta_table);
   std::cout << strformat(
       "  beta estimate: fluid %.4f, packet %.4f   (paper: 0.75)\n",
       beta_fluid.beta, beta_packet.beta);
@@ -75,7 +77,7 @@ int main(int argc, char** argv) try {
   gamma_table.add_row({"t_ref(4MB)", human_seconds(gamma_fluid.t_ref),
                        human_seconds(gamma_packet.t_ref), "~0.0477 s"});
   std::cout << "\n";
-  bench::emit(args, "fig4_gamma", gamma_table);
+  bench::emit(csv, "fig4_gamma", gamma_table);
 
   // --- Fig 4 verification: measured vs predicted per communication. --------
   const models::GigabitEthernetModel paper_model;  // paper parameters
@@ -97,7 +99,7 @@ int main(int argc, char** argv) try {
                     strformat("%.3f", paper_tp[i])});
   }
   std::cout << "\n  Fig 4 verification (4 MB messages):\n";
-  bench::emit(args, "fig4_verify", verify);
+  bench::emit(csv, "fig4_verify", verify);
   std::cout << strformat("  E_abs over the scheme: %.1f %%\n", cmp.eabs);
   return 0;
 } catch (const bwshare::Error& e) {

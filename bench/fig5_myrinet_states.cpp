@@ -7,6 +7,7 @@
 #include "bench_util.hpp"
 #include "graph/schemes.hpp"
 #include "models/myrinet.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -14,6 +15,7 @@ int main(int argc, char** argv) try {
   using namespace bwshare;
   const CliArgs args(argc, argv);
   if (!args.check_flags({"csv"}, std::cerr)) return 2;
+  const bool csv = args.get_bool("csv", false);
 
   print_banner(std::cout, "Fig 5/6 — Myrinet send/wait state enumeration");
 
@@ -56,7 +58,7 @@ int main(int argc, char** argv) try {
   row("penalty", [&](graph::CommId i) {
     return strformat("%.1f", analysis.penalty[static_cast<size_t>(i)]);
   });
-  bench::emit(args, "fig5_fig6", table);
+  bench::emit(csv, "fig5_fig6", table);
   std::cout << "  Paper fig 6:   Sum 1 2 2 2 2 3 | Minimum 1 1 1 2 2 2 | "
                "penalty 5 5 5 2.5 2.5 2.5\n";
   return 0;

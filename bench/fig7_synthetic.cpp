@@ -18,12 +18,13 @@
 // fig7_synthetic_cells.csv next to the binary).
 #include <iostream>
 
-#include "bench_util.hpp"
 #include "eval/sweep.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
+#include "util/table.hpp"
 
 namespace {
 

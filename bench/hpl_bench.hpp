@@ -11,6 +11,7 @@
 #include "hpl/hpl_trace.hpp"
 #include "models/penalty_model.hpp"
 #include "topo/cluster.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/limits.hpp"
 #include "util/strings.hpp"
@@ -23,6 +24,7 @@ inline int run_hpl_bench(int argc, char** argv, const std::string& title,
   const CliArgs args(argc, argv);
   if (!args.check_flags({"n", "nb", "tasks", "panels", "csv"}, std::cerr))
     return 2;
+  const bool csv = args.get_bool("csv", false);
 
   hpl::HplParams params;
   params.n = args.get_int_in("n", 20500, 1, kMaxCount);
@@ -58,7 +60,7 @@ inline int run_hpl_bench(int argc, char** argv, const std::string& title,
                      strformat("%.1f", tc.eabs)});
     }
     std::cout << "\n  Scheduling " << to_string(policy) << ":\n";
-    emit(args, title + "_" + to_string(policy), table);
+    emit(csv, title + "_" + to_string(policy), table);
     std::cout << strformat(
         "  mean E_abs %.1f %%; makespan measured %s / predicted %s\n",
         cmp.mean_eabs, human_seconds(cmp.measured_makespan).c_str(),

@@ -264,7 +264,7 @@ int run_trace(const CliArgs& args, const std::string& path) {
             << trace.total_events() << " events, "
             << human_bytes(trace.total_bytes_sent()) << " sent; "
             << to_string(policy) << " on " << cluster.num_nodes() << "x"
-            << cluster.node(0).cores << " " << to_string(tech) << "\n";
+            << cluster.cores_per_node() << " " << to_string(tech) << "\n";
   describe_scenario(scenario);
 
   const flowsim::FluidRateProvider fluid(cluster.network());
@@ -307,7 +307,7 @@ int run_multijob(const CliArgs& args, const std::vector<std::string>& paths) {
 
   std::cout << "multijob: " << jobs.size() << " job(s), "
             << to_string(policy) << " on " << cluster.num_nodes() << "x"
-            << cluster.node(0).cores << " " << to_string(tech) << "\n";
+            << cluster.cores_per_node() << " " << to_string(tech) << "\n";
   describe_scenario(scenario);
 
   const flowsim::FluidRateProvider fluid(cluster.network());

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "util/csv.hpp"
+#include "util/table.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -249,11 +250,11 @@ double CampaignResult::savings_factor() const {
 
 namespace {
 
-util::CsvWriter arms_table(const std::vector<CampaignArm>& arms) {
-  util::CsvWriter csv({"arm", "kind", "workload", "network", "model", "nodes",
-                       "cores", "policy", "churn_rate", "background_load",
-                       "replicates", "mean", "ci_low", "ci_high", "out_round",
-                       "status", "error"});
+TextTable arms_table(const std::vector<CampaignArm>& arms) {
+  TextTable csv({"arm", "kind", "workload", "network", "model", "nodes",
+                 "cores", "policy", "churn_rate", "background_load",
+                 "replicates", "mean", "ci_low", "ci_high", "out_round",
+                 "status", "error"});
   for (size_t i = 0; i < arms.size(); ++i) {
     const auto& arm = arms[i];
     csv.add_row({strformat("%zu", i), arm.kind, arm.workload, arm.network,
@@ -274,7 +275,7 @@ util::CsvWriter arms_table(const std::vector<CampaignArm>& arms) {
 }  // namespace
 
 std::string CampaignResult::to_csv() const {
-  return arms_table(arms).render();
+  return arms_table(arms).to_csv();
 }
 
 std::string CampaignResult::to_json() const {

@@ -14,6 +14,7 @@
 #include "stats/descriptive.hpp"
 #include "topo/cluster.hpp"
 #include "util/csv.hpp"
+#include "util/table.hpp"
 #include "util/error.hpp"
 #include "util/limits.hpp"
 #include "util/parallel.hpp"
@@ -428,13 +429,13 @@ namespace {
 
 using util::format_fixed;
 
-util::CsvWriter cells_table(const std::vector<SweepCell>& cells) {
+TextTable cells_table(const std::vector<SweepCell>& cells) {
   // Schema v2: churn_rate/background_load joined the per-cell columns when
   // the dynamic-cluster axes landed (docs/EXPERIMENTS.md).
-  util::CsvWriter csv({"kind", "workload", "network", "model", "nodes",
-                       "cores", "policy", "churn_rate", "background_load",
-                       "seed", "units", "measured_s", "predicted_s",
-                       "eabs_pct", "max_abs_erel_pct", "status", "error"});
+  TextTable csv({"kind", "workload", "network", "model", "nodes", "cores",
+                 "policy", "churn_rate", "background_load", "seed", "units",
+                 "measured_s", "predicted_s", "eabs_pct", "max_abs_erel_pct",
+                 "status", "error"});
   for (const auto& cell : cells) {
     csv.add_row({cell.kind, cell.workload, cell.network, cell.model,
                  strformat("%d", cell.nodes), strformat("%d", cell.cores),
@@ -451,9 +452,9 @@ util::CsvWriter cells_table(const std::vector<SweepCell>& cells) {
   return csv;
 }
 
-util::CsvWriter marginals_table(const std::vector<SweepMarginal>& marginals) {
-  util::CsvWriter csv({"axis", "value", "cells", "mean_eabs_pct",
-                       "max_eabs_pct"});
+TextTable marginals_table(const std::vector<SweepMarginal>& marginals) {
+  TextTable csv(
+      {"axis", "value", "cells", "mean_eabs_pct", "max_eabs_pct"});
   for (const auto& m : marginals) {
     csv.add_row({m.axis, m.value, strformat("%zu", m.cells),
                  format_fixed(m.mean_eabs_pct, 3),
@@ -465,7 +466,7 @@ util::CsvWriter marginals_table(const std::vector<SweepMarginal>& marginals) {
 }  // namespace
 
 std::string SweepResult::to_csv() const {
-  return cells_table(cells).render();
+  return cells_table(cells).to_csv();
 }
 
 std::string SweepResult::to_json() const {

@@ -50,7 +50,6 @@
 namespace bwshare::flowsim {
 
 using FlowIndex = int;
-using ResourceIndex = int;
 
 /// One capacity constraint over a set of member flows.
 struct Resource {

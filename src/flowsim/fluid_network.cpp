@@ -260,9 +260,9 @@ void FluidRateProvider::rates_into(const graph::CommGraph& active,
   max_min_rates_into(view, scratch, out);
 }
 
-std::vector<double> measure_scheme(const graph::CommGraph& graph,
-                                   const RateProvider& provider,
-                                   double latency) {
+std::vector<double> measure_scheme_fluid(const graph::CommGraph& graph,
+                                         const topo::NetworkCalibration& cal) {
+  const FluidRateProvider provider(cal);
   const int n = graph.size();
   std::vector<double> finish(static_cast<size_t>(n), 0.0);
   if (n == 0) return finish;
@@ -275,19 +275,13 @@ std::vector<double> measure_scheme(const graph::CommGraph& graph,
   double now = 0.0;
   int active_count = n;
   while (active_count > 0) {
-    // Rebuild the active sub-graph (original labels preserved so debugging
-    // output stays readable).
+    // Rebuild the active sub-graph; rates do not depend on labels.
     graph::CommGraph active;
     std::vector<graph::CommId> index;  // active id -> original id
     for (graph::CommId i = 0; i < n; ++i) {
       if (done[static_cast<size_t>(i)]) continue;
       const auto& c = graph.comm(i);
-      const std::string_view lbl = graph.label(i);
-      if (lbl.empty())
-        active.add(c.src, c.dst, remaining[static_cast<size_t>(i)]);
-      else
-        active.add(std::string(lbl), c.src, c.dst,
-                   remaining[static_cast<size_t>(i)]);
+      active.add(c.src, c.dst, remaining[static_cast<size_t>(i)]);
       index.push_back(i);
     }
     const auto rates = provider.rates(active);
@@ -305,18 +299,12 @@ std::vector<double> measure_scheme(const graph::CommGraph& graph,
       remaining[static_cast<size_t>(i)] -= rates[k] * dt;
       if (remaining[static_cast<size_t>(i)] <= 1e-6) {
         done[static_cast<size_t>(i)] = true;
-        finish[static_cast<size_t>(i)] = now + latency;
+        finish[static_cast<size_t>(i)] = now + cal.latency;
         --active_count;
       }
     }
   }
   return finish;
-}
-
-std::vector<double> measure_scheme_fluid(const graph::CommGraph& graph,
-                                         const topo::NetworkCalibration& cal) {
-  const FluidRateProvider provider(cal);
-  return measure_scheme(graph, provider, cal.latency);
 }
 
 std::vector<double> measure_penalties(const graph::CommGraph& graph,

@@ -113,22 +113,11 @@ class FluidRateProvider final : public RateProvider {
   topo::NetworkCalibration cal_;
 };
 
-/// One communication's simulated timing.
-struct CommTiming {
-  double start = 0.0;
-  double finish = 0.0;
-  [[nodiscard]] double duration() const { return finish - start; }
-};
-
-/// Run all communications of `graph` starting at t=0 under `provider`,
-/// integrating piecewise-constant rates until each completes. Returns
-/// per-comm completion times (graph order), including one-way latency.
-[[nodiscard]] std::vector<double> measure_scheme(const graph::CommGraph& graph,
-                                                 const RateProvider& provider,
-                                                 double latency);
-
-/// Convenience: fluid measurement under a calibration (the experiments'
-/// standard T_m source).
+/// Fluid measurement under a calibration (the experiments' standard T_m
+/// source): run all communications of `graph` starting at t=0 under
+/// FluidRateProvider, integrating piecewise-constant rates until each
+/// completes. Returns per-comm completion times (graph order), including
+/// the calibration's one-way latency.
 [[nodiscard]] std::vector<double> measure_scheme_fluid(
     const graph::CommGraph& graph, const topo::NetworkCalibration& cal);
 

@@ -82,13 +82,4 @@ CommGraph incoming_fan(int fan, double bytes) {
   return g;
 }
 
-CommGraph ring(int n, double bytes, bool wrap) {
-  BWS_CHECK(n >= 2, "ring needs at least two nodes");
-  CommGraph g;
-  const int last = wrap ? n : n - 1;
-  for (int i = 0; i < last; ++i)
-    g.add(strformat("r%d", i), i, (i + 1) % n, bytes);
-  return g;
-}
-
 }  // namespace bwshare::graph::schemes

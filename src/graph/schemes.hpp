@@ -40,7 +40,4 @@ namespace bwshare::graph::schemes {
 /// Simple income conflict C->X<-: comms 1->0, 2->0, ..., fan->0.
 [[nodiscard]] CommGraph incoming_fan(int fan, double bytes = 20e6);
 
-/// Ring scheme task n -> n+1 over `n` nodes (the HPL §VI-D pattern).
-[[nodiscard]] CommGraph ring(int n, double bytes = 20e6, bool wrap = true);
-
 }  // namespace bwshare::graph::schemes

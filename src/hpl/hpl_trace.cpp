@@ -22,13 +22,16 @@ sim::AppTrace make_hpl_trace(const HplParams& params) {
   BWS_CHECK(params.n >= 1, "problem size must be positive");
   BWS_CHECK(params.nb >= 1, "block size must be positive");
   BWS_CHECK(params.tasks >= 2, "HPL trace needs at least two tasks");
-  BWS_CHECK(params.flops_per_second > 0.0, "compute rate must be positive");
 
   const int p = params.tasks;
   sim::AppTrace trace(p);
 
   const int panels = num_panels(params);
-  // With lookahead, each task's receive of panel k+1 is posted as an Irecv
+  // Depth-1 lookahead (HPL's default): the next panel's owner updates its
+  // panel columns first, factorizes and *starts broadcasting the next panel
+  // while the current broadcast is still travelling the ring*. This is what
+  // makes communications overlap — and therefore conflict — on co-located
+  // placements. Each task's receive of panel k+1 is posted as an Irecv
   // during iteration k (after it forwarded panel k) and completed with a
   // WaitAll where the blocking receive would have been — so the next
   // broadcast travels while the trailing updates run, exactly HPL's
@@ -50,17 +53,17 @@ sim::AppTrace make_hpl_trace(const HplParams& params) {
     const double m = std::max(0, params.n - k * params.nb);
     const double nb = std::min(params.nb, params.n - k * params.nb);
     const double bytes = panel_bytes(params, k);
-    const double t_panel = panel_flops(m, nb) / params.flops_per_second;
+    const double t_panel = panel_flops(m, nb) / kFlopsPerSecond;
 
     // Trailing matrix after this panel.
     const double trailing_cols = std::max(0.0, m - nb);
     const double per_task_cols = trailing_cols / p;
     const double t_update =
-        update_flops(m - nb, per_task_cols, nb) / params.flops_per_second;
+        update_flops(m - nb, per_task_cols, nb) / kFlopsPerSecond;
 
     // Post the lookahead Irecv for panel k+1 on everyone but its owner.
     auto post_lookahead_irecv = [&](int task) {
-      if (!params.lookahead || k + 1 >= panels) return;
+      if (k + 1 >= panels) return;
       if (task == next_owner) return;
       trace.push(task, sim::Event::irecv((task + p - 1) % p,
                                          panel_bytes(params, k + 1)));
@@ -85,8 +88,6 @@ sim::AppTrace make_hpl_trace(const HplParams& params) {
       post_lookahead_irecv(task);
       if (t_update > 0.0) trace.push(task, sim::Event::compute(t_update));
     }
-
-    if (params.barrier_per_iteration) trace.push_barrier_all();
   }
 
   trace.validate();

@@ -10,6 +10,8 @@
 //     * the panel is broadcast along the ring     (send n -> n+1, §VI-D)
 //     * every task updates its share of the trailing matrix
 //                                                (compute: update share)
+//   with HPL's default depth-1 lookahead, so panel k+1's broadcast overlaps
+//   panel k's trailing updates. Each task computes at kFlopsPerSecond.
 //
 // Message size for panel k = rows_below(k) x NB x 8 bytes, exactly HPL's
 // panel payload.
@@ -19,6 +21,9 @@
 
 namespace bwshare::hpl {
 
+/// Per-task sustained compute rate, flop/s (2 GHz Opteron era: ~3.2e9).
+inline constexpr double kFlopsPerSecond = 3.2e9;
+
 struct HplParams {
   /// Problem size (paper: 20500).
   int n = 20500;
@@ -26,20 +31,9 @@ struct HplParams {
   int nb = 120;
   /// Number of MPI tasks.
   int tasks = 16;
-  /// Per-task sustained compute rate, flop/s (2 GHz Opteron era: ~3.2e9).
-  double flops_per_second = 3.2e9;
-  /// Insert a barrier between iterations (the paper's measurement method
-  /// synchronizes with barriers).
-  bool barrier_per_iteration = false;
   /// Stop after this many panels (0 = full factorization). Keeps benches
   /// fast while preserving the communication pattern.
   int max_panels = 0;
-  /// Depth-1 lookahead (HPL's default): the next panel's owner updates its
-  /// panel columns first, factorizes and *starts broadcasting the next
-  /// panel while the current broadcast is still travelling the ring*. This
-  /// is what makes communications overlap — and therefore conflict — on
-  /// co-located placements.
-  bool lookahead = true;
 };
 
 /// Build the per-task event trace of one HPL factorization.

@@ -15,17 +15,6 @@ void LinearLogGPModel::penalties_into(const graph::CommGraph& graph,
   std::fill(out.begin(), out.end(), 1.0);
 }
 
-std::vector<double> LinearLogGPModel::predict_times(
-    const graph::CommGraph& graph,
-    const topo::NetworkCalibration& /*cal*/) const {
-  std::vector<double> times;
-  times.reserve(static_cast<size_t>(graph.size()));
-  for (const auto& c : graph.comms())
-    times.push_back(params_.latency + 2.0 * params_.overhead +
-                    params_.gap_per_byte * std::max(0.0, c.bytes - 1.0));
-  return times;
-}
-
 void KimLeeModel::penalties_into(const graph::CommGraph& graph,
                                  util::Arena& scratch,
                                  std::span<double> out) const {

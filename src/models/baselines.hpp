@@ -9,29 +9,15 @@
 
 namespace bwshare::models {
 
-/// LogGP-style linear model: T = L + 2o + G·(k-1) per message, no sharing.
-/// As a penalty model it always answers 1 — the strawman that motivates the
-/// paper (§II: "these linear models poorly predict communication delays").
+/// LogGP-style linear model: a message's time grows linearly with its size
+/// and ignores sharing. As a penalty model it always answers 1 — the
+/// strawman that motivates the paper (§II: "these linear models poorly
+/// predict communication delays").
 class LinearLogGPModel final : public PenaltyModel {
  public:
-  struct Params {
-    double latency = 45e-6;       // L
-    double overhead = 2e-6;       // o (per end)
-    double gap_per_byte = 8e-9;   // G
-  };
-
-  LinearLogGPModel() : params_() {}
-  explicit LinearLogGPModel(const Params& params) : params_(params) {}
-
   [[nodiscard]] std::string name() const override { return "loggp"; }
   void penalties_into(const graph::CommGraph& graph, util::Arena& scratch,
                       std::span<double> out) const override;
-  [[nodiscard]] std::vector<double> predict_times(
-      const graph::CommGraph& graph,
-      const topo::NetworkCalibration& cal) const override;
-
- private:
-  Params params_;
 };
 
 /// Kim & Lee [7]: delay = (conflict multiplicity) x linear cost, where the

@@ -60,16 +60,4 @@ GammaEstimate estimate_gammas(const MeasureFn& measure, double beta,
   return est;
 }
 
-GigeParams estimate_gige_params(const MeasureFn& measure, double beta_bytes,
-                                double gamma_bytes, int max_fan) {
-  GigeParams params;
-  params.beta = estimate_beta(measure, beta_bytes, max_fan).beta;
-  const auto gamma = estimate_gammas(measure, params.beta, gamma_bytes);
-  // The estimators can produce slightly negative gammas when the substrate
-  // shares perfectly fairly; clamp into the model's valid domain.
-  params.gamma_o = std::max(0.0, gamma.gamma_o);
-  params.gamma_i = std::max(0.0, gamma.gamma_i);
-  return params;
-}
-
 }  // namespace bwshare::models

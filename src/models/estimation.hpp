@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "graph/comm_graph.hpp"
-#include "models/gige.hpp"
 
 namespace bwshare::models {
 
@@ -47,12 +46,6 @@ struct GammaEstimate {
 /// Estimate γo and γi from the fig-4 scheme with `bytes` messages.
 [[nodiscard]] GammaEstimate estimate_gammas(const MeasureFn& measure,
                                             double beta, double bytes = 4e6);
-
-/// Full GigE calibration: β then γo/γi.
-[[nodiscard]] GigeParams estimate_gige_params(const MeasureFn& measure,
-                                              double beta_bytes = 20e6,
-                                              double gamma_bytes = 4e6,
-                                              int max_fan = 4);
 
 /// Unconflicted reference time for a `bytes` message (paper §IV-B's
 /// "referential time": one MPI_Send node 0 -> node 1, nothing else).

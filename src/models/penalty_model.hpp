@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "graph/comm_graph.hpp"
-#include "topo/network.hpp"
 #include "util/arena.hpp"
 
 namespace bwshare::models {
@@ -45,13 +44,6 @@ class PenaltyModel {
   /// thread's arena.
   [[nodiscard]] std::vector<double> penalties(
       const graph::CommGraph& graph) const;
-
-  /// Predicted completion time of communication `id` under `cal`, assuming
-  /// all communications of `graph` are concurrent for their whole duration.
-  /// Default: latency + penalty * bytes / reference_bandwidth.
-  [[nodiscard]] virtual std::vector<double> predict_times(
-      const graph::CommGraph& graph,
-      const topo::NetworkCalibration& cal) const;
 };
 
 using PenaltyModelPtr = std::unique_ptr<PenaltyModel>;

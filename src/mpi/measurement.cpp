@@ -15,8 +15,6 @@ constexpr int kIterations = 3;
 /// effects).
 constexpr int kWarmup = 1;
 constexpr int kRounds = kWarmup + kIterations;
-/// Message size of the referential time probe.
-constexpr double kReferenceBytes = 20e6;
 
 /// Build the measurement job: tasks 2i (sender) and 2i+1 (receiver) per
 /// communication, kRounds iterations separated by barriers.
@@ -68,57 +66,17 @@ std::vector<double> sender_times(const sim::SimResult& result,
   return times;
 }
 
-/// Referential time: one message of `bytes` from node 0 to node 1, alone.
-double probe_reference(double bytes, const topo::ClusterSpec& cluster,
-                       const flowsim::RateProvider& provider) {
-  graph::CommGraph single;
-  single.add("ref", 0, 1, bytes);
-  const auto trace = build_job(single);
-  const auto placement = build_placement(single);
-  const auto result = sim::run_simulation(trace, cluster, placement, provider);
-  return sender_times(result, single)[0];
-}
-
 }  // namespace
-
-PenaltyMeasurement measure_scheme_penalties(const graph::CommGraph& scheme,
-                                            const topo::ClusterSpec& cluster,
-                                            const flowsim::RateProvider& provider) {
-  BWS_CHECK(!scheme.empty(), "scheme has no communications");
-  BWS_CHECK(scheme.num_nodes() <= cluster.num_nodes(),
-            "scheme references more nodes than the cluster has");
-
-  PenaltyMeasurement out;
-  out.t_ref = probe_reference(kReferenceBytes, cluster, provider);
-
-  const auto trace = build_job(scheme);
-  const auto placement = build_placement(scheme);
-  const auto result = sim::run_simulation(trace, cluster, placement, provider);
-  out.times = sender_times(result, scheme);
-
-  // Reference per distinct message size (all fig-2 schemes are uniform, but
-  // synthetic graphs may mix sizes).
-  std::map<double, double> ref_for_size;
-  out.penalties.resize(out.times.size());
-  for (graph::CommId i = 0; i < scheme.size(); ++i) {
-    const double bytes = scheme.comm(i).bytes;
-    auto it = ref_for_size.find(bytes);
-    if (it == ref_for_size.end()) {
-      const double ref = bytes == kReferenceBytes
-                             ? out.t_ref
-                             : probe_reference(bytes, cluster, provider);
-      it = ref_for_size.emplace(bytes, ref).first;
-    }
-    out.penalties[static_cast<size_t>(i)] =
-        out.times[static_cast<size_t>(i)] / it->second;
-  }
-  return out;
-}
 
 std::vector<double> measure_times(const graph::CommGraph& scheme,
                                   const topo::ClusterSpec& cluster,
                                   const flowsim::RateProvider& provider) {
-  return measure_scheme_penalties(scheme, cluster, provider).times;
+  BWS_CHECK(!scheme.empty(), "scheme has no communications");
+  BWS_CHECK(scheme.num_nodes() <= cluster.num_nodes(),
+            "scheme references more nodes than the cluster has");
+  const auto result = sim::run_simulation(build_job(scheme), cluster,
+                                          build_placement(scheme), provider);
+  return sender_times(result, scheme);
 }
 
 }  // namespace bwshare::mpi

@@ -9,8 +9,9 @@
 // into an MPI job: one sender and one receiver task per communication,
 // pinned to the scheme's nodes; one warm-up round precedes three measured
 // rounds, and a barrier separates iterations so every round starts
-// simultaneously. T_ref is one 20 MB message sent alone; a comm of another
-// size is compared with one message of its own size sent alone.
+// simultaneously. The software returns the times T_i; T_ref and P_i are
+// left to the caller, who measures T_ref as a one-comm scheme of its own
+// (models::measure_reference_time).
 #pragma once
 
 #include <vector>
@@ -21,23 +22,11 @@
 
 namespace bwshare::mpi {
 
-struct PenaltyMeasurement {
-  /// Referential time T_ref of one 20 MB message.
-  double t_ref = 0.0;
-  /// Per-communication mean sender time T_i (graph order).
-  std::vector<double> times;
-  /// Per-communication penalty P_i = T_i / t_ref_i, where t_ref_i is the
-  /// referential time scaled to comm i's size.
-  std::vector<double> penalties;
-};
-
 /// Run the measurement software for `scheme` on `cluster`, with transfer
-/// rates supplied by `provider` (fluid substrate or a model).
-[[nodiscard]] PenaltyMeasurement measure_scheme_penalties(
-    const graph::CommGraph& scheme, const topo::ClusterSpec& cluster,
-    const flowsim::RateProvider& provider);
-
-/// A MeasureFn (models/estimation.hpp signature) backed by this software.
+/// rates supplied by `provider` (fluid substrate or a model): the mean
+/// sender time T_i of each communication over the measured rounds, in
+/// graph order. A MeasureFn (models/estimation.hpp signature) once bound to
+/// a cluster and a provider.
 [[nodiscard]] std::vector<double> measure_times(
     const graph::CommGraph& scheme, const topo::ClusterSpec& cluster,
     const flowsim::RateProvider& provider);

@@ -204,8 +204,6 @@ class Engine {
 
     nodes_.assign(static_cast<size_t>(cluster_.num_nodes()), NodeIndex{});
     node_up_.assign(static_cast<size_t>(cluster_.num_nodes()), true);
-    for (const int v : scenario.down_at_start)
-      node_up_[static_cast<size_t>(v)] = false;
     job_of_ = scenario.job_of;
     if (job_of_.empty()) job_of_.assign(static_cast<size_t>(n), 0);
     int num_jobs = 1;

@@ -81,14 +81,6 @@ void AppTrace::push_barrier_all() {
   for (auto& p : programs_) p.push_back(Event::barrier());
 }
 
-double AppTrace::total_compute_seconds() const {
-  double total = 0.0;
-  for (const auto& p : programs_)
-    for (const auto& e : p)
-      if (e.kind == EventKind::kCompute) total += e.seconds;
-  return total;
-}
-
 double AppTrace::total_bytes_sent() const {
   double total = 0.0;
   for (const auto& p : programs_)

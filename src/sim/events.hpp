@@ -75,7 +75,6 @@ class AppTrace {
   void push_barrier_all();
 
   /// Totals, for reporting.
-  [[nodiscard]] double total_compute_seconds() const;
   [[nodiscard]] double total_bytes_sent() const;
   [[nodiscard]] size_t total_events() const;
 

@@ -22,19 +22,6 @@ std::string render_task_table(const SimResult& result) {
   return t.render();
 }
 
-std::string render_comm_table(const SimResult& result, size_t max_rows) {
-  TextTable t({"src", "dst", "bytes", "start", "finish", "penalty"});
-  size_t rows = 0;
-  for (const auto& c : result.comms) {
-    if (max_rows != 0 && rows++ >= max_rows) break;
-    t.add_row({strformat("%d@n%d", c.src_task, c.src_node),
-               strformat("%d@n%d", c.dst_task, c.dst_node),
-               human_bytes(c.bytes), human_seconds(c.start),
-               human_seconds(c.finish), strformat("%.3f", c.penalty)});
-  }
-  return t.render();
-}
-
 std::string render_summary(const SimResult& result) {
   double bytes = 0.0;
   for (const auto& c : result.comms) bytes += c.bytes;

@@ -13,11 +13,6 @@ namespace bwshare::sim {
 /// Per-task table: finish, compute, send-blocked, recv-blocked, barrier.
 [[nodiscard]] std::string render_task_table(const SimResult& result);
 
-/// Per-communication table: endpoints, size, start/finish, penalty.
-/// Lists at most `max_rows` rows (0 = all).
-[[nodiscard]] std::string render_comm_table(const SimResult& result,
-                                            size_t max_rows = 0);
-
 /// One-paragraph summary (makespan, average penalty, bytes moved; aborted /
 /// background counts appear only when the scenario produced any).
 [[nodiscard]] std::string render_summary(const SimResult& result);

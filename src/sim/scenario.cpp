@@ -39,12 +39,6 @@ void Scenario::validate(int num_tasks, int num_nodes) const {
               strformat("scenario: background flow bytes must be > 0, got %g",
                         f.bytes));
   }
-  for (const int v : down_at_start) {
-    BWS_CHECK(v >= 0 && v < num_nodes,
-              strformat("scenario: down_at_start node %d outside cluster "
-                        "of %d",
-                        v, num_nodes));
-  }
   if (job_of.empty()) return;
   BWS_CHECK(static_cast<int>(job_of.size()) == num_tasks,
             strformat("scenario: job_of covers %zu tasks but the trace "

@@ -41,17 +41,15 @@ struct Scenario {
   /// Membership script (absolute times; any order — the engine sorts by
   /// (time, index)).
   std::vector<graph::ChurnEvent> churn;
-  /// Cross-traffic script (absolute times).
+  /// Cross-traffic script (absolute times). Every node starts up; a kLeave
+  /// at t = 0 takes one down before any flow at t = 0 asks for admission.
   std::vector<graph::BackgroundFlow> background;
-  /// Nodes that start down (admit no background flows until a kJoin).
-  std::vector<int> down_at_start;
   /// Per-task job id (empty = every task in job 0). Ids must be dense:
   /// every id in [0, max] occupied.
   std::vector<int> job_of;
 
   [[nodiscard]] bool empty() const {
-    return churn.empty() && background.empty() && down_at_start.empty() &&
-           job_of.empty();
+    return churn.empty() && background.empty() && job_of.empty();
   }
 
   /// Number of co-scheduled jobs (1 when job_of is empty).

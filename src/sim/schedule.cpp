@@ -1,7 +1,6 @@
 #include "sim/schedule.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/limits.hpp"
@@ -42,50 +41,34 @@ Placement make_placement(SchedulingPolicy policy,
                       static_cast<long long>(cluster.total_cores()),
                       num_tasks));
 
-  // The first `count` core slots in node order: [n0,n0,n1,n1,...] for
-  // 2-core nodes. RRP reads num_tasks of them, Random shuffles them all.
-  const auto core_slots = [&](size_t count) {
-    std::vector<topo::NodeId> slots;
-    slots.reserve(count);
-    for (topo::NodeId n = 0; slots.size() < count; ++n)
-      for (int c = 0; c < cluster.node(n).cores && slots.size() < count; ++c)
-        slots.push_back(n);
-    return slots;
-  };
-
+  const int nodes = cluster.num_nodes();
+  const int cores = cluster.cores_per_node();
   std::vector<topo::NodeId> node_of(static_cast<size_t>(num_tasks));
   switch (policy) {
-    case SchedulingPolicy::kRoundRobinNode: {
-      // Cycle over nodes; a node accepts as many rounds as it has cores.
-      std::vector<int> used(static_cast<size_t>(cluster.num_nodes()), 0);
-      int t = 0;
-      while (t < num_tasks) {
-        bool placed_any = false;
-        for (topo::NodeId n = 0; n < cluster.num_nodes() && t < num_tasks;
-             ++n) {
-          if (used[static_cast<size_t>(n)] >= cluster.node(n).cores) continue;
-          ++used[static_cast<size_t>(n)];
-          node_of[static_cast<size_t>(t++)] = n;
-          placed_any = true;
-        }
-        BWS_ASSERT(placed_any, "round-robin placement made no progress");
-      }
+    case SchedulingPolicy::kRoundRobinNode:
+      // Cycle over the nodes; every node has the same cores, so each round
+      // visits all of them and the capacity check above bounds the rounds.
+      for (int t = 0; t < num_tasks; ++t)
+        node_of[static_cast<size_t>(t)] = t % nodes;
       break;
-    }
-    case SchedulingPolicy::kRoundRobinProcessor: {
-      node_of = core_slots(static_cast<size_t>(num_tasks));
+    case SchedulingPolicy::kRoundRobinProcessor:
+      // Fill each node's cores before moving to the next.
+      for (int t = 0; t < num_tasks; ++t)
+        node_of[static_cast<size_t>(t)] = t / cores;
       break;
-    }
     case SchedulingPolicy::kRandom: {
       BWS_CHECK(cluster.total_cores() <= kMaxCount,
                 strformat("Random placement: %lld cores exceeds the limit of "
                           "%d",
                           static_cast<long long>(cluster.total_cores()),
                           kMaxCount));
-      std::vector<topo::NodeId> slots =
-          core_slots(static_cast<size_t>(cluster.total_cores()));
+      // One slot per core in node order, [n0,n0,n1,n1,...] for 2-core
+      // nodes; Fisher-Yates over them, then take the first num_tasks.
+      std::vector<topo::NodeId> slots(
+          static_cast<size_t>(cluster.total_cores()));
+      for (size_t s = 0; s < slots.size(); ++s)
+        slots[s] = static_cast<topo::NodeId>(s / static_cast<size_t>(cores));
       Rng rng(seed);
-      // Fisher-Yates over the core slots, then take the first num_tasks.
       for (size_t i = slots.size() - 1; i > 0; --i)
         std::swap(slots[i], slots[rng.below(i + 1)]);
       for (int t = 0; t < num_tasks; ++t)

@@ -40,11 +40,6 @@ class Placement {
     return node_of_task_;
   }
 
-  /// Tasks placed on the same node communicate through shared memory.
-  [[nodiscard]] bool colocated(int a, int b) const {
-    return node_of(a) == node_of(b);
-  }
-
  private:
   std::vector<topo::NodeId> node_of_task_;
 };

@@ -1,7 +1,7 @@
 #include "stats/descriptive.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -15,35 +15,10 @@ void Accumulator::add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 double Accumulator::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double Accumulator::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 double Accumulator::min() const { return min_; }
 double Accumulator::max() const { return max_; }
@@ -53,14 +28,6 @@ double mean(std::span<const double> xs) {
   for (double x : xs) acc.add(x);
   return acc.mean();
 }
-
-double variance(std::span<const double> xs) {
-  Accumulator acc;
-  for (double x : xs) acc.add(x);
-  return acc.variance();
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
@@ -75,40 +42,6 @@ double percentile(std::span<const double> xs, double q) {
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double mean_abs(std::span<const double> xs) {
-  Accumulator acc;
-  for (double x : xs) acc.add(std::fabs(x));
-  return acc.mean();
-}
-
-double rmse(std::span<const double> a, std::span<const double> b) {
-  BWS_CHECK(a.size() == b.size(), "rmse: size mismatch");
-  BWS_CHECK(!a.empty(), "rmse of empty series");
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(a.size()));
-}
-
-double pearson(std::span<const double> a, std::span<const double> b) {
-  BWS_CHECK(a.size() == b.size(), "pearson: size mismatch");
-  if (a.size() < 2) return 0.0;
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double cov = 0.0;
-  double va = 0.0;
-  double vb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    cov += (a[i] - ma) * (b[i] - mb);
-    va += (a[i] - ma) * (a[i] - ma);
-    vb += (b[i] - mb) * (b[i] - mb);
-  }
-  if (va == 0.0 || vb == 0.0) return 0.0;
-  return cov / std::sqrt(va * vb);
 }
 
 }  // namespace bwshare::stats

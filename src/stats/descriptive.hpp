@@ -1,53 +1,35 @@
-// Descriptive statistics: an online (Welford) accumulator plus batch helpers
-// on spans of doubles. Used for model parameter estimation (averaging
-// penalties over conflict sweeps) and for experiment reporting.
+// Descriptive statistics: an online mean/min/max accumulator plus batch
+// helpers on spans of doubles. Used for model parameter estimation
+// (averaging penalties over conflict sweeps) and for experiment reporting.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace bwshare::stats {
 
-/// Online mean/variance/min/max accumulator (Welford's algorithm).
+/// Online count/mean/min/max accumulator; the mean is updated in place
+/// (Welford's running-mean step), never as a sum divided at the end.
 class Accumulator {
  public:
   void add(double x);
-  void merge(const Accumulator& other);
 
   [[nodiscard]] size_t count() const { return count_; }
   [[nodiscard]] double mean() const;
-  /// Unbiased sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  [[nodiscard]] double sum() const { return mean() * static_cast<double>(count_); }
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
 
 [[nodiscard]] double mean(std::span<const double> xs);
-[[nodiscard]] double variance(std::span<const double> xs);
-[[nodiscard]] double stddev(std::span<const double> xs);
 [[nodiscard]] double median(std::span<const double> xs);
 
 /// Linear-interpolated percentile, q in [0, 100].
 [[nodiscard]] double percentile(std::span<const double> xs, double q);
-
-/// Mean of absolute values — the paper's E_abs aggregates |E_rel| this way.
-[[nodiscard]] double mean_abs(std::span<const double> xs);
-
-/// Root mean square error between two equally sized series.
-[[nodiscard]] double rmse(std::span<const double> a, std::span<const double> b);
-
-/// Pearson correlation coefficient; 0 if either series is constant.
-[[nodiscard]] double pearson(std::span<const double> a,
-                             std::span<const double> b);
 
 }  // namespace bwshare::stats

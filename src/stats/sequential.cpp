@@ -130,12 +130,6 @@ int SequentialTest::leader() const {
   return best;
 }
 
-size_t SequentialTest::total_samples() const {
-  size_t n = 0;
-  for (const auto& a : arms_) n += a.samples.size();
-  return n;
-}
-
 void SequentialTest::refresh_intervals() {
   for (size_t i = 0; i < arms_.size(); ++i) {
     auto& a = arms_[i];

@@ -122,8 +122,6 @@ class SequentialTest {
   /// Surviving arm with the lowest point estimate (ties: lowest index);
   /// falls back to sample mean before the first CI. -1 if none survive.
   [[nodiscard]] int leader() const;
-  /// Total replicates recorded across all arms (error arms included).
-  [[nodiscard]] size_t total_samples() const;
 
  private:
   void refresh_intervals();

@@ -5,28 +5,19 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "topo/network.hpp"
 
 namespace bwshare::topo {
 
 using NodeId = int;
-using CoreId = int;
 
-struct NodeSpec {
-  int cores = 1;
-  double memory_bytes = 4.0 * 1024 * 1024 * 1024;
-};
-
-/// A cluster: homogeneous or heterogeneous set of SMP nodes plus the network.
+/// A cluster: a homogeneous set of SMP nodes plus the network.
 class ClusterSpec {
  public:
-  ClusterSpec(std::string name, std::vector<NodeSpec> nodes,
-              NetworkCalibration network);
-
-  /// Homogeneous cluster of `num_nodes` nodes with `cores_per_node` cores;
-  /// each count is at most kMaxCount (util/limits.hpp).
+  /// `num_nodes` nodes with `cores_per_node` cores each; each count is at
+  /// least 1 and at most kMaxCount (util/limits.hpp).
   static ClusterSpec uniform(std::string name, int num_nodes,
                              int cores_per_node, NetworkCalibration network);
 
@@ -36,15 +27,25 @@ class ClusterSpec {
   static ClusterSpec bull_novascale_ib(int num_nodes = 26);
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  [[nodiscard]] const NodeSpec& node(NodeId id) const;
+  [[nodiscard]] int num_nodes() const { return num_nodes_; }
+  [[nodiscard]] int cores_per_node() const { return cores_per_node_; }
   /// 64-bit: kMaxCount nodes of kMaxCount cores overflow an int.
-  [[nodiscard]] int64_t total_cores() const;
+  [[nodiscard]] int64_t total_cores() const {
+    return static_cast<int64_t>(num_nodes_) * cores_per_node_;
+  }
   [[nodiscard]] const NetworkCalibration& network() const { return network_; }
 
  private:
+  ClusterSpec(std::string name, int num_nodes, int cores_per_node,
+              NetworkCalibration network)
+      : name_(std::move(name)),
+        num_nodes_(num_nodes),
+        cores_per_node_(cores_per_node),
+        network_(network) {}
+
   std::string name_;
-  std::vector<NodeSpec> nodes_;
+  int num_nodes_;
+  int cores_per_node_;
   NetworkCalibration network_;
 };
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -58,42 +57,12 @@ std::string format_fixed(double v, int precision) {
   return std::string(buf, res.ptr);
 }
 
-CsvWriter::CsvWriter(std::vector<std::string> header)
-    : header_(std::move(header)) {
-  BWS_CHECK(!header_.empty(), "CsvWriter: header must not be empty");
-}
-
-void CsvWriter::add_row(std::vector<std::string> row) {
-  BWS_CHECK(row.size() == header_.size(),
-            strformat("CsvWriter: row has %zu fields, header has %zu",
-                      row.size(), header_.size()));
-  rows_.push_back(std::move(row));
-}
-
-std::string CsvWriter::render() const {
-  std::string out;
-  const auto append_line = [&out](const std::vector<std::string>& fields) {
-    for (size_t i = 0; i < fields.size(); ++i) {
-      if (i != 0) out.push_back(',');
-      out += csv_escape(fields[i]);
-    }
-    out.push_back('\n');
-  };
-  append_line(header_);
-  for (const auto& row : rows_) append_line(row);
-  return out;
-}
-
 void write_text_file(const std::string& path, std::string_view content) {
   std::ofstream file(path, std::ios::binary);
   BWS_CHECK(file.good(), "cannot open '" + path + "' for writing");
   file.write(content.data(), static_cast<std::streamsize>(content.size()));
   file.flush();
   BWS_CHECK(file.good(), "failed writing '" + path + "'");
-}
-
-void CsvWriter::write_file(const std::string& path) const {
-  write_text_file(path, render());
 }
 
 namespace {
@@ -129,9 +98,9 @@ bool is_json_number(const std::string& field) {
 
 }  // namespace
 
-std::string rows_to_json(const CsvWriter& table) {
+std::string rows_to_json(const TextTable& table) {
   std::string out = "[";
-  const auto& header = table.header();
+  const auto& header = table.headers();
   for (size_t r = 0; r < table.rows().size(); ++r) {
     const auto& row = table.rows()[r];
     out += r == 0 ? "\n  {" : ",\n  {";

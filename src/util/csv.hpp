@@ -1,13 +1,15 @@
-// Tabular result writers for the sweep subsystem: RFC-4180-style CSV plus a
-// JSON rendering of the same rows. Both render from the same in-memory rows,
-// so a sweep emitted as CSV and JSON is guaranteed to carry identical
-// values. All formatting is caller-side (fields arrive as strings), which
-// keeps the output byte-stable across platforms and thread counts.
+// Machine-readable output helpers: RFC-4180-style CSV quoting, checked file
+// writes, and a JSON rendering of a TextTable's rows. A sweep emitted as CSV
+// (TextTable::to_csv) and JSON (rows_to_json) renders from the same rows, so
+// both are guaranteed to carry identical values. All formatting is
+// caller-side (fields arrive as strings), which keeps the output byte-stable
+// across platforms and thread counts.
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "util/table.hpp"
 
 namespace bwshare::util {
 
@@ -28,34 +30,9 @@ void write_text_file(const std::string& path, std::string_view content);
 /// machine-readable output. Shared by the sweep and campaign table writers.
 [[nodiscard]] std::string format_fixed(double v, int precision);
 
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> header);
-
-  /// Append one row; must have exactly as many fields as the header.
-  void add_row(std::vector<std::string> row);
-
-  [[nodiscard]] size_t num_rows() const { return rows_.size(); }
-  [[nodiscard]] const std::vector<std::string>& header() const {
-    return header_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const {
-    return rows_;
-  }
-
-  /// Header line + one line per row, '\n' line endings.
-  [[nodiscard]] std::string render() const;
-
-  void write_file(const std::string& path) const;
-
- private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
-};
-
 /// Render the table as a JSON array of objects keyed by the header. Fields
 /// that parse completely as finite numbers are emitted unquoted; everything
 /// else becomes a JSON string.
-[[nodiscard]] std::string rows_to_json(const CsvWriter& table);
+[[nodiscard]] std::string rows_to_json(const TextTable& table);
 
 }  // namespace bwshare::util

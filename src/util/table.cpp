@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -23,14 +22,14 @@ void TextTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-std::string TextTable::render(int indent) const {
+std::string TextTable::render() const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
   for (const auto& row : rows_)
     for (size_t c = 0; c < row.size(); ++c)
       widths[c] = std::max(widths[c], row[c].size());
 
-  const std::string margin(static_cast<size_t>(indent), ' ');
+  const std::string margin(2, ' ');
   std::ostringstream os;
   auto emit_row = [&](const std::vector<std::string>& cells) {
     os << margin;
@@ -51,24 +50,21 @@ std::string TextTable::render(int indent) const {
 }
 
 std::string TextTable::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
+  std::string out;
+  const auto append_line = [&out](const std::vector<std::string>& cells) {
     for (size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << util::csv_escape(cells[c]);
+      if (c != 0) out.push_back(',');
+      out += util::csv_escape(cells[c]);
     }
-    os << '\n';
+    out.push_back('\n');
   };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
+  append_line(headers_);
+  for (const auto& row : rows_) append_line(row);
+  return out;
 }
 
 void TextTable::write_csv(const std::string& path) const {
-  std::ofstream out(path);
-  BWS_CHECK(out.good(), "cannot open '" + path + "' for writing");
-  out << to_csv();
-  BWS_CHECK(out.good(), "error while writing '" + path + "'");
+  util::write_text_file(path, to_csv());
 }
 
 void print_banner(std::ostream& os, const std::string& title) {

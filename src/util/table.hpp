@@ -1,6 +1,8 @@
-// Aligned text tables and CSV output. The bench harness prints every
-// reproduced paper table through TextTable so rows line up with the paper's
-// layout, and can mirror the same rows to CSV for plotting.
+// Tables of string cells: aligned text and CSV output. The bench harness
+// prints every reproduced paper table through TextTable so rows line up with
+// the paper's layout, and can mirror the same rows to CSV for plotting; the
+// sweep and campaign reports render their CSV and JSON (util::rows_to_json)
+// from one TextTable, so both carry identical values.
 #pragma once
 
 #include <iosfwd>
@@ -9,7 +11,7 @@
 
 namespace bwshare {
 
-/// A simple row/column table with aligned text rendering.
+/// A header plus rows of string cells.
 class TextTable {
  public:
   /// Create a table with the given column headers.
@@ -19,15 +21,23 @@ class TextTable {
   void add_row(std::vector<std::string> cells);
 
   [[nodiscard]] size_t num_rows() const { return rows_.size(); }
+  [[nodiscard]] const std::vector<std::string>& headers() const {
+    return headers_;
+  }
+  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const {
+    return rows_;
+  }
 
-  /// Render with padded columns, a header underline and `indent` spaces of
-  /// left margin.
-  [[nodiscard]] std::string render(int indent = 2) const;
+  /// Render with padded columns, a header underline and two spaces of left
+  /// margin.
+  [[nodiscard]] std::string render() const;
 
-  /// Render as RFC-4180-ish CSV (quotes cells containing commas/quotes).
+  /// Header line + one line per row, '\n' line endings; RFC-4180-style
+  /// quoting (util::csv_escape).
   [[nodiscard]] std::string to_csv() const;
 
-  /// Write CSV to a file; throws bwshare::Error on I/O failure.
+  /// Write to_csv() to a file through util::write_text_file; throws
+  /// bwshare::Error if the file cannot be opened or the write fails.
   void write_csv(const std::string& path) const;
 
  private:

@@ -85,15 +85,6 @@ TEST(Schemes, Fans) {
   EXPECT_THROW(schemes::outgoing_fan(0), Error);
 }
 
-TEST(Schemes, RingShapes) {
-  const auto wrapped = schemes::ring(5);
-  EXPECT_EQ(wrapped.size(), 5);
-  EXPECT_EQ(wrapped.comm(4).dst, 0);
-  const auto open = schemes::ring(5, 1e6, /*wrap=*/false);
-  EXPECT_EQ(open.size(), 4);
-  EXPECT_THROW(schemes::ring(1), Error);
-}
-
 TEST(Dot, ExportMentionsEveryCommAndNode) {
   const auto g = schemes::fig5_scheme();
   const auto dot = to_dot(g, {{"a", "p=5"}});

@@ -12,13 +12,18 @@
 namespace bwshare::models {
 namespace {
 
-/// A MeasureFn backed by a GigE model with known parameters.
+/// A MeasureFn backed by a GigE model with known parameters: T = p · bytes
+/// / reference bandwidth, with no latency to keep T strictly proportional
+/// to the penalty.
 MeasureFn model_substrate(const GigeParams& params) {
   return [params](const graph::CommGraph& g) {
     const GigabitEthernetModel model(params);
-    auto cal = topo::gigabit_ethernet_calibration();
-    cal.latency = 0.0;  // keep T strictly proportional to penalty
-    return model.predict_times(g, cal);
+    const auto cal = topo::gigabit_ethernet_calibration();
+    auto times = model.penalties(g);
+    for (graph::CommId i = 0; i < g.size(); ++i)
+      times[static_cast<size_t>(i)] *=
+          g.comm(i).bytes / cal.reference_bandwidth();
+    return times;
   };
 }
 
@@ -43,10 +48,12 @@ TEST(Estimation, FullCalibrationRoundTrips) {
   truth.beta = 0.7;
   truth.gamma_o = 0.2;
   truth.gamma_i = 0.05;
-  const auto params = estimate_gige_params(model_substrate(truth));
-  EXPECT_NEAR(params.beta, truth.beta, 1e-9);
-  EXPECT_NEAR(params.gamma_o, truth.gamma_o, 1e-9);
-  EXPECT_NEAR(params.gamma_i, truth.gamma_i, 1e-9);
+  const auto measure = model_substrate(truth);
+  const auto beta = estimate_beta(measure);
+  const auto gammas = estimate_gammas(measure, beta.beta);
+  EXPECT_NEAR(beta.beta, truth.beta, 1e-9);
+  EXPECT_NEAR(gammas.gamma_o, truth.gamma_o, 1e-9);
+  EXPECT_NEAR(gammas.gamma_i, truth.gamma_i, 1e-9);
 }
 
 TEST(Estimation, ReferenceTimeIsSingleCommTime) {
@@ -58,13 +65,17 @@ TEST(Estimation, ReferenceTimeIsSingleCommTime) {
 }
 
 TEST(Estimation, GammasClampedToValidDomain) {
-  // A perfectly fair substrate (γ = 0 exactly) must not yield negative γ.
+  // A perfectly fair substrate (γ = 0 exactly) yields γ at the edge of the
+  // model's domain, not below it.
   GigeParams truth;
   truth.gamma_o = 0.0;
   truth.gamma_i = 0.0;
-  const auto params = estimate_gige_params(model_substrate(truth));
-  EXPECT_GE(params.gamma_o, 0.0);
-  EXPECT_GE(params.gamma_i, 0.0);
+  const auto measure = model_substrate(truth);
+  const auto gammas = estimate_gammas(measure, estimate_beta(measure).beta);
+  EXPECT_GE(gammas.gamma_o, 0.0);
+  EXPECT_GE(gammas.gamma_i, 0.0);
+  EXPECT_NEAR(gammas.gamma_o, 0.0, 1e-9);
+  EXPECT_NEAR(gammas.gamma_i, 0.0, 1e-9);
 }
 
 TEST(Estimation, RequiresAtLeastDegreeTwo) {

@@ -96,7 +96,9 @@ TEST(GigeModel, Fig4PredictedTimesMatchPaperTable) {
   cal.latency = 0.0;
   cal.link_bandwidth = 4e6 / t_ref / cal.single_stream_efficiency;
 
-  const auto times = model.predict_times(g, cal);
+  // Predicted time of one phase: latency + p · bytes / reference bandwidth.
+  auto times = model.penalties(g);
+  for (auto& t : times) t = cal.latency + t * 4e6 / cal.reference_bandwidth();
   const auto id = [&](const char* label) {
     return static_cast<size_t>(*g.find(label));
   };

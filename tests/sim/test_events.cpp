@@ -28,7 +28,8 @@ TEST(AppTrace, PushAndTotals) {
   trace.push(1, Event::recv(0, 100.0));
   trace.push(1, Event::compute(2.0));
   EXPECT_EQ(trace.total_events(), 4u);
-  EXPECT_DOUBLE_EQ(trace.total_compute_seconds(), 3.0);
+  EXPECT_DOUBLE_EQ(trace.program(0)[0].seconds, 1.0);
+  EXPECT_DOUBLE_EQ(trace.program(1)[1].seconds, 2.0);
   EXPECT_DOUBLE_EQ(trace.total_bytes_sent(), 100.0);
 }
 

@@ -36,14 +36,6 @@ TEST(Report, TaskTableListsEveryTask) {
   EXPECT_EQ(lines, 2 + 3);  // header + underline + 3 rows
 }
 
-TEST(Report, CommTableRespectsMaxRows) {
-  const auto result = sample_result();
-  const std::string all = render_comm_table(result);
-  const std::string one = render_comm_table(result, 1);
-  EXPECT_GT(all.size(), one.size());
-  EXPECT_NE(one.find("penalty"), std::string::npos);
-}
-
 TEST(Report, SummaryMentionsKeyQuantities) {
   const auto result = sample_result();
   const std::string summary = render_summary(result);

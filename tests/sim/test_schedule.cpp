@@ -63,10 +63,11 @@ TEST(Schedule, AllPoliciesRespectCapacity) {
 }
 
 TEST(Schedule, Colocation) {
+  // RRP puts consecutive tasks on one node until its cores are used.
   const auto p = make_placement(SchedulingPolicy::kRoundRobinProcessor,
                                 cluster(4, 2), 4);
-  EXPECT_TRUE(p.colocated(0, 1));
-  EXPECT_FALSE(p.colocated(1, 2));
+  EXPECT_EQ(p.node_of(0), p.node_of(1));
+  EXPECT_NE(p.node_of(1), p.node_of(2));
 }
 
 TEST(Schedule, CapacityValidation) {

@@ -15,41 +15,34 @@ TEST(Accumulator, BasicMoments) {
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(x);
   EXPECT_EQ(acc.count(), 8u);
   EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_NEAR(acc.variance(), 32.0 / 7.0, 1e-12);  // sample variance
   EXPECT_DOUBLE_EQ(acc.min(), 2.0);
   EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
 }
 
 TEST(Accumulator, EmptyIsSafe) {
   const Accumulator acc;
   EXPECT_EQ(acc.count(), 0u);
   EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
 }
 
-TEST(Accumulator, MergeMatchesBulk) {
+TEST(Accumulator, MeanIsTheRunningUpdateBitForBit) {
+  // Every penalty average the estimators and reports print goes through
+  // this update: m += (x - m) / n, never a sum divided at the end.
   Rng rng(5);
-  Accumulator whole;
-  Accumulator left;
-  Accumulator right;
-  for (int i = 0; i < 1000; ++i) {
+  Accumulator acc;
+  double m = 0.0;
+  for (int i = 1; i <= 1000; ++i) {
     const double x = rng.normal() * 3.0 + 1.0;
-    whole.add(x);
-    (i % 2 == 0 ? left : right).add(x);
+    acc.add(x);
+    const double delta = x - m;
+    m += delta / static_cast<double>(i);
+    ASSERT_EQ(acc.mean(), m) << "sample " << i;
   }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
 }
 
 TEST(Descriptive, MeanAndStddev) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_NEAR(stddev(xs), 1.2909944, 1e-6);
 }
 
 TEST(Descriptive, MedianAndPercentiles) {
@@ -74,28 +67,10 @@ TEST(Descriptive, PercentileValidation) {
 }
 
 TEST(Descriptive, MeanAbs) {
+  // Signed errors of a series symmetric about zero cancel in the mean, which
+  // is why E_abs averages magnitudes (eval::mean_absolute_error).
   const std::vector<double> xs{-2.0, 2.0, -4.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(xs), 0.0);
-  EXPECT_DOUBLE_EQ(mean_abs(xs), 3.0);
-}
-
-TEST(Descriptive, Rmse) {
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  const std::vector<double> b{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(rmse(a, b), 0.0);
-  const std::vector<double> c{2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(rmse(a, c), 1.0);
-  EXPECT_THROW((void)rmse(a, std::vector<double>{1.0}), Error);
-}
-
-TEST(Descriptive, Pearson) {
-  const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  const std::vector<double> inv{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(pearson(x, inv), -1.0, 1e-12);
-  const std::vector<double> flat{1.0, 1.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(pearson(x, flat), 0.0);
 }
 
 }  // namespace

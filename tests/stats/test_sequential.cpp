@@ -35,6 +35,13 @@ SequentialStatus run_rounds(SequentialTest& test,
   return SequentialStatus::kContinue;
 }
 
+// Replicates recorded across all arms (error arms included).
+size_t total_samples(const SequentialTest& test) {
+  size_t n = 0;
+  for (size_t i = 0; i < test.num_arms(); ++i) n += test.arm(i).samples.size();
+  return n;
+}
+
 SequentialConfig small_config(StoppingRule rule) {
   SequentialConfig config;
   config.rule = rule;
@@ -191,7 +198,7 @@ TEST(Sequential, AllArmsErroredReportsExhaustedAndNoLeader) {
   test.mark_error(1);
   EXPECT_EQ(test.finish_round(), SequentialStatus::kExhausted);
   EXPECT_EQ(test.leader(), -1);
-  EXPECT_EQ(test.total_samples(), 0u);
+  EXPECT_EQ(total_samples(test), 0u);
 }
 
 TEST(Sequential, LeaderTiesKeepTheLowestIndex) {
@@ -298,7 +305,7 @@ TEST(Sequential, CutoffFindsPlantedWinnerWithFewerSamples) {
     Rng rng(static_cast<uint64_t>(500 + t));
     (void)run_rounds(test, means, 0.1, 8, rng);
     if (test.leader() == 0) ++correct;
-    total += test.total_samples();
+    total += total_samples(test);
   }
   EXPECT_GE(correct, trials * 9 / 10);
   EXPECT_LT(total, exhaustive_per_trial * trials / 3)

@@ -10,18 +10,31 @@
 namespace bwshare::topo {
 namespace {
 
+// Expects `uniform` to throw a bwshare::Error whose message contains `what`.
+void expect_rejected(int nodes, int cores, const NetworkCalibration& cal,
+                     const std::string& what) {
+  try {
+    (void)ClusterSpec::uniform("x", nodes, cores, cal);
+    ADD_FAILURE() << "expected '" << what << "'";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Cluster, UniformConstruction) {
   const auto c =
       ClusterSpec::uniform("test", 8, 2, gigabit_ethernet_calibration());
+  EXPECT_EQ(c.name(), "test");
   EXPECT_EQ(c.num_nodes(), 8);
+  EXPECT_EQ(c.cores_per_node(), 2);
   EXPECT_EQ(c.total_cores(), 16);
-  EXPECT_EQ(c.node(0).cores, 2);
 }
 
 TEST(Cluster, PaperClusters) {
   const auto gige = ClusterSpec::ibm_eserver326_gige();
   EXPECT_EQ(gige.num_nodes(), 53);
-  EXPECT_EQ(gige.node(0).cores, 2);
+  EXPECT_EQ(gige.cores_per_node(), 2);
   EXPECT_EQ(gige.network().tech, NetworkTech::kGigabitEthernet);
 
   const auto myri = ClusterSpec::ibm_eserver325_myrinet();
@@ -30,34 +43,15 @@ TEST(Cluster, PaperClusters) {
 
   const auto ib = ClusterSpec::bull_novascale_ib();
   EXPECT_EQ(ib.num_nodes(), 26);
-  EXPECT_EQ(ib.node(0).cores, 4);  // 2x Woodcrest = 4 cores/node
+  EXPECT_EQ(ib.cores_per_node(), 4);  // 2x Woodcrest = 4 cores/node
   EXPECT_EQ(ib.network().tech, NetworkTech::kInfinibandInfinihost3);
 }
 
 TEST(Cluster, Validation) {
-  EXPECT_THROW(
-      ClusterSpec::uniform("x", 0, 1, gigabit_ethernet_calibration()), Error);
-  EXPECT_THROW(
-      ClusterSpec("x", {NodeSpec{0, 1.0}}, gigabit_ethernet_calibration()),
-      Error);
-  const auto c =
-      ClusterSpec::uniform("test", 2, 1, gigabit_ethernet_calibration());
-  EXPECT_THROW((void)c.node(2), Error);
-  EXPECT_THROW((void)c.node(-1), Error);
-}
-
-TEST(Cluster, HeterogeneousNodesKeepTheirOwnCoreCounts) {
-  const ClusterSpec c("mixed",
-                      {NodeSpec{1, 1e9}, NodeSpec{4, 8e9}, NodeSpec{2, 2e9}},
-                      myrinet2000_calibration());
-  EXPECT_EQ(c.name(), "mixed");
-  EXPECT_EQ(c.num_nodes(), 3);
-  EXPECT_EQ(c.node(0).cores, 1);
-  EXPECT_EQ(c.node(1).cores, 4);
-  EXPECT_EQ(c.node(1).memory_bytes, 8e9);
-  EXPECT_EQ(c.node(2).cores, 2);
-  EXPECT_EQ(c.total_cores(), 7);
-  EXPECT_EQ(c.network().tech, NetworkTech::kMyrinet2000);
+  const auto gige = gigabit_ethernet_calibration();
+  expect_rejected(0, 1, gige, "cluster needs at least one node");
+  expect_rejected(1, 0, gige, "node needs at least one core");
+  expect_rejected(1, 1, NetworkCalibration{}, "network bandwidth must be set");
 }
 
 TEST(Cluster, RejectsANetworkWithoutBandwidth) {
@@ -66,9 +60,9 @@ TEST(Cluster, RejectsANetworkWithoutBandwidth) {
   EXPECT_THROW(ClusterSpec::uniform("x", 2, 1, NetworkCalibration{}), Error);
   auto cal = gigabit_ethernet_calibration();
   cal.link_bandwidth = -1.0;
-  EXPECT_THROW(ClusterSpec("x", {NodeSpec{}}, cal), Error);
+  expect_rejected(1, 1, cal, "network bandwidth must be set");
   cal.link_bandwidth = 1.0;
-  EXPECT_EQ(ClusterSpec("x", {NodeSpec{}}, cal).num_nodes(), 1);
+  EXPECT_EQ(ClusterSpec::uniform("x", 1, 1, cal).num_nodes(), 1);
 }
 
 TEST(Cluster, UniformRejectsCorelessNodes) {

@@ -22,33 +22,36 @@ TEST(CsvEscape, QuotesFieldsWithSeparators) {
   EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
 }
 
+// The CSV writer is TextTable's CSV side: the sweep and campaign reports
+// render their CSV (and, through rows_to_json, their JSON) from one table.
+
 TEST(CsvWriter, RendersHeaderAndRows) {
-  CsvWriter csv({"name", "value"});
+  TextTable csv({"name", "value"});
   csv.add_row({"alpha", "1"});
   csv.add_row({"with,comma", "2"});
-  EXPECT_EQ(csv.render(), "name,value\nalpha,1\n\"with,comma\",2\n");
+  EXPECT_EQ(csv.to_csv(), "name,value\nalpha,1\n\"with,comma\",2\n");
   EXPECT_EQ(csv.num_rows(), 2u);
 }
 
 TEST(CsvWriter, EmptyHeaderThrows) {
-  EXPECT_THROW(CsvWriter({}), Error);
+  EXPECT_THROW(TextTable({}), Error);
 }
 
 TEST(CsvWriter, RowWidthMismatchThrows) {
-  CsvWriter csv({"a", "b"});
+  TextTable csv({"a", "b"});
   EXPECT_THROW(csv.add_row({"only-one"}), Error);
   EXPECT_THROW(csv.add_row({"1", "2", "3"}), Error);
 }
 
 TEST(CsvWriter, WriteFileRoundTrips) {
-  CsvWriter csv({"k", "v"});
+  TextTable csv({"k", "v"});
   csv.add_row({"x", "1"});
   const std::string path = testing::TempDir() + "bwshare_test_csv.csv";
-  csv.write_file(path);
+  csv.write_csv(path);
   std::ifstream file(path, std::ios::binary);
   std::stringstream buffer;
   buffer << file.rdbuf();
-  EXPECT_EQ(buffer.str(), csv.render());
+  EXPECT_EQ(buffer.str(), csv.to_csv());
 }
 
 TEST(WriteTextFile, RoundTripsAndErrorsOnBadPath) {
@@ -78,7 +81,7 @@ TEST(JsonEscape, ShortFormsForCommonControlCharacters) {
 }
 
 TEST(RowsToJson, NumbersUnquotedStringsQuoted) {
-  CsvWriter csv({"name", "value", "note"});
+  TextTable csv({"name", "value", "note"});
   csv.add_row({"alpha", "1.5", "ok"});
   csv.add_row({"beta", "-2e3", "has \"quote\""});
   EXPECT_EQ(rows_to_json(csv),
@@ -90,12 +93,12 @@ TEST(RowsToJson, NumbersUnquotedStringsQuoted) {
 }
 
 TEST(RowsToJson, EmptyTableIsEmptyArray) {
-  CsvWriter csv({"a"});
+  TextTable csv({"a"});
   EXPECT_EQ(rows_to_json(csv), "[]");
 }
 
 TEST(RowsToJson, InfinityAndEmptyAreStrings) {
-  CsvWriter csv({"v"});
+  TextTable csv({"v"});
   csv.add_row({"inf"});
   csv.add_row({""});
   EXPECT_EQ(rows_to_json(csv),
@@ -104,7 +107,7 @@ TEST(RowsToJson, InfinityAndEmptyAreStrings) {
 
 TEST(RowsToJson, StrtodAccepteesThatAreNotJsonNumbersStayQuoted) {
   // strtod consumes all of these, but none is a valid RFC 8259 number.
-  CsvWriter csv({"v"});
+  TextTable csv({"v"});
   for (const char* field : {"0x10", "+1", ".5", "01", "1.", "1e", "-"}) {
     csv.add_row({field});
   }
@@ -119,7 +122,7 @@ TEST(RowsToJson, StrtodAccepteesThatAreNotJsonNumbersStayQuoted) {
 }
 
 TEST(RowsToJson, ValidJsonNumbersStayBare) {
-  CsvWriter csv({"v"});
+  TextTable csv({"v"});
   for (const char* field : {"0", "-0.5", "10", "2.25", "1e9", "-3E-2"}) {
     csv.add_row({field});
   }

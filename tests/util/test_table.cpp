@@ -16,15 +16,16 @@ TEST(TextTable, RendersAlignedColumns) {
   TextTable t({"name", "value"});
   t.add_row({"alpha", "1"});
   t.add_row({"b", "22"});
-  const std::string out = t.render(0);
-  // Header first, underline second, rows afterwards.
+  const std::string out = t.render();
+  // Header first, underline second, rows afterwards; two spaces of margin.
   std::istringstream is(out);
   std::string line;
   std::getline(is, line);
   EXPECT_NE(line.find("name"), std::string::npos);
   EXPECT_NE(line.find("value"), std::string::npos);
   std::getline(is, line);
-  EXPECT_EQ(line.find_first_not_of('-'), std::string::npos);
+  EXPECT_EQ(line.find_first_not_of('-', 2), std::string::npos);
+  EXPECT_EQ(line.substr(0, 3), "  -");
 }
 
 TEST(TextTable, RowArityIsChecked) {
@@ -69,7 +70,7 @@ TEST(TextTable, RenderPadsColumnsToTheWidestCell) {
   EXPECT_EQ(t.num_rows(), 2u);
   // Columns are two spaces apart, the last cell is not padded, and the
   // underline spans the columns but not the margin.
-  EXPECT_EQ(t.render(2),
+  EXPECT_EQ(t.render(),
             "  id  name\n"
             "  ---------\n"
             "  1   alpha\n"
