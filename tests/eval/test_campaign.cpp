@@ -12,9 +12,11 @@
 #include <set>
 #include <string>
 
+#include "models/registry.hpp"
 #include "sim/trace_io.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/strings.hpp"
 
 namespace bwshare::eval {
 namespace {
@@ -30,6 +32,30 @@ std::string write_temp_trace(const std::string& name) {
           "2 send 3 4000000\n"
           "3 recv 2 4000000\n";
   return path;
+}
+
+std::string network_name(topo::NetworkTech tech) {
+  switch (tech) {
+    case topo::NetworkTech::kGigabitEthernet: return "gige";
+    case topo::NetworkTech::kMyrinet2000: return "myrinet";
+    case topo::NetworkTech::kInfinibandInfinihost3: return "ib";
+  }
+  return "?";
+}
+
+/// An arm's point on every axis, as one comparable line.
+std::string identity(const std::string& kind, const std::string& workload,
+                     const std::string& network, const std::string& model,
+                     int nodes, int cores, const std::string& policy,
+                     double churn, double background) {
+  return strformat("%s %s %s %s %dx%d %s %g %g", kind.c_str(),
+                   workload.c_str(), network.c_str(), model.c_str(), nodes,
+                   cores, policy.c_str(), churn, background);
+}
+
+std::string identity(const CampaignArm& a) {
+  return identity(a.kind, a.workload, a.network, a.model, a.nodes, a.cores,
+                  a.policy, a.churn_rate, a.background_load);
 }
 
 // The advisor-shaped spec the determinism and savings tests share: one
@@ -80,6 +106,91 @@ TEST(Campaign, ExpandsArmsAndExhaustiveBudget) {
   const Campaign campaign(std::move(spec));
   EXPECT_EQ(campaign.num_arms(), 4u);  // 2 schemes x 2 networks x 1 x 1
   EXPECT_EQ(campaign.exhaustive_replicates(), 200u);
+}
+
+TEST(Campaign, ArmsComeInTheDocumentedOrder) {
+  CampaignSpec spec;
+  spec.grid.schemes = {"mk1", "ring:nodes=5"};
+  spec.grid.traces = {write_temp_trace("campaign_order_a.trace"),
+                      write_temp_trace("campaign_order_b.trace")};
+  spec.grid.networks = {topo::NetworkTech::kGigabitEthernet,
+                        topo::NetworkTech::kMyrinet2000};
+  spec.grid.models = {"network", "loggp"};
+  spec.grid.shapes = {{2, 2}, {4, 1}};
+  spec.grid.policies = {sim::SchedulingPolicy::kRoundRobinNode,
+                        sim::SchedulingPolicy::kRandom};
+  spec.grid.churn_rates = {0.0, 20.0};
+  spec.grid.background_loads = {0.0, 100.0};
+  spec.stop.min_replicates = 1;
+  spec.stop.max_replicates = 1;
+  spec.stop.resamples = 10;
+  spec.batch = 1;
+
+  // Sweep's documented order without its seed axis: workloads (schemes
+  // first, then traces, each in listed order) x networks x models x shapes
+  // [x policies x churn_rates x background_loads, trace arms only]. A
+  // generated scheme's cluster grows to fit the graph drawn with the arm's
+  // first replicate seed.
+  std::vector<ResolvedWorkload> workloads;
+  for (const auto& e : spec.grid.schemes) {
+    workloads.push_back(resolve_scheme_workload(e));
+  }
+  for (const auto& e : spec.grid.traces) {
+    workloads.push_back(resolve_trace_workload(e));
+  }
+  std::vector<std::string> want;
+  for (const auto& w : workloads) {
+    for (const auto tech : spec.grid.networks) {
+      for (const auto& model : spec.grid.models) {
+        const std::string model_name =
+            model == "network" ? models::model_for(tech)->name()
+                               : models::make_model(model)->name();
+        for (const auto& shape : spec.grid.shapes) {
+          if (!w.is_trace()) {
+            const uint64_t seed =
+                campaign_replicate_seed(spec.seed, want.size(), 0);
+            const int scheme_nodes =
+                w.generator
+                    ? graph::generate_scheme(*w.generator, seed).num_nodes()
+                    : w.scheme->num_nodes();
+            want.push_back(identity("scheme", w.key, network_name(tech),
+                                    model_name,
+                                    std::max(shape.nodes, scheme_nodes),
+                                    shape.cores, "-", 0.0, 0.0));
+            continue;
+          }
+          for (const auto policy : spec.grid.policies) {
+            for (const double churn : spec.grid.churn_rates) {
+              for (const double background : spec.grid.background_loads) {
+                want.push_back(identity("trace", w.key, network_name(tech),
+                                        model_name, shape.nodes, shape.cores,
+                                        sim::to_string(policy), churn,
+                                        background));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  const auto check = [&want](const Campaign& campaign) {
+    EXPECT_EQ(campaign.num_arms(), want.size());
+    const auto result = campaign.run(2);
+    ASSERT_EQ(result.arms.size(), want.size());
+    for (size_t a = 0; a < want.size(); ++a) {
+      EXPECT_EQ(result.arms[a].replicates, 1) << "arm " << a;
+      EXPECT_EQ(identity(result.arms[a]), want[a]) << "arm " << a;
+    }
+  };
+  check(Campaign(spec));
+  // Pre-resolved workloads listed traces first still expand schemes first.
+  CampaignSpec in_memory = spec;
+  in_memory.grid.schemes.clear();
+  in_memory.grid.traces.clear();
+  std::vector<ResolvedWorkload> interleaved = {workloads[2], workloads[0],
+                                               workloads[3], workloads[1]};
+  check(Campaign(std::move(in_memory), std::move(interleaved)));
 }
 
 TEST(Campaign, Validation) {

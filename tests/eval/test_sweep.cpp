@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <memory>
 #include <string>
 
+#include "models/registry.hpp"
+#include "stats/descriptive.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/strings.hpp"
 
 namespace bwshare::eval {
 namespace {
@@ -25,6 +29,130 @@ std::string write_temp_trace(const std::string& name) {
           "3 recv 2 4000000\n";
   return path;
 }
+
+std::string network_name(topo::NetworkTech tech) {
+  switch (tech) {
+    case topo::NetworkTech::kGigabitEthernet: return "gige";
+    case topo::NetworkTech::kMyrinet2000: return "myrinet";
+    case topo::NetworkTech::kInfinibandInfinihost3: return "ib";
+  }
+  return "?";
+}
+
+/// A cell's point on every axis, as one comparable line.
+std::string identity(const std::string& kind, const std::string& workload,
+                     const std::string& network, const std::string& model,
+                     int nodes, int cores, const std::string& policy,
+                     double churn, double background, uint64_t seed) {
+  return strformat("%s %s %s %s %dx%d %s %g %g %llu", kind.c_str(),
+                   workload.c_str(), network.c_str(), model.c_str(), nodes,
+                   cores, policy.c_str(), churn, background,
+                   static_cast<unsigned long long>(seed));
+}
+
+std::string identity(const SweepCell& c) {
+  return identity(c.kind, c.workload, c.network, c.model, c.nodes, c.cores,
+                  c.policy, c.churn_rate, c.background_load, c.seed);
+}
+
+/// The identity of the cell a job runs: the model resolved by name, and a
+/// scheme's cluster grown to fit the scheme (generated with the job's seed).
+std::string expected_identity(const ResolvedWorkload& w, topo::NetworkTech tech,
+                              const std::string& model, SweepShape shape,
+                              sim::SchedulingPolicy policy, double churn,
+                              double background, uint64_t seed) {
+  const std::string model_name = model == "network"
+                                     ? models::model_for(tech)->name()
+                                     : models::make_model(model)->name();
+  if (w.is_trace()) {
+    return identity("trace", w.key, network_name(tech), model_name,
+                    shape.nodes, shape.cores, sim::to_string(policy), churn,
+                    background, seed);
+  }
+  const int scheme_nodes =
+      w.generator ? graph::generate_scheme(*w.generator, seed).num_nodes()
+                  : w.scheme->num_nodes();
+  return identity("scheme", w.key, network_name(tech), model_name,
+                  std::max(shape.nodes, scheme_nodes), shape.cores, "-", 0.0,
+                  0.0, seed);
+}
+
+/// Sweep::run's marginal rows as its spec-order lists built them: workloads,
+/// networks, models (resolved names; read off the cells when "network" is
+/// listed), shapes read off the cells, then policy, churn and background
+/// when traces are listed, then seeds. Repeated values make one row.
+std::vector<SweepMarginal> spec_order_marginals(
+    const SweepSpec& spec, const std::vector<SweepCell>& cells) {
+  std::vector<SweepMarginal> out;
+  const auto add = [&](const std::string& axis,
+                       const std::vector<std::string>& values,
+                       auto&& cell_value) {
+    std::vector<std::string> done;
+    for (const auto& value : values) {
+      if (std::find(done.begin(), done.end(), value) != done.end()) continue;
+      done.push_back(value);
+      stats::Accumulator acc;
+      for (const auto& cell : cells) {
+        if (cell.ok && cell_value(cell) == value) acc.add(cell.eabs_pct);
+      }
+      if (acc.count() == 0) continue;
+      out.push_back({axis, value, acc.count(), acc.mean(), acc.max()});
+    }
+  };
+  std::vector<std::string> workloads = spec.schemes;
+  workloads.insert(workloads.end(), spec.traces.begin(), spec.traces.end());
+  add("workload", workloads, [](const SweepCell& c) { return c.workload; });
+  std::vector<std::string> networks;
+  for (const auto tech : spec.networks) networks.push_back(network_name(tech));
+  add("network", networks, [](const SweepCell& c) { return c.network; });
+  std::vector<std::string> model_names;
+  if (std::find(spec.models.begin(), spec.models.end(), "network") !=
+      spec.models.end()) {
+    for (const auto& cell : cells) {
+      if (!cell.model.empty()) model_names.push_back(cell.model);
+    }
+  } else {
+    for (const auto& name : spec.models) {
+      model_names.push_back(models::make_model(name)->name());
+    }
+  }
+  add("model", model_names, [](const SweepCell& c) { return c.model; });
+  const auto shape_of = [](const SweepCell& c) {
+    return strformat("%dx%d", c.nodes, c.cores);
+  };
+  std::vector<std::string> shapes;
+  for (const auto& cell : cells) shapes.push_back(shape_of(cell));
+  add("shape", shapes, shape_of);
+  if (!spec.traces.empty()) {
+    std::vector<std::string> policies;
+    for (const auto p : spec.policies) policies.push_back(sim::to_string(p));
+    add("policy", policies, [](const SweepCell& c) { return c.policy; });
+    std::vector<std::string> churn;
+    for (const double r : spec.churn_rates) churn.push_back(strformat("%g", r));
+    add("churn_rate", churn, [](const SweepCell& c) {
+      return c.kind == "trace" ? strformat("%g", c.churn_rate)
+                               : std::string("-");
+    });
+    std::vector<std::string> loads;
+    for (const double r : spec.background_loads) {
+      loads.push_back(strformat("%g", r));
+    }
+    add("background_load", loads, [](const SweepCell& c) {
+      return c.kind == "trace" ? strformat("%g", c.background_load)
+                               : std::string("-");
+    });
+  }
+  std::vector<std::string> seeds;
+  for (const auto s : spec.seeds) {
+    seeds.push_back(strformat("%llu", static_cast<unsigned long long>(s)));
+  }
+  add("seed", seeds, [](const SweepCell& c) {
+    return strformat("%llu", static_cast<unsigned long long>(c.seed));
+  });
+  return out;
+}
+
+uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 TEST(SweepShape, ParsesAndValidates) {
   const auto shape = parse_sweep_shape("16x2");
@@ -377,6 +505,122 @@ TEST(Sweep, GeneratorCellsExpandWithTheCellSeed) {
   }
   EXPECT_EQ(result.cells[0].seed, 1u);
   EXPECT_EQ(result.cells[1].seed, 2u);
+}
+
+TEST(Sweep, CellsComeInTheDocumentedOrder) {
+  SweepSpec spec;
+  spec.schemes = {"mk1", "ring:nodes=5"};
+  spec.traces = {write_temp_trace("sweep_order_a.trace"),
+                 write_temp_trace("sweep_order_b.trace")};
+  spec.networks = {topo::NetworkTech::kGigabitEthernet,
+                   topo::NetworkTech::kMyrinet2000};
+  spec.models = {"network", "loggp"};
+  spec.shapes = {{2, 2}, {4, 1}};
+  spec.policies = {sim::SchedulingPolicy::kRoundRobinNode,
+                   sim::SchedulingPolicy::kRandom};
+  spec.churn_rates = {0.0, 20.0};
+  spec.background_loads = {0.0, 100.0};
+  spec.seeds = {1, 2};
+
+  // The grid's documented order, written out: workloads (schemes first,
+  // then traces, each in listed order) x networks x models x shapes
+  // [x policies x churn_rates x background_loads, trace cells only] x seeds.
+  std::vector<ResolvedWorkload> workloads;
+  for (const auto& e : spec.schemes) {
+    workloads.push_back(resolve_scheme_workload(e));
+  }
+  for (const auto& e : spec.traces) {
+    workloads.push_back(resolve_trace_workload(e));
+  }
+  std::vector<std::string> want;
+  for (const auto& w : workloads) {
+    for (const auto tech : spec.networks) {
+      for (const auto& model : spec.models) {
+        for (const auto& shape : spec.shapes) {
+          if (!w.is_trace()) {
+            for (const auto seed : spec.seeds) {
+              want.push_back(expected_identity(
+                  w, tech, model, shape,
+                  sim::SchedulingPolicy::kRoundRobinNode, 0.0, 0.0, seed));
+            }
+            continue;
+          }
+          for (const auto policy : spec.policies) {
+            for (const double churn : spec.churn_rates) {
+              for (const double background : spec.background_loads) {
+                for (const auto seed : spec.seeds) {
+                  want.push_back(expected_identity(w, tech, model, shape,
+                                                   policy, churn, background,
+                                                   seed));
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  const Sweep sweep(spec);
+  EXPECT_EQ(sweep.num_jobs(), want.size());
+  const auto result = sweep.run(2);
+  ASSERT_EQ(result.cells.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(identity(result.cells[i]), want[i]) << "cell " << i;
+  }
+}
+
+TEST(Sweep, MarginalsFollowTheSpecOrder) {
+  SweepSpec mixed;
+  mixed.schemes = {"mk1", "random:nodes=6,comms=8", "mk1"};
+  mixed.traces = {write_temp_trace("sweep_marginals.trace")};
+  mixed.networks = {topo::NetworkTech::kGigabitEthernet,
+                    topo::NetworkTech::kMyrinet2000,
+                    topo::NetworkTech::kGigabitEthernet};
+  mixed.models = {"network", "gige"};
+  // mk1 grows from two nodes to eight; the 4-task trace does not fit 2x1,
+  // so those trace cells error.
+  mixed.shapes = {{2, 1}, {12, 1}};
+  mixed.policies = {sim::SchedulingPolicy::kRoundRobinNode,
+                    sim::SchedulingPolicy::kRandom,
+                    sim::SchedulingPolicy::kRoundRobinNode};
+  mixed.churn_rates = {0.0, 30.0, 30.0};
+  mixed.background_loads = {200.0, 0.0};
+  mixed.seeds = {3, 1, 3};
+
+  SweepSpec named;  // explicit models only, one of them repeated
+  named.schemes = {"fig2_s4", "mk2"};
+  named.networks = {topo::NetworkTech::kMyrinet2000,
+                    topo::NetworkTech::kGigabitEthernet};
+  named.models = {"loggp", "gige", "loggp"};
+  named.shapes = {{16, 2}, {4, 2}};
+  named.seeds = {2, 1};
+
+  const auto check = [](const SweepSpec& spec) {
+    auto result = Sweep(spec).run(2);
+    const auto want = spec_order_marginals(spec, result.cells);
+    EXPECT_EQ(result.marginals.size(), want.size());
+    for (size_t i = 0; i < std::min(want.size(), result.marginals.size());
+         ++i) {
+      const SweepMarginal& got = result.marginals[i];
+      SCOPED_TRACE(::testing::Message() << "row " << i << ": " << want[i].axis
+                                        << " " << want[i].value);
+      EXPECT_EQ(got.axis, want[i].axis);
+      EXPECT_EQ(got.value, want[i].value);
+      EXPECT_EQ(got.cells, want[i].cells);
+      EXPECT_EQ(bits(got.mean_eabs_pct), bits(want[i].mean_eabs_pct));
+      EXPECT_EQ(bits(got.max_eabs_pct), bits(want[i].max_eabs_pct));
+    }
+    return result;
+  };
+  const auto mixed_result = check(mixed);
+  EXPECT_GT(mixed_result.num_errors, 0u);
+  EXPECT_LT(mixed_result.num_errors, mixed_result.cells.size());
+  const auto grown = std::find_if(
+      mixed_result.cells.begin(), mixed_result.cells.end(),
+      [](const SweepCell& c) { return c.workload == "mk1" && c.nodes == 8; });
+  EXPECT_NE(grown, mixed_result.cells.end());
+  EXPECT_EQ(check(named).num_errors, 0u);
 }
 
 }  // namespace
