@@ -52,6 +52,20 @@ int main(int argc, char** argv) try {
   const std::string size = args.get("size", "4M");
   (void)parse_size(size);
 
+  // Both `--csv` (boolean, bench convention — any get_bool spelling) and
+  // `--csv PATH` (the bwshare_cli sweep convention) work. The path is
+  // opened (emptied) now, so an unwritable one fails before the sweep runs.
+  std::string csv_path;
+  const std::string csv_arg = args.get("csv", "");
+  if (csv_arg == "true" || csv_arg == "1" || csv_arg == "yes" ||
+      csv_arg == "on") {
+    csv_path = "fig7_synthetic_cells.csv";
+  } else if (csv_arg != "false" && csv_arg != "0" && csv_arg != "no" &&
+             csv_arg != "off") {
+    csv_path = csv_arg;
+  }
+  if (!csv_path.empty()) util::write_text_file(csv_path, "");
+
   eval::SweepSpec spec;
   spec.schemes = {"mk1@" + size, "mk2@" + size};
   spec.networks = {topo::NetworkTech::kGigabitEthernet,
@@ -84,25 +98,9 @@ int main(int argc, char** argv) try {
                            m.max_eabs_pct);
   }
 
-  // Both `--csv` (boolean, bench convention — any get_bool spelling) and
-  // `--csv PATH` (the bwshare_cli sweep convention) work.
-  const std::string csv_arg = args.get("csv", "");
-  if (!csv_arg.empty()) {
-    bool enabled = true;
-    std::string path = "fig7_synthetic_cells.csv";
-    if (csv_arg == "true" || csv_arg == "1" || csv_arg == "yes" ||
-        csv_arg == "on") {
-      // default path
-    } else if (csv_arg == "false" || csv_arg == "0" || csv_arg == "no" ||
-               csv_arg == "off") {
-      enabled = false;
-    } else {
-      path = csv_arg;
-    }
-    if (enabled) {
-      util::write_text_file(path, result.to_csv());
-      std::cout << "  [sweep cells csv written to " << path << "]\n";
-    }
+  if (!csv_path.empty()) {
+    util::write_text_file(csv_path, result.to_csv());
+    std::cout << "  [sweep cells csv written to " << csv_path << "]\n";
   }
   return 0;
 } catch (const bwshare::Error& e) {

@@ -49,7 +49,9 @@ inline int run_hpl_bench(int argc, char** argv, const std::string& title,
        {sim::SchedulingPolicy::kRoundRobinNode,
         sim::SchedulingPolicy::kRoundRobinProcessor,
         sim::SchedulingPolicy::kRandom}) {
-    const auto cmp = eval::compare_application(trace, cluster, policy, model);
+    const auto cmp =
+        eval::compare_application_detailed(trace, cluster, policy, model)
+            .summary;
     TextTable table({"task", "node", "S_m [s]", "S_p [s]", "E_abs [%]"});
     for (size_t t = 0; t < cmp.tasks.size(); ++t) {
       const auto& tc = cmp.tasks[t];

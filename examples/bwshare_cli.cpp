@@ -49,7 +49,6 @@
 #include "stats/sequential.hpp"
 #include "util/csv.hpp"
 #include "flowsim/fluid_network.hpp"
-#include "graph/generator.hpp"
 #include "graph/scheme_parser.hpp"
 #include "models/registry.hpp"
 #include "serve/protocol.hpp"
@@ -217,26 +216,13 @@ int run_scheme(const CliArgs& args, const std::string& path) {
 }
 
 /// Seeded dynamic-cluster scenario from the --churn / --background /
-/// --scenario-seed flags: Poisson scripts over a 1 s horizon (the sweep
-/// axes' convention, docs/EXPERIMENTS.md).
+/// --scenario-seed flags: the scripts a sweep's trace cell replays under
+/// (eval::cell_scenario, docs/EXPERIMENTS.md).
 sim::Scenario scenario_from_flags(const CliArgs& args, int nodes) {
-  sim::Scenario scenario;
   const double churn = args.get_double("churn", 0.0);
   const double background = args.get_double("background", 0.0);
   const std::uint64_t seed = args.get_u64("scenario-seed", 42);
-  if (churn > 0.0) {
-    graph::ChurnSpec spec;
-    spec.rate = churn;
-    spec.nodes = nodes;
-    scenario.churn = graph::generate_churn(spec, seed);
-  }
-  if (background > 0.0) {
-    graph::BackgroundSpec spec;
-    spec.rate = background;
-    spec.nodes = nodes;
-    scenario.background = graph::generate_background(spec, seed);
-  }
-  return scenario;
+  return eval::cell_scenario(churn, background, nodes, seed);
 }
 
 void describe_scenario(const sim::Scenario& scenario) {
@@ -390,6 +376,41 @@ eval::SweepSpec grid_axes_from_flags(const CliArgs& args,
   return spec;
 }
 
+/// The --csv and --json outputs of `sweep` and `campaign`, read and opened
+/// (emptied) before the run, so that a bare flag or an unwritable path
+/// fails before any work instead of after it.
+struct ReportOutputs {
+  std::string rows;  // what a CSV row is: "cells" or "arms"
+  std::string csv;   // "" = not written
+  std::string json;
+
+  template <typename Report>
+  void write(const Report& report) const {
+    if (!csv.empty()) {
+      util::write_text_file(csv, report.to_csv());
+      std::cout << "\n[" << rows << " csv written to " << csv << "]\n";
+    }
+    if (!json.empty()) {
+      util::write_text_file(json, report.to_json());
+      std::cout << "[json written to " << json << "]\n";
+    }
+  }
+};
+
+ReportOutputs open_outputs(const CliArgs& args, const std::string& rows) {
+  ReportOutputs out{rows, args.get("csv", ""), args.get("json", "")};
+  const auto open = [&rows](const std::string& flag, const std::string& path) {
+    // A bare flag parses as the value "true" (CliArgs boolean form) and
+    // would silently create a file literally named "true" — reject it.
+    BWS_CHECK(path != "true", "--" + flag + " expects a path, e.g. --" +
+                                  flag + " " + rows + "." + flag);
+    if (!path.empty()) util::write_text_file(path, "");
+  };
+  open("csv", out.csv);
+  open("json", out.json);
+  return out;
+}
+
 int run_sweep(const CliArgs& args) {
   eval::SweepSpec spec = grid_axes_from_flags(args, "mk1,mk2");
   spec.seeds.clear();
@@ -399,6 +420,8 @@ int run_sweep(const CliArgs& args) {
 
   const eval::Sweep sweep(std::move(spec));
   const int threads = args.get_int_in("threads", 0, 0, util::kMaxThreads);
+  const bool marginals = args.get_bool("marginals", false);
+  const ReportOutputs outputs = open_outputs(args, "cells");
   const int effective_threads =
       threads > 0 ? threads : util::hardware_threads();
   std::cout << "sweep: " << sweep.num_jobs() << " cells on "
@@ -419,7 +442,7 @@ int run_sweep(const CliArgs& args) {
   }
   std::cout << "\n" << table.render();
 
-  if (args.get_bool("marginals", false)) {
+  if (marginals) {
     TextTable marg({"axis", "value", "cells", "mean E_abs [%]",
                     "max E_abs [%]"});
     for (const auto& m : result.marginals) {
@@ -430,21 +453,7 @@ int run_sweep(const CliArgs& args) {
     std::cout << "\nmarginals:\n" << marg.render();
   }
 
-  // A bare `--csv` parses as the value "true" (CliArgs boolean form) and
-  // would silently create a file literally named "true" — reject it.
-  const std::string csv_path = args.get("csv", "");
-  BWS_CHECK(csv_path != "true", "--csv expects a path, e.g. --csv cells.csv");
-  if (!csv_path.empty()) {
-    util::write_text_file(csv_path, result.to_csv());
-    std::cout << "\n[cells csv written to " << csv_path << "]\n";
-  }
-  const std::string json_path = args.get("json", "");
-  BWS_CHECK(json_path != "true",
-            "--json expects a path, e.g. --json cells.json");
-  if (!json_path.empty()) {
-    util::write_text_file(json_path, result.to_json());
-    std::cout << "[json written to " << json_path << "]\n";
-  }
+  outputs.write(result);
 
   if (result.num_errors > 0) {
     std::cerr << "error: " << result.num_errors << " of "
@@ -474,6 +483,7 @@ int run_campaign(const CliArgs& args) {
 
   const eval::Campaign campaign(std::move(spec));
   const int threads = args.get_int_in("threads", 0, 0, util::kMaxThreads);
+  const ReportOutputs outputs = open_outputs(args, "arms");
   const int effective_threads =
       threads > 0 ? threads : util::hardware_threads();
   std::cout << "campaign: " << campaign.num_arms() << " arm(s), rule "
@@ -511,19 +521,7 @@ int run_campaign(const CliArgs& args) {
               << (result.objective == "eabs" ? "%" : "s") << "\n";
   }
 
-  const std::string csv_path = args.get("csv", "");
-  BWS_CHECK(csv_path != "true", "--csv expects a path, e.g. --csv arms.csv");
-  if (!csv_path.empty()) {
-    util::write_text_file(csv_path, result.to_csv());
-    std::cout << "\n[arms csv written to " << csv_path << "]\n";
-  }
-  const std::string json_path = args.get("json", "");
-  BWS_CHECK(json_path != "true",
-            "--json expects a path, e.g. --json arms.json");
-  if (!json_path.empty()) {
-    util::write_text_file(json_path, result.to_json());
-    std::cout << "[json written to " << json_path << "]\n";
-  }
+  outputs.write(result);
 
   if (result.winner < 0) {
     std::cerr << "error: every campaign arm failed\n";

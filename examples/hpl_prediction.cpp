@@ -46,7 +46,9 @@ int main(int argc, char** argv) try {
        {sim::SchedulingPolicy::kRoundRobinNode,
         sim::SchedulingPolicy::kRoundRobinProcessor,
         sim::SchedulingPolicy::kRandom}) {
-    const auto cmp = eval::compare_application(trace, cluster, policy, *model);
+    const auto cmp =
+        eval::compare_application_detailed(trace, cluster, policy, *model)
+            .summary;
     table.add_row({to_string(policy), human_seconds(cmp.measured_makespan),
                    human_seconds(cmp.predicted_makespan),
                    strformat("%.1f", cmp.mean_eabs)});

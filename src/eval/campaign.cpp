@@ -28,12 +28,8 @@ Objective objective_from_string(const std::string& name) {
             "' (expected measured, predicted or eabs)");
 }
 
-void CampaignSpec::validate(bool require_workloads) const {
-  if (require_workloads) {
-    grid.validate();
-  } else {
-    grid.validate_axes();
-  }
+void CampaignSpec::validate() const {
+  grid.validate_axes();
   stop.validate();
   BWS_CHECK(batch >= 1,
             strformat("campaign: batch must be >= 1, got %d", batch));
@@ -62,14 +58,11 @@ std::string CampaignArm::status() const {
 }
 
 Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
-  spec_.validate(/*require_workloads=*/true);
-  for (const auto& entry : spec_.grid.schemes) {
-    workloads_.push_back(resolve_scheme_workload(entry));
-  }
-  for (const auto& entry : spec_.grid.traces) {
-    workloads_.push_back(resolve_trace_workload(entry));
-  }
-  expand_arms();
+  // The grid's own checks first, workload presence leading, as a sweep
+  // reports them; resolution runs after every check has passed.
+  spec_.grid.validate();
+  spec_.validate();
+  workloads_ = resolve_workloads(spec_.grid);
 }
 
 Campaign::Campaign(CampaignSpec spec, std::vector<ResolvedWorkload> workloads)
@@ -79,45 +72,15 @@ Campaign::Campaign(CampaignSpec spec, std::vector<ResolvedWorkload> workloads)
             "mutually exclusive");
   BWS_CHECK(!workloads_.empty(),
             "campaign: at least one pre-resolved workload is required");
-  spec_.validate(/*require_workloads=*/false);
-  expand_arms();
+  spec_.validate();
 }
 
-void Campaign::expand_arms() {
-  // Arm order mirrors Sweep's documented job order with the seed axis
-  // removed: workloads (schemes first, then traces) x networks x models x
-  // shapes [x policies x churn_rates x background_loads, trace arms only].
-  const auto expand = [this](bool traces) {
-    for (size_t w = 0; w < workloads_.size(); ++w) {
-      if (workloads_[w].is_trace() != traces) continue;
-      for (const auto tech : spec_.grid.networks) {
-        for (const auto& model : spec_.grid.models) {
-          for (const auto& shape : spec_.grid.shapes) {
-            if (!traces) {
-              arms_.push_back({w, tech, model, shape,
-                               sim::SchedulingPolicy::kRoundRobinNode, 0.0,
-                               0.0});
-              continue;
-            }
-            for (const auto policy : spec_.grid.policies) {
-              for (const double churn : spec_.grid.churn_rates) {
-                for (const double background : spec_.grid.background_loads) {
-                  arms_.push_back(
-                      {w, tech, model, shape, policy, churn, background});
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  };
-  expand(false);
-  expand(true);
+size_t Campaign::num_arms() const {
+  return expand_cells(spec_.grid, workloads_).size();
 }
 
 size_t Campaign::exhaustive_replicates() const {
-  return arms_.size() * static_cast<size_t>(spec_.stop.max_replicates);
+  return num_arms() * static_cast<size_t>(spec_.stop.max_replicates);
 }
 
 namespace {
@@ -134,17 +97,18 @@ double objective_value(Objective objective, const SweepCell& cell) {
 }  // namespace
 
 CampaignResult Campaign::run(int threads) const {
-  stats::SequentialTest test(spec_.stop, arms_.size());
+  const std::vector<CellJob> arms = expand_cells(spec_.grid, workloads_);
+  stats::SequentialTest test(spec_.stop, arms.size());
 
   CampaignResult result;
-  result.arms.resize(arms_.size());
+  result.arms.resize(arms.size());
   result.exhaustive_replicates = exhaustive_replicates();
   result.objective = to_string(spec_.objective);
 
   // Per-arm bookkeeping outside the decision core: executed replicate
   // counts (error replays included) and the first error message.
-  std::vector<int> executed(arms_.size(), 0);
-  std::vector<bool> identity_filled(arms_.size(), false);
+  std::vector<int> executed(arms.size(), 0);
+  std::vector<bool> identity_filled(arms.size(), false);
 
   struct RoundJob {
     size_t arm = 0;
@@ -159,7 +123,7 @@ CampaignResult Campaign::run(int threads) const {
     // clipped to the per-arm budget. Replicate indices continue each arm's
     // own counter, so the seed stream never depends on round boundaries.
     jobs.clear();
-    for (size_t a = 0; a < arms_.size(); ++a) {
+    for (size_t a = 0; a < arms.size(); ++a) {
       if (!test.arm(a).surviving()) continue;
       const int take = std::min(
           spec_.batch, spec_.stop.max_replicates - executed[a]);
@@ -170,19 +134,11 @@ CampaignResult Campaign::run(int threads) const {
 
     if (!jobs.empty()) {
       cells.assign(jobs.size(), SweepCell{});
-      const auto run_job = [this, &jobs, &cells](int index) {
+      const auto run_job = [this, &arms, &jobs, &cells](int index) {
         const RoundJob& rj = jobs[static_cast<size_t>(index)];
-        const Arm& arm = arms_[rj.arm];
-        CellJob cj;
-        cj.workload = &workloads_[arm.workload];
-        cj.tech = arm.tech;
-        cj.model = arm.model;
-        cj.shape = arm.shape;
-        cj.policy = arm.policy;
-        cj.churn = arm.churn;
-        cj.background = arm.background;
-        cj.seed = campaign_replicate_seed(spec_.seed, rj.arm, rj.replicate);
-        cells[static_cast<size_t>(index)] = run_cell(cj);
+        CellJob job = arms[rj.arm];
+        job.seed = campaign_replicate_seed(spec_.seed, rj.arm, rj.replicate);
+        cells[static_cast<size_t>(index)] = run_cell_detailed(job).cell;
       };
       util::parallel_for(threads, static_cast<int>(jobs.size()), run_job);
 
@@ -204,9 +160,9 @@ CampaignResult Campaign::run(int threads) const {
           out.background_load = cell.background_load;
           // An errored replicate may die before resolving its model or
           // materializing the cluster — fall back to the axis values.
-          out.model = cell.model.empty() ? arms_[a].model : cell.model;
-          out.nodes = cell.nodes > 0 ? cell.nodes : arms_[a].shape.nodes;
-          out.cores = cell.cores > 0 ? cell.cores : arms_[a].shape.cores;
+          out.model = cell.model.empty() ? arms[a].model : cell.model;
+          out.nodes = cell.nodes > 0 ? cell.nodes : arms[a].shape.nodes;
+          out.cores = cell.cores > 0 ? cell.cores : arms[a].shape.cores;
         }
         if (!test.arm(a).surviving()) continue;  // errored earlier this round
         if (cell.ok) {
@@ -225,7 +181,7 @@ CampaignResult Campaign::run(int threads) const {
   result.stopped_by = stats::to_string(status);
   result.winner = test.leader();
 
-  for (size_t a = 0; a < arms_.size(); ++a) {
+  for (size_t a = 0; a < arms.size(); ++a) {
     const auto& arm_state = test.arm(a);
     CampaignArm& out = result.arms[a];
     out.replicates = executed[a];

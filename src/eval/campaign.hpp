@@ -5,7 +5,8 @@
 // grid cell to completion on a fixed seed list.
 //
 // A Campaign expands the non-seed axes of a SweepSpec into candidate
-// *arms* (one arm per grid cell identity), then draws seeded replicates
+// *arms* (one arm per cell of eval::expand_cells, the expansion Sweep
+// uses), then draws seeded replicates
 // per arm in rounds, each round one util::parallel_for. After every round
 // each arm's objective samples go through stats::bootstrap_ci and the
 // configured stats::StoppingRule decides whether to keep sampling,
@@ -62,9 +63,11 @@ struct CampaignSpec {
   uint64_t seed = 42;
   Objective objective = Objective::kMeasuredSeconds;
 
-  /// Throws bwshare::Error; `require_workloads` is false when arms come
-  /// from pre-resolved in-memory workloads instead of grid.schemes/traces.
-  void validate(bool require_workloads = true) const;
+  /// Checks the grid's axes, the stopping rule and the batch; throws
+  /// bwshare::Error. Workload presence is checked where the workloads come
+  /// from: resolve_workloads for grid entries, the Campaign constructor for
+  /// pre-resolved ones.
+  void validate() const;
 };
 
 /// The replicate seed stream: replicate `replicate` of arm `arm_index`
@@ -136,7 +139,8 @@ class Campaign {
   Campaign(CampaignSpec spec, std::vector<ResolvedWorkload> workloads);
 
   [[nodiscard]] const CampaignSpec& spec() const { return spec_; }
-  [[nodiscard]] size_t num_arms() const { return arms_.size(); }
+  /// One arm per cell of expand_cells(spec.grid, workloads).
+  [[nodiscard]] size_t num_arms() const;
   /// The fixed-grid cost the sequential loop is competing against.
   [[nodiscard]] size_t exhaustive_replicates() const;
 
@@ -147,21 +151,8 @@ class Campaign {
   [[nodiscard]] CampaignResult run(int threads = 1) const;
 
  private:
-  struct Arm {  // one grid-cell identity (CellJob minus the seed)
-    size_t workload = 0;  // index into workloads_
-    topo::NetworkTech tech{};
-    std::string model;
-    SweepShape shape;
-    sim::SchedulingPolicy policy = sim::SchedulingPolicy::kRoundRobinNode;
-    double churn = 0.0;
-    double background = 0.0;
-  };
-
-  void expand_arms();
-
   CampaignSpec spec_;
   std::vector<ResolvedWorkload> workloads_;
-  std::vector<Arm> arms_;
 };
 
 }  // namespace bwshare::eval

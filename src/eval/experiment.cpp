@@ -29,17 +29,6 @@ SchemeComparison compare_scheme(const graph::CommGraph& scheme,
   return out;
 }
 
-ApplicationComparison compare_application(const sim::AppTrace& trace,
-                                          const topo::ClusterSpec& cluster,
-                                          sim::SchedulingPolicy policy,
-                                          const models::PenaltyModel& model,
-                                          uint64_t seed,
-                                          const sim::Scenario& scenario) {
-  return compare_application_detailed(trace, cluster, policy, model, seed,
-                                      scenario)
-      .summary;
-}
-
 ApplicationComparisonDetailed compare_application_detailed(
     const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
     sim::SchedulingPolicy policy, const models::PenaltyModel& model,

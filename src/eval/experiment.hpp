@@ -3,9 +3,9 @@
 //
 //   * compare_scheme — static communication graph (paper fig 4 / fig 7):
 //     T_m from the fluid substrate, T_p from a penalty model, E_rel/E_abs.
-//   * compare_application — application trace (paper fig 8/9, HPL): per-task
-//     communication-time sums S_m/S_p and E_abs(t_i) under a scheduling
-//     policy.
+//   * compare_application_detailed — application trace (paper fig 8/9,
+//     HPL): per-task communication-time sums S_m/S_p and E_abs(t_i) under a
+//     scheduling policy, next to both replays' results.
 #pragma once
 
 #include <memory>
@@ -47,35 +47,30 @@ struct ApplicationComparison {
   sim::Placement placement;
 };
 
-/// Replay `trace` twice — fluid substrate ("measured") and `model`
-/// ("predicted") — under the given scheduling policy. `scenario` applies
-/// the same dynamic-cluster script (churn, background traffic) to BOTH
-/// replays, so the comparison stays like-for-like; empty means the static
-/// cluster of the paper's figures.
-[[nodiscard]] ApplicationComparison compare_application(
-    const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
-    sim::SchedulingPolicy policy, const models::PenaltyModel& model,
-    uint64_t seed = 42, const sim::Scenario& scenario = {});
-
 /// Per-replay engine configuration for compare_application_detailed. The
-/// defaults are exactly what compare_application uses; the serving layer
-/// threads a sim::SolveMemo into each side for cross-query warm-start —
-/// which by the memo's purity contract cannot change a single bit of the
-/// comparison, only the amount of solver work behind it.
+/// defaults are the engine's own; the serving layer threads a
+/// sim::SolveMemo into each side for cross-query warm-start — which by the
+/// memo's purity contract cannot change a single bit of the comparison,
+/// only the amount of solver work behind it.
 struct ReplayConfig {
   sim::EngineConfig measured;
   sim::EngineConfig predicted;
 };
 
-/// compare_application plus the full replay results it derives its summary
-/// from. The SimResults are shared_ptr so callers (the serve result cache)
-/// can retain them without copying the per-comm records.
+/// An application comparison plus the full replay results it derives its
+/// summary from. The SimResults are shared_ptr so callers (the serve result
+/// cache) can retain them without copying the per-comm records.
 struct ApplicationComparisonDetailed {
   ApplicationComparison summary;
   std::shared_ptr<const sim::SimResult> measured;
   std::shared_ptr<const sim::SimResult> predicted;
 };
 
+/// Replay `trace` twice — fluid substrate ("measured") and `model`
+/// ("predicted") — under the given scheduling policy. `scenario` applies
+/// the same dynamic-cluster script (churn, background traffic) to BOTH
+/// replays, so the comparison stays like-for-like; empty means the static
+/// cluster of the paper's figures.
 [[nodiscard]] ApplicationComparisonDetailed compare_application_detailed(
     const sim::AppTrace& trace, const topo::ClusterSpec& cluster,
     sim::SchedulingPolicy policy, const models::PenaltyModel& model,

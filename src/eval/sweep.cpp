@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "eval/experiment.hpp"
@@ -143,24 +142,74 @@ ResolvedWorkload resolve_trace_workload(const std::string& entry) {
   return w;
 }
 
-Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
-  spec_.validate();
-  for (const auto& entry : spec_.schemes) {
-    scheme_workloads_.push_back(resolve_scheme_workload(entry));
+std::vector<ResolvedWorkload> resolve_workloads(const SweepSpec& spec) {
+  spec.validate();
+  std::vector<ResolvedWorkload> workloads;
+  for (const auto& entry : spec.schemes) {
+    workloads.push_back(resolve_scheme_workload(entry));
   }
-  for (const auto& entry : spec_.traces) {
-    trace_workloads_.push_back(resolve_trace_workload(entry));
+  for (const auto& entry : spec.traces) {
+    workloads.push_back(resolve_trace_workload(entry));
   }
+  return workloads;
 }
 
-size_t Sweep::num_jobs() const {
-  const size_t base = spec_.networks.size() * spec_.models.size() *
-                      spec_.shapes.size() * spec_.seeds.size();
+std::vector<CellJob> expand_cells(
+    const SweepSpec& grid, std::span<const ResolvedWorkload> workloads) {
   // churn_rates/background_loads cross trace cells only: a scheme cell is a
   // static solve with no replay for a scenario to act on.
-  return scheme_workloads_.size() * base +
-         trace_workloads_.size() * base * spec_.policies.size() *
-             spec_.churn_rates.size() * spec_.background_loads.size();
+  std::vector<CellJob> cells;
+  for (const bool traces : {false, true}) {
+    for (const auto& w : workloads) {
+      if (w.is_trace() != traces) continue;
+      for (const auto tech : grid.networks) {
+        for (const auto& model : grid.models) {
+          for (const auto& shape : grid.shapes) {
+            if (!traces) {
+              cells.push_back({&w, tech, model, shape,
+                               sim::SchedulingPolicy::kRoundRobinNode, 0.0,
+                               0.0, 0});
+              continue;
+            }
+            for (const auto policy : grid.policies) {
+              for (const double churn : grid.churn_rates) {
+                for (const double background : grid.background_loads) {
+                  cells.push_back({&w, tech, model, shape, policy, churn,
+                                   background, 0});
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+sim::Scenario cell_scenario(double churn, double background, int nodes,
+                            uint64_t seed) {
+  sim::Scenario scenario;
+  if (churn > 0.0) {
+    graph::ChurnSpec spec;
+    spec.rate = churn;
+    spec.nodes = nodes;
+    scenario.churn = graph::generate_churn(spec, seed);
+  }
+  if (background > 0.0) {
+    graph::BackgroundSpec spec;
+    spec.rate = background;
+    spec.nodes = nodes;
+    scenario.background = graph::generate_background(spec, seed);
+  }
+  return scenario;
+}
+
+Sweep::Sweep(SweepSpec spec)
+    : spec_(std::move(spec)), workloads_(resolve_workloads(spec_)) {}
+
+size_t Sweep::num_jobs() const {
+  return expand_cells(spec_, workloads_).size() * spec_.seeds.size();
 }
 
 namespace {
@@ -172,10 +221,6 @@ models::PenaltyModelPtr resolve_model(const std::string& name,
 }
 
 }  // namespace
-
-SweepCell run_cell(const CellJob& job) {
-  return run_cell_detailed(job).cell;
-}
 
 CellOutcome run_cell_detailed(const CellJob& job, const CellHooks& hooks) {
   const bool is_trace = job.workload->is_trace();
@@ -214,24 +259,8 @@ CellOutcome run_cell_detailed(const CellJob& job, const CellHooks& hooks) {
         topo::ClusterSpec::uniform("sweep", nodes, job.shape.cores,
                                    topo::calibration_for(job.tech));
     if (is_trace) {
-      // Dynamic-cluster scripts are drawn from the cell's seed alone (the
-      // generators salt churn vs background internally), so the cell is
-      // reproducible independent of execution order or thread count.
-      sim::Scenario scenario;
-      if (job.churn > 0.0) {
-        graph::ChurnSpec cs;
-        cs.rate = job.churn;
-        cs.horizon = 1.0;
-        cs.nodes = nodes;
-        scenario.churn = graph::generate_churn(cs, job.seed);
-      }
-      if (job.background > 0.0) {
-        graph::BackgroundSpec bs;
-        bs.rate = job.background;
-        bs.horizon = 1.0;
-        bs.nodes = nodes;
-        scenario.background = graph::generate_background(bs, job.seed);
-      }
+      const sim::Scenario scenario =
+          cell_scenario(job.churn, job.background, nodes, job.seed);
       ReplayConfig replay;
       replay.measured.solve_memo = hooks.measured_memo;
       replay.predicted.solve_memo = hooks.predicted_memo;
@@ -273,152 +302,69 @@ CellOutcome run_cell_detailed(const CellJob& job, const CellHooks& hooks) {
 }
 
 SweepResult Sweep::run(int threads) const {
-  // Expand the grid in its documented order: workloads (schemes first, then
-  // traces, each in listed order) x networks x models x shapes
-  // [x policies x churn_rates x background_loads, trace cells only] x seeds.
-  std::vector<CellJob> jobs;
-  jobs.reserve(num_jobs());
-  for (const auto& w : scheme_workloads_) {
-    for (const auto tech : spec_.networks) {
-      for (const auto& model : spec_.models) {
-        for (const auto& shape : spec_.shapes) {
-          for (const auto seed : spec_.seeds) {
-            jobs.push_back({&w, tech, model, shape,
-                            sim::SchedulingPolicy::kRoundRobinNode, 0.0, 0.0,
-                            seed});
-          }
-        }
-      }
-    }
-  }
-  for (const auto& w : trace_workloads_) {
-    for (const auto tech : spec_.networks) {
-      for (const auto& model : spec_.models) {
-        for (const auto& shape : spec_.shapes) {
-          for (const auto policy : spec_.policies) {
-            for (const double churn : spec_.churn_rates) {
-              for (const double background : spec_.background_loads) {
-                for (const auto seed : spec_.seeds) {
-                  jobs.push_back({&w, tech, model, shape, policy, churn,
-                                  background, seed});
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
+  // Each cell runs once per seed, the seed axis innermost.
+  const std::vector<CellJob> cells = expand_cells(spec_, workloads_);
+  const size_t seeds = spec_.seeds.size();
   SweepResult result;
-  result.cells.resize(jobs.size());
-
-  const auto run_job = [&jobs, &result](int index) {
-    result.cells[static_cast<size_t>(index)] =
-        run_cell(jobs[static_cast<size_t>(index)]);
-  };
-
-  util::parallel_for(threads, static_cast<int>(jobs.size()), run_job);
+  result.cells.resize(cells.size() * seeds);
+  util::parallel_for(
+      threads, static_cast<int>(result.cells.size()), [&](int index) {
+        const auto i = static_cast<size_t>(index);
+        CellJob job = cells[i / seeds];
+        job.seed = spec_.seeds[i % seeds];
+        result.cells[i] = run_cell_detailed(job).cell;
+      });
 
   for (const auto& cell : result.cells) {
     if (!cell.ok) ++result.num_errors;
   }
 
-  // Marginal summaries, serially and in spec order (deterministic).
+  // Marginal summaries, serially (deterministic). Every axis is nested in
+  // spec order, so the cells first show each axis's values in spec order;
+  // a repeated value ("--seeds 1,1") makes one row. Policy and the
+  // dynamic-cluster axes exist on trace cells only.
   const auto add_marginals = [&result](const std::string& axis,
-                                       const std::vector<std::string>& values,
+                                       bool trace_cells_only,
                                        auto&& cell_value) {
-    std::vector<std::string> done;  // a repeated axis value ("--seeds 1,1")
-                                    // must not emit a duplicate row
-    for (const auto& value : values) {
-      if (std::find(done.begin(), done.end(), value) != done.end()) continue;
-      done.push_back(value);
-      stats::Accumulator acc;
-      for (const auto& cell : result.cells) {
-        if (cell.ok && cell_value(cell) == value) acc.add(cell.eabs_pct);
+    std::vector<std::string> values;
+    std::vector<stats::Accumulator> accs;
+    for (const auto& cell : result.cells) {
+      if (trace_cells_only && cell.kind != "trace") continue;
+      std::string value = cell_value(cell);
+      const auto at = static_cast<size_t>(
+          std::find(values.begin(), values.end(), value) - values.begin());
+      if (at == values.size()) {
+        values.push_back(std::move(value));
+        accs.emplace_back();
       }
-      if (acc.count() == 0) continue;
-      result.marginals.push_back(
-          {axis, value, acc.count(), acc.mean(), acc.max()});
+      if (cell.ok) accs[at].add(cell.eabs_pct);
+    }
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (accs[i].count() == 0) continue;
+      result.marginals.push_back({axis, values[i], accs[i].count(),
+                                  accs[i].mean(), accs[i].max()});
     }
   };
-  std::vector<std::string> workload_keys;
-  for (const auto& w : scheme_workloads_) workload_keys.push_back(w.key);
-  for (const auto& w : trace_workloads_) workload_keys.push_back(w.key);
-  add_marginals("workload", workload_keys,
+  add_marginals("workload", false,
                 [](const SweepCell& c) { return c.workload; });
-  std::vector<std::string> network_names;
-  for (const auto tech : spec_.networks) {
-    network_names.push_back(short_tech_name(tech));
-  }
-  add_marginals("network", network_names,
+  add_marginals("network", false,
                 [](const SweepCell& c) { return c.network; });
-  std::vector<std::string> model_names;
-  for (const auto& name : spec_.models) {
-    model_names.push_back(name == "network"
-                              ? "network"
-                              : models::make_model(name)->name());
-  }
-  if (std::find(spec_.models.begin(), spec_.models.end(), "network") !=
-      spec_.models.end()) {
-    // "network" resolves per cell; aggregate it over the resolved names.
-    model_names.clear();
-    std::map<std::string, bool> seen;
-    for (const auto& cell : result.cells) {
-      if (!cell.model.empty() && !seen[cell.model]) {
-        seen[cell.model] = true;
-        model_names.push_back(cell.model);
-      }
-    }
-  }
-  add_marginals("model", model_names,
-                [](const SweepCell& c) { return c.model; });
-  // Shapes aggregate over the *effective* cluster (a scheme needing more
-  // nodes than the shape grows the cluster), so collect values from cells.
-  std::vector<std::string> shape_names;
-  for (const auto& cell : result.cells) {
-    const std::string name = strformat("%dx%d", cell.nodes, cell.cores);
-    if (std::find(shape_names.begin(), shape_names.end(), name) ==
-        shape_names.end()) {
-      shape_names.push_back(name);
-    }
-  }
-  add_marginals("shape", shape_names, [](const SweepCell& c) {
+  // Resolved names: "network" aggregates under the model of each cell's
+  // interconnect.
+  add_marginals("model", false, [](const SweepCell& c) { return c.model; });
+  // The effective cluster: a scheme needing more nodes than the shape grows
+  // it.
+  add_marginals("shape", false, [](const SweepCell& c) {
     return strformat("%dx%d", c.nodes, c.cores);
   });
-  if (!trace_workloads_.empty()) {
-    std::vector<std::string> policy_names;
-    for (const auto policy : spec_.policies) {
-      policy_names.push_back(sim::to_string(policy));
-    }
-    add_marginals("policy", policy_names,
-                  [](const SweepCell& c) { return c.policy; });
-    // The dynamic-cluster axes, like policy, only exist on trace cells;
-    // scheme cells (always churn 0 / load 0) would otherwise pollute the
-    // zero rows, so marginals filter on kind.
-    std::vector<std::string> churn_names;
-    for (const double r : spec_.churn_rates) {
-      churn_names.push_back(strformat("%g", r));
-    }
-    add_marginals("churn_rate", churn_names, [](const SweepCell& c) {
-      return c.kind == "trace" ? strformat("%g", c.churn_rate)
-                               : std::string("-");
-    });
-    std::vector<std::string> load_names;
-    for (const double r : spec_.background_loads) {
-      load_names.push_back(strformat("%g", r));
-    }
-    add_marginals("background_load", load_names, [](const SweepCell& c) {
-      return c.kind == "trace" ? strformat("%g", c.background_load)
-                               : std::string("-");
-    });
-  }
-  std::vector<std::string> seed_names;
-  for (const auto seed : spec_.seeds) {
-    seed_names.push_back(
-        strformat("%llu", static_cast<unsigned long long>(seed)));
-  }
-  add_marginals("seed", seed_names, [](const SweepCell& c) {
+  add_marginals("policy", true, [](const SweepCell& c) { return c.policy; });
+  add_marginals("churn_rate", true, [](const SweepCell& c) {
+    return strformat("%g", c.churn_rate);
+  });
+  add_marginals("background_load", true, [](const SweepCell& c) {
+    return strformat("%g", c.background_load);
+  });
+  add_marginals("seed", false, [](const SweepCell& c) {
     return strformat("%llu", static_cast<unsigned long long>(c.seed));
   });
 

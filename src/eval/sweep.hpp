@@ -16,12 +16,14 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/comm_graph.hpp"
 #include "graph/generator.hpp"
 #include "sim/events.hpp"
+#include "sim/scenario.hpp"
 #include "sim/schedule.hpp"
 #include "topo/network.hpp"
 
@@ -43,7 +45,7 @@ struct SweepShape {
 
 /// The declarative grid. Workloads are schemes (static comparison,
 /// eval::compare_scheme) and/or traces (application replay,
-/// eval::compare_application). Scheme cells cross every axis except
+/// eval::compare_application_detailed). Scheme cells cross every axis except
 /// `policies` (placement only matters when tasks are scheduled); trace
 /// cells cross all of them.
 struct SweepSpec {
@@ -110,6 +112,11 @@ struct ResolvedWorkload {
 [[nodiscard]] ResolvedWorkload resolve_trace_workload(
     const std::string& entry);
 
+/// Validate `spec`, then resolve its schemes and then its traces, each in
+/// listed order. Throws bwshare::Error.
+[[nodiscard]] std::vector<ResolvedWorkload> resolve_workloads(
+    const SweepSpec& spec);
+
 /// One fully specified grid cell: a workload at a point on every axis.
 /// `workload` must outlive the call; `seed` is the cell's only randomness.
 struct CellJob {
@@ -144,13 +151,21 @@ struct SweepCell {
   std::string error;     // populated when !ok
 };
 
-/// Execute one grid cell — the sweep executor, exposed so Campaign can run
-/// replicates through the exact same code path. Scheme cells run
-/// compare_scheme, trace cells compare_application under the job's
-/// policy/churn/background scenario. Failures are recorded in the returned
-/// cell (ok = false, error message), never thrown; the result depends only
-/// on the job, never on execution order or thread count.
-[[nodiscard]] SweepCell run_cell(const CellJob& job);
+/// Every cell of `grid` over `workloads`, with seed 0, in the documented
+/// order: scheme workloads, then trace workloads, each in listed order x
+/// networks x models x shapes [x policies x churn_rates x background_loads,
+/// trace cells only]. Sweep runs each cell once per seed, the seed axis
+/// innermost; Campaign runs each cell as one arm. The jobs point into
+/// `workloads`.
+[[nodiscard]] std::vector<CellJob> expand_cells(
+    const SweepSpec& grid, std::span<const ResolvedWorkload> workloads);
+
+/// The dynamic-cluster scenario a trace cell replays under: Poisson churn
+/// and background scripts at the given rates over a 1 s horizon on `nodes`
+/// nodes, drawn from `seed` alone (the generators salt churn and background
+/// apart). A zero rate adds no script.
+[[nodiscard]] sim::Scenario cell_scenario(double churn, double background,
+                                          int nodes, uint64_t seed);
 
 /// Optional instrumentation for run_cell_detailed. The memos (not owned,
 /// may be null) are threaded into the trace cell's two replays as
@@ -162,10 +177,9 @@ struct CellHooks {
   sim::SolveMemo* predicted_memo = nullptr;
 };
 
-/// run_cell plus the full replay evidence for trace cells: the placement
-/// and both SimResults (null for scheme cells and for errored cells). The
-/// summary `cell` is computed identically to run_cell — same numbers, same
-/// error recording.
+/// One executed cell plus the full replay evidence for trace cells: the
+/// placement and both SimResults (null for scheme cells and for errored
+/// cells).
 struct CellOutcome {
   SweepCell cell;
   sim::Placement placement;
@@ -173,6 +187,12 @@ struct CellOutcome {
   std::shared_ptr<const sim::SimResult> predicted;
 };
 
+/// Execute one grid cell: the executor behind Sweep, Campaign and serve.
+/// Scheme cells run compare_scheme, trace cells
+/// compare_application_detailed under the job's policy and cell_scenario.
+/// Failures are recorded in the returned cell (ok = false, error message),
+/// never thrown; the result depends only on the job, never on execution
+/// order or thread count.
 [[nodiscard]] CellOutcome run_cell_detailed(const CellJob& job,
                                             const CellHooks& hooks = {});
 
@@ -187,6 +207,9 @@ struct SweepMarginal {
 
 struct SweepResult {
   std::vector<SweepCell> cells;      // in job-expansion order
+  /// Per axis, one row per value with ok cells, values in the order the
+  /// cells first show them: spec order, repeats dropped. Policy, churn and
+  /// background rows summarize trace cells only.
   std::vector<SweepMarginal> marginals;
   size_t num_errors = 0;
 
@@ -205,6 +228,7 @@ class Sweep {
   explicit Sweep(SweepSpec spec);
 
   [[nodiscard]] const SweepSpec& spec() const { return spec_; }
+  /// The cell count times the seed count.
   [[nodiscard]] size_t num_jobs() const;
 
   /// Execute the grid on `threads` threads, the calling thread included
@@ -215,8 +239,7 @@ class Sweep {
 
  private:
   SweepSpec spec_;
-  std::vector<ResolvedWorkload> scheme_workloads_;
-  std::vector<ResolvedWorkload> trace_workloads_;
+  std::vector<ResolvedWorkload> workloads_;
 };
 
 }  // namespace bwshare::eval

@@ -5,6 +5,7 @@
 
 #include "models/node_table.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace bwshare::models {
 
@@ -200,8 +201,7 @@ void MyrinetModel::penalties_into(const graph::CommGraph& graph,
   }
 
   // Group by root; members are appended in ascending comm id, which is the
-  // local vertex order analyze() enumerates in (so a capped enumeration
-  // stops on the same sets).
+  // local vertex order analyze() enumerates in.
   auto size_of = scratch.make_span<int>(k);
   for (size_t i = 0; i < k; ++i) {
     parent[i] = find_root(parent, static_cast<int>(i));
@@ -249,11 +249,16 @@ void MyrinetModel::penalties_into(const graph::CommGraph& graph,
         if (ca.src != cb.src && ca.dst != cb.dst) rows.set_compatible(a, b);
       }
     }
-    // A capped enumeration counts the sets it reached, as analyze() does.
+    // Penalties from a truncated enumeration depend on the order it visits
+    // the sets in and can be off by orders of magnitude, so reaching the
+    // budget is an error rather than an answer.
     count.comp = comp;
     count.sets = 0;
-    for_each_maximal_independent_set(rows, params_.max_state_sets, scratch,
-                                     count);
+    BWS_CHECK(for_each_maximal_independent_set(rows, params_.max_state_sets,
+                                               scratch, count),
+              strformat("myrinet: a conflict component of %d communications "
+                        "has more than %zu state sets",
+                        n, params_.max_state_sets));
     comp_sets[r] = count.sets;
   }
 

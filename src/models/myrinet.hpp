@@ -37,7 +37,9 @@
 namespace bwshare::models {
 
 struct MyrinetParams {
-  /// Safety valve for pathological graphs.
+  /// State-set budget per conflict component. penalties_into() throws
+  /// bwshare::Error when a component has more sets; analyze() stops there
+  /// and reports `complete = false`.
   size_t max_state_sets = 1u << 20;
 };
 
@@ -50,7 +52,9 @@ class MyrinetModel final : public PenaltyModel {
   /// Near-linear outside the enumeration: O(k log k) for the node table
   /// and union-find over shared endpoints, then per component of s
   /// communications O(s²) pair checks for the complement rows plus the
-  /// Bron–Kerbosch search. Singleton components cost O(1).
+  /// Bron–Kerbosch search. Singleton components cost O(1). Throws
+  /// bwshare::Error, naming the component size and the budget, when a
+  /// component has more than `max_state_sets` state sets.
   void penalties_into(const graph::CommGraph& graph, util::Arena& scratch,
                       std::span<double> out) const override;
 
@@ -67,6 +71,8 @@ class MyrinetModel final : public PenaltyModel {
     /// The explicit global state sets; only filled by analyze() when
     /// `materialize_sets` and the graph is small (fig-5 style displays).
     std::vector<std::vector<graph::CommId>> state_sets;
+    /// False when a component's enumeration stopped at max_state_sets or
+    /// the global set count saturated.
     bool complete = true;
   };
 

@@ -89,7 +89,7 @@ CanonicalQuery plan_query(const Query& q) {
 
   // Resolve the workload: a trace to its validated trace, a scheme —
   // builtin, file, generator or inline — to its graph. The cluster grows
-  // to fit a scheme, mirroring eval::run_cell.
+  // to fit a scheme, mirroring eval::run_cell_detailed.
   if (!q.trace.empty()) {
     cq.workload = eval::resolve_trace_workload(q.trace);
     cq.nodes = q.nodes;

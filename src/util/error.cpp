@@ -11,11 +11,7 @@ std::string_view basename_of(std::string_view file) {
 }
 }  // namespace
 
-void throw_error(std::string_view file, int line, const std::string& message) {
-  std::ostringstream os;
-  os << message << " [" << basename_of(file) << ":" << line << "]";
-  throw Error(os.str());
-}
+void throw_error(const std::string& message) { throw Error(message); }
 
 void assert_fail(std::string_view file, int line, std::string_view condition,
                  const std::string& message) {

@@ -65,9 +65,11 @@ TEST(Experiment, ApplicationComparisonOnSmallHpl) {
   params.tasks = 8;
   params.max_panels = 8;
   const auto trace = hpl::make_hpl_trace(params);
-  const auto cmp = compare_application(trace, myri_cluster(8),
-                                       sim::SchedulingPolicy::kRoundRobinNode,
-                                       models::MyrinetModel());
+  const auto cmp =
+      compare_application_detailed(trace, myri_cluster(8),
+                                   sim::SchedulingPolicy::kRoundRobinNode,
+                                   models::MyrinetModel())
+          .summary;
   ASSERT_EQ(cmp.tasks.size(), 8u);
   EXPECT_GT(cmp.measured_makespan, 0.0);
   EXPECT_GT(cmp.predicted_makespan, 0.0);
@@ -85,12 +87,16 @@ TEST(Experiment, SchedulingChangesThePlacement) {
   params.nb = 120;
   params.tasks = 8;
   const auto trace = hpl::make_hpl_trace(params);
-  const auto rrn = compare_application(trace, myri_cluster(8),
-                                       sim::SchedulingPolicy::kRoundRobinNode,
-                                       models::MyrinetModel());
-  const auto rrp = compare_application(
-      trace, myri_cluster(8), sim::SchedulingPolicy::kRoundRobinProcessor,
-      models::MyrinetModel());
+  const auto rrn =
+      compare_application_detailed(trace, myri_cluster(8),
+                                   sim::SchedulingPolicy::kRoundRobinNode,
+                                   models::MyrinetModel())
+          .summary;
+  const auto rrp =
+      compare_application_detailed(
+          trace, myri_cluster(8), sim::SchedulingPolicy::kRoundRobinProcessor,
+          models::MyrinetModel())
+          .summary;
   EXPECT_NE(rrn.placement.nodes(), rrp.placement.nodes());
   // RRP co-locates neighbouring ranks: half the ring goes through shared
   // memory, so it finishes no slower than RRN on the measured side.

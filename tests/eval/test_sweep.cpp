@@ -336,6 +336,22 @@ TEST(Sweep, CellErrorsAreRecordedNotThrown) {
   EXPECT_NE(result.to_csv().find(",error,"), std::string::npos);
 }
 
+TEST(Sweep, MyrinetCellOverTheStateSetBudgetIsAnError) {
+  // The Myrinet model's conflict components here have more state sets than
+  // its budget; penalties from a truncated enumeration would be wrong by
+  // orders of magnitude, so the cell errors instead of reading ok.
+  SweepSpec spec;
+  spec.schemes = {"random:nodes=12,comms=96"};
+  spec.networks = {topo::NetworkTech::kMyrinet2000};
+  spec.seeds = {1};
+  const auto result = Sweep(std::move(spec)).run(1);
+  ASSERT_EQ(result.cells.size(), 1u);
+  EXPECT_FALSE(result.cells[0].ok);
+  EXPECT_NE(result.cells[0].error.find("has more than 1048576 state sets"),
+            std::string::npos)
+      << result.cells[0].error;
+}
+
 TEST(Sweep, TraceCellsCrossPolicies) {
   SweepSpec spec;
   spec.traces = {write_temp_trace("sweep_policies.trace")};
@@ -492,7 +508,7 @@ TEST(Sweep, GeneratorCellsExpandWithTheCellSeed) {
     job.model = "network";
     job.shape = {4, 2};
     job.seed = cell.seed;
-    const SweepCell reference = run_cell(job);
+    const SweepCell reference = run_cell_detailed(job).cell;
     ASSERT_TRUE(reference.ok) << reference.error;
     EXPECT_EQ(cell.units, fixed.scheme->size());
     EXPECT_EQ(cell.nodes, std::max(4, fixed.scheme->num_nodes()));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/schemes.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace bwshare::models {
@@ -143,6 +144,29 @@ TEST(MyrinetModel, GlobalSetCountSaturatesWhilePenaltiesStayExact) {
   EXPECT_FALSE(analysis.complete);
   for (double p : analysis.penalty) EXPECT_EQ(p, 2.0);
   for (double p : model.penalties(g)) EXPECT_EQ(p, 2.0);
+}
+
+TEST(MyrinetModel, StateSetBudgetIsAnError) {
+  // Four senders that each send to the same four receivers: one conflict
+  // component of 16 comms whose state sets are the 4! = 24 perfect
+  // matchings, each comm sending in 6 of them.
+  CommGraph g;
+  for (int src = 0; src < 4; ++src) {
+    for (int dst = 4; dst < 8; ++dst) g.add(src, dst, 1e6);
+  }
+  EXPECT_EQ(MyrinetModel().analyze(g).num_state_sets, 24u);
+  for (const double p : MyrinetModel().penalties(g)) EXPECT_EQ(p, 4.0);
+
+  MyrinetParams params;
+  params.max_state_sets = 7;
+  try {
+    (void)MyrinetModel(params).penalties(g);
+    ADD_FAILURE() << "a component over the budget was answered";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "myrinet: a conflict component of 16 communications has "
+                 "more than 7 state sets");
+  }
 }
 
 TEST(MyrinetModel, IntraNodeCommsAreExemptFromPenalties) {

@@ -4,8 +4,9 @@
 //   - GigE against GigabitEthernetModel::breakdown(), which evaluates one
 //     communication at a time through graph::strongly_slow_sets;
 //   - Myrinet against MyrinetModel::analyze(), which enumerates over the
-//     dense graph::ConflictGraph and materializes every set, with and
-//     without a truncating max_state_sets cap;
+//     dense graph::ConflictGraph and materializes every set; under a small
+//     max_state_sets budget, penalties() throws exactly where analyze()
+//     stops at the budget;
 //   - InfiniBand and Kim–Lee against per-communication transcriptions of
 //     their formulas over CommGraph::out_degree/in_degree, written here;
 //   - ModelRateProvider::rates_into against reference_bandwidth / penalty.
@@ -31,6 +32,7 @@
 #include "topo/network.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/arena.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace bwshare::models {
@@ -207,8 +209,9 @@ TEST_P(PenaltyPins, MyrinetMatchesAnalyzeBitwise) {
 }
 
 TEST_P(PenaltyPins, MyrinetCappedEnumerationMatchesAnalyzeBitwise) {
-  // A cap below the state-set count truncates the enumeration; the partial
-  // counts (and zero emissions) must come out exactly as analyze()'s.
+  // A budget below a component's state-set count stops the enumeration
+  // there. penalties() must throw exactly where analyze() reports the
+  // enumeration incomplete, and elsewhere equal analyze()'s bitwise.
   int truncated = 0;
   for (const size_t cap : {1u, 3u, 7u}) {
     MyrinetParams params;
@@ -217,8 +220,12 @@ TEST_P(PenaltyPins, MyrinetCappedEnumerationMatchesAnalyzeBitwise) {
     for (const auto& g : corpus(GetParam(), 40)) {
       SCOPED_TRACE(::testing::Message() << g.size() << " comms, cap " << cap);
       const auto reference = model.analyze(g);
-      if (!reference.complete) ++truncated;
-      expect_bitwise(model.penalties(g), reference.penalty);
+      if (reference.complete) {
+        expect_bitwise(model.penalties(g), reference.penalty);
+        continue;
+      }
+      ++truncated;
+      EXPECT_THROW((void)model.penalties(g), Error);
     }
   }
   EXPECT_GT(truncated, 0) << "no corpus graph reached the cap";

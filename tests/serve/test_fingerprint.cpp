@@ -185,8 +185,8 @@ TEST(Fingerprint, EverySemanticAxisChangesTheHash) {
 
 TEST(Fingerprint, ClusterGrowsToFitTheScheme) {
   // A cluster too small for the scheme is grown during canonicalization
-  // (mirroring eval::run_cell), so "nodes 4" and "nodes 6" mean the same
-  // replay for a 6-node scheme.
+  // (mirroring eval::run_cell_detailed), so "nodes 4" and "nodes 6" mean
+  // the same replay for a 6-node scheme.
   Query small = base_query();
   small.nodes = 4;
   Query grown = base_query();

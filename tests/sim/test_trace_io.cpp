@@ -328,14 +328,6 @@ AppTrace read_trace(std::string_view text) {
 
 }  // namespace reference
 
-/// An error message without the " [file.cpp:123]" source location that
-/// BWS_THROW appends.
-std::string without_location(const std::string& what) {
-  const auto at = what.rfind(" [");
-  if (at == std::string::npos || what.back() != ']') return what;
-  return what.substr(0, at);
-}
-
 /// Bitwise equality of two traces; returns a description of the first
 /// difference, or "" when they are identical.
 std::string trace_difference(const AppTrace& a, const AppTrace& b) {
@@ -371,7 +363,7 @@ bool reads_like_reference(const std::string& text) {
   try {
     want = reference::read_trace(text);
   } catch (const Error& e) {
-    want_error = without_location(e.what());
+    want_error = e.what();
   }
   try {
     const AppTrace got = read_trace(text);
@@ -391,7 +383,7 @@ bool reads_like_reference(const std::string& text) {
                     << e.what() << "\ninput:\n" << text;
       return false;
     }
-    if (without_location(e.what()) != want_error) {
+    if (e.what() != want_error) {
       ADD_FAILURE() << "message '" << e.what() << "' vs reference '"
                     << want_error << "'\ninput:\n" << text;
       return false;
