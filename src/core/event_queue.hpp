@@ -1,10 +1,16 @@
-// The event-core's finish-time priority index: an indexed binary min-heap
+// The event-core's finish-time priority index: an indexed 4-ary min-heap
 // over (time, tie) with stable, generation-tagged slot handles. Both event
 // loops in the repo run on it — sim::Engine keys in-flight transfers and
 // compute wake-ups by predicted finish time, the packet substrate (via
 // core::Reactor) keys scheduled handlers — so O(log n) push/pop and
 // O(log n) decrease/increase-key replace the per-event linear scans the
 // engine used to do (docs/PERFORMANCE.md, "The event-core").
+//
+// Layout: each heap node carries its (time, tie) key inline next to its
+// slot index, so a sift compares nodes of the heap array alone; the slot
+// array holds what only handles need (generation, heap position, payload).
+// Four children per node halve the depth of a binary heap, and the four
+// keys a sift-down compares sit in one or two cache lines.
 //
 // Determinism contract: the heap order is the strict lexicographic order on
 // (time, tie). Callers must make ties unique (the engine uses the comm's
@@ -13,6 +19,8 @@
 // order, update history, or slot reuse.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -49,14 +57,11 @@ class EventQueue {
       slot = static_cast<std::uint32_t>(slots_.size()) - 1;
     }
     Slot& s = slots_[slot];
-    s.time = time;
-    s.tie = tie;
     s.payload = std::move(payload);
     s.alive = true;
     ++s.gen;
-    s.pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(slot);
-    sift_up(s.pos);
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Node{time, tie, slot});
     return (static_cast<EventHandle>(s.gen) << 32) | slot;
   }
 
@@ -68,110 +73,131 @@ class EventQueue {
            slots_[slot].gen == gen;
   }
 
-  /// Re-key a live entry to `time` (decrease *or* increase); O(log n).
+  /// Re-key a live entry to `time` (decrease *or* increase); O(log n). The
+  /// entry sifts only in the direction its key moved.
   void update(EventHandle h, double time) {
-    Slot& s = slots_[checked_slot(h)];
-    s.time = time;
-    sift_up(s.pos);
-    sift_down(s.pos);
+    const std::size_t pos = slots_[checked_slot(h)].pos;
+    Node node = heap_[pos];
+    const double old = node.time;
+    node.time = time;
+    if (time < old)
+      sift_up(pos, node);
+    else
+      sift_down(pos, node);
   }
 
   /// Remove a live entry by handle; O(log n).
   void erase(EventHandle h) { remove_at(slots_[checked_slot(h)].pos); }
 
   [[nodiscard]] double time_of(EventHandle h) const {
-    return slots_[checked_slot(h)].time;
+    return heap_[slots_[checked_slot(h)].pos].time;
   }
 
   [[nodiscard]] double top_time() const {
     BWS_CHECK(!heap_.empty(), "EventQueue::top_time on an empty queue");
-    return slots_[heap_.front()].time;
+    return heap_.front().time;
   }
 
   /// Payload of the minimum entry (valid until the next mutation).
   [[nodiscard]] const Payload& top() const {
     BWS_CHECK(!heap_.empty(), "EventQueue::top on an empty queue");
-    return slots_[heap_.front()].payload;
+    return slots_[heap_.front().slot].payload;
   }
 
   /// Remove and return the minimum entry's payload; O(log n).
   Payload pop() {
     BWS_CHECK(!heap_.empty(), "EventQueue::pop on an empty queue");
-    Payload out = std::move(slots_[heap_.front()].payload);
+    Payload out = std::move(slots_[heap_.front().slot].payload);
     remove_at(0);
     return out;
   }
 
-  /// Test hook: verify the heap invariant and the slot <-> position index.
+  /// Test hook: verify the 4-ary heap invariant (no node orders before its
+  /// parent) and the slot <-> position index.
   [[nodiscard]] bool check_heap() const {
-    for (std::uint32_t pos = 0; pos < heap_.size(); ++pos) {
-      if (slots_[heap_[pos]].pos != pos) return false;
-      if (!slots_[heap_[pos]].alive) return false;
-      if (pos > 0 && before(heap_[pos], heap_[(pos - 1) / 2])) return false;
+    for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
+      const Slot& s = slots_[heap_[pos].slot];
+      if (s.pos != pos || !s.alive) return false;
+      if (pos > 0 && before(heap_[pos], heap_[parent(pos)])) return false;
     }
     return true;
   }
 
  private:
-  struct Slot {
+  /// One heap entry: the key, inline, and the slot that owns it.
+  struct Node {
     double time = 0.0;
     std::uint64_t tie = 0;
+    std::uint32_t slot = 0;
+  };
+
+  struct Slot {
     std::uint32_t gen = 0;  // bumped on every (re)allocation of the slot
     std::uint32_t pos = 0;  // index into heap_ while alive
     bool alive = false;
     Payload payload{};
   };
 
+  static constexpr std::size_t kArity = 4;
+
+  [[nodiscard]] static std::size_t parent(std::size_t pos) {
+    return (pos - 1) / kArity;
+  }
+
   [[nodiscard]] std::uint32_t checked_slot(EventHandle h) const {
     BWS_CHECK(contains(h), "stale or invalid EventQueue handle");
     return static_cast<std::uint32_t>(h & 0xffffffffu);
   }
 
-  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.time != sb.time) return sa.time < sb.time;
-    return sa.tie < sb.tie;
+  [[nodiscard]] static bool before(const Node& a, const Node& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.tie < b.tie;
   }
 
-  void place(std::uint32_t pos, std::uint32_t slot) {
-    heap_[pos] = slot;
-    slots_[slot].pos = pos;
+  void place(std::size_t pos, const Node& node) {
+    heap_[pos] = node;
+    slots_[node.slot].pos = static_cast<std::uint32_t>(pos);
   }
 
-  void sift_up(std::uint32_t pos) {
-    const std::uint32_t slot = heap_[pos];
+  /// Move `node` from the hole at `pos` towards the root.
+  void sift_up(std::size_t pos, const Node& node) {
     while (pos > 0) {
-      const std::uint32_t parent = (pos - 1) / 2;
-      if (!before(slot, heap_[parent])) break;
-      place(pos, heap_[parent]);
-      pos = parent;
+      const std::size_t up = parent(pos);
+      if (!before(node, heap_[up])) break;
+      place(pos, heap_[up]);
+      pos = up;
     }
-    place(pos, slot);
+    place(pos, node);
   }
 
-  void sift_down(std::uint32_t pos) {
-    const std::uint32_t slot = heap_[pos];
-    const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
+  /// Move `node` from the hole at `pos` towards the leaves.
+  void sift_down(std::size_t pos, const Node& node) {
+    const std::size_t n = heap_.size();
     while (true) {
-      std::uint32_t child = 2 * pos + 1;
-      if (child >= n) break;
-      if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-      if (!before(heap_[child], slot)) break;
-      place(pos, heap_[child]);
-      pos = child;
+      const std::size_t first = kArity * pos + 1;
+      if (first >= n) break;
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c)
+        if (before(heap_[c], heap_[best])) best = c;
+      if (!before(heap_[best], node)) break;
+      place(pos, heap_[best]);
+      pos = best;
     }
-    place(pos, slot);
+    place(pos, node);
   }
 
-  void remove_at(std::uint32_t pos) {
-    const std::uint32_t slot = heap_[pos];
-    const std::uint32_t last = heap_.back();
+  /// Fill the hole at `pos` with the last node and sift it the one way its
+  /// key points: up if it orders before the hole's parent, else down.
+  void remove_at(std::size_t pos) {
+    const std::uint32_t slot = heap_[pos].slot;
+    const Node last = heap_.back();
     heap_.pop_back();
     if (pos < heap_.size()) {
-      place(pos, last);
-      sift_up(pos);
-      sift_down(slots_[last].pos);
+      if (pos > 0 && before(last, heap_[parent(pos)]))
+        sift_up(pos, last);
+      else
+        sift_down(pos, last);
     }
     slots_[slot].alive = false;
     slots_[slot].payload = Payload{};
@@ -179,7 +205,7 @@ class EventQueue {
   }
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_;  // heap of slot indices
+  std::vector<Node> heap_;
   std::vector<std::uint32_t> free_;
 };
 

@@ -34,17 +34,22 @@ void mix_scheme(util::StructuralHash& h, const graph::CommGraph& graph) {
   }
 }
 
-/// A trace: its event content, per task in task order.
+/// A trace: its event content, per task in task order, at four words per
+/// event: kind, peer, bytes (0 unless a message kind) and seconds (0 unless
+/// kCompute).
 void mix_trace(util::StructuralHash& h, const sim::AppTrace& trace) {
   h.mix_i64(trace.num_tasks());
   for (sim::TaskId t = 0; t < trace.num_tasks(); ++t) {
     const sim::TaskProgram& prog = trace.program(t);
     h.mix_u64(prog.size());
     for (const sim::Event& e : prog) {
+      const bool compute = e.kind == sim::EventKind::kCompute;
+      const bool message = !compute && e.kind != sim::EventKind::kWaitAll &&
+                           e.kind != sim::EventKind::kBarrier;
       h.mix_i64(static_cast<int64_t>(e.kind));
       h.mix_i64(e.peer);
-      h.mix_f64(e.bytes);
-      h.mix_f64(e.seconds);
+      h.mix_f64(message ? e.bytes() : 0.0);
+      h.mix_f64(compute ? e.seconds() : 0.0);
     }
   }
 }

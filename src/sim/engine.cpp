@@ -124,8 +124,9 @@ struct Transfer {
   size_t next_src = kNoSlot;
   size_t next_dst = kNoSlot;
   uint64_t seen = 0;  // last flush whose component search reached this slot
-  /// Entry in the finish-time queue: only a re-solve re-keys it, and only
-  /// completion erases it.
+  /// Entry in the finish-time queue: the transfer's first solve pushes it,
+  /// every later solve re-keys it, and completion or abort erases it. Null
+  /// until that first solve, which the flush after the opening event runs.
   core::EventHandle qh = core::kNullEventHandle;
 };
 static_assert(std::is_trivially_copyable_v<Transfer>,
@@ -314,8 +315,8 @@ class Engine {
       const Event& e = program[pc_[static_cast<size_t>(t)]++];
       switch (e.kind) {
         case EventKind::kCompute:
-          begin_compute(t, now() + e.seconds);
-          result_.tasks[static_cast<size_t>(t)].compute_seconds += e.seconds;
+          begin_compute(t, now() + e.seconds());
+          result_.tasks[static_cast<size_t>(t)].compute_seconds += e.seconds();
           return;
         case EventKind::kSend:
           post_send(t, e, /*nonblocking=*/false);
@@ -349,21 +350,21 @@ class Engine {
   void post_send(TaskId t, const Event& e, bool nonblocking) {
     auto& stats = result_.tasks[static_cast<size_t>(t)];
     ++stats.sends;
-    const bool rendezvous = !nonblocking && e.bytes >= kEagerThreshold;
+    const bool rendezvous = !nonblocking && e.bytes() >= kEagerThreshold;
 
     CommRecord rec;
     rec.src_task = t;
     rec.dst_task = e.peer;
     rec.src_node = placement_.node_of(t);
     rec.dst_node = placement_.node_of(e.peer);
-    rec.bytes = e.bytes;
+    rec.bytes = e.bytes();
     rec.send_post = now();
     result_.comms.push_back(rec);
     const size_t record = result_.comms.size() - 1;
 
     PendingSend ps;
     ps.src = t;
-    ps.bytes = e.bytes;
+    ps.bytes = e.bytes();
     ps.post_time = now();
     ps.rendezvous = rendezvous;
     ps.tracked = nonblocking;
@@ -462,8 +463,11 @@ class Engine {
   }
 
   /// Put a fresh transfer of `bytes` for comm `record` into the active set:
-  /// a recycled or new slot, a finish-time queue entry and the node index.
-  /// The caller fills in the task-side fields.
+  /// a recycled or new slot and the node index. Its finish-time queue entry
+  /// waits for its first solve, at the next flush: until then it has no
+  /// prediction, and nothing reads or detaches it (a completion pops only
+  /// queued entries, and a failure runs after the flush). The caller fills
+  /// in the task-side fields.
   Transfer& open_transfer(size_t record, topo::NodeId src_node,
                           topo::NodeId dst_node, double bytes) {
     size_t slot;
@@ -482,9 +486,6 @@ class Engine {
     tr.remaining = std::max(bytes, 1.0);  // 0-length still costs latency
     tr.advance_time = now();
     tr.alive = true;
-    // The finish-time index entry lives as long as the transfer does; the
-    // next flush re-keys it to the first real prediction.
-    tr.qh = transfer_q_.push(kInf, static_cast<uint64_t>(record), slot);
     ++num_active_;
     attach_transfer(slot);
     return tr;
@@ -774,8 +775,9 @@ class Engine {
     memo->stage(key, hit);
   }
 
-  /// Write one component's solved rates back into its transfers and re-key
-  /// their finish-time queue entries.
+  /// Write one component's solved rates back into its transfers and key
+  /// their finish-time queue entries: a push on a transfer's first solve, a
+  /// re-key after that.
   void commit_component(std::span<const size_t> members,
                         std::span<const double> rates) {
     for (size_t k = 0; k < members.size(); ++k) {
@@ -783,7 +785,11 @@ class Engine {
       Transfer& tr = transfers_[members[k]];
       tr.rate = rates[k];
       tr.finish_pred = tr.advance_time + tr.remaining / tr.rate;
-      transfer_q_.update(tr.qh, tr.finish_pred);
+      if (tr.qh == core::kNullEventHandle)
+        tr.qh = transfer_q_.push(tr.finish_pred,
+                                 static_cast<uint64_t>(tr.record), members[k]);
+      else
+        transfer_q_.update(tr.qh, tr.finish_pred);
     }
   }
 

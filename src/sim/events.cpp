@@ -12,7 +12,7 @@ Event Event::compute(double seconds) {
   BWS_CHECK(seconds >= 0.0, "compute duration must be non-negative");
   Event e;
   e.kind = EventKind::kCompute;
-  e.seconds = seconds;
+  e.value_ = seconds;
   return e;
 }
 
@@ -22,7 +22,7 @@ Event Event::send(TaskId to, double bytes) {
   Event e;
   e.kind = EventKind::kSend;
   e.peer = to;
-  e.bytes = bytes;
+  e.value_ = bytes;
   return e;
 }
 
@@ -32,7 +32,7 @@ Event Event::recv(TaskId from, double bytes) {
   Event e;
   e.kind = EventKind::kRecv;
   e.peer = from;
-  e.bytes = bytes;
+  e.value_ = bytes;
   return e;
 }
 
@@ -86,7 +86,7 @@ double AppTrace::total_bytes_sent() const {
   for (const auto& p : programs_)
     for (const auto& e : p)
       if (e.kind == EventKind::kSend || e.kind == EventKind::kIsend)
-        total += e.bytes;
+        total += e.bytes();
   return total;
 }
 

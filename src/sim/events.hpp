@@ -6,6 +6,7 @@
 // (§IV-B) synchronizes tasks with MPI barriers between iterations.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,7 @@ using TaskId = int;
 /// Matches any sender (the paper's MPI_ANY_SOURCE receive).
 inline constexpr TaskId kAnySource = -1;
 
-enum class EventKind {
+enum class EventKind : std::uint8_t {
   kCompute,
   kSend,     // blocking MPI_Send
   kRecv,     // blocking MPI_Recv
@@ -30,15 +31,24 @@ enum class EventKind {
   kBarrier,
 };
 
+/// One trace event in 16 bytes: a replay streams every task's program
+/// through the cache, so the kind, the peer and one value share two words.
+/// The value is a compute event's duration or a message's length, and
+/// seconds() and bytes() read it under those names. Neither checks the
+/// kind: read seconds() of kCompute only and bytes() of the four message
+/// kinds only. kWaitAll and kBarrier hold 0.
 struct Event {
   EventKind kind = EventKind::kCompute;
-  /// kCompute: duration in seconds.
-  double seconds = 0.0;
-  /// kSend/kRecv: peer task (kAnySource allowed for kRecv only).
+  /// kSend/kRecv (and their non-blocking forms): peer task (kAnySource
+  /// allowed for receives only).
   TaskId peer = 0;
-  /// kSend/kRecv: message length in bytes (as passed to MPI_Send; the
-  /// envelope the MPI implementation adds is part of the calibration).
-  double bytes = 0.0;
+
+  /// kCompute: duration in seconds.
+  [[nodiscard]] double seconds() const { return value_; }
+  /// kSend/kRecv/kIsend/kIrecv: message length in bytes (as passed to
+  /// MPI_Send; the envelope the MPI implementation adds is part of the
+  /// calibration).
+  [[nodiscard]] double bytes() const { return value_; }
 
   static Event compute(double seconds);
   static Event send(TaskId to, double bytes);
@@ -48,7 +58,11 @@ struct Event {
   static Event irecv(TaskId from, double bytes);
   static Event wait_all();
   static Event barrier();
+
+ private:
+  double value_ = 0.0;
 };
+static_assert(sizeof(Event) == 16, "a trace event is two words");
 
 /// One task's program: the ordered list of its events.
 using TaskProgram = std::vector<Event>;

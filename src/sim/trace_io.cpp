@@ -70,14 +70,14 @@ std::string write_trace(const AppTrace& trace) {
       line.number(t);
       switch (e.kind) {
         case EventKind::kCompute:
-          line.text(" compute ").seconds(e.seconds);
+          line.text(" compute ").seconds(e.seconds());
           break;
         case EventKind::kSend:
         case EventKind::kIsend:
           line.text(e.kind == EventKind::kSend ? " send " : " isend ")
               .number(e.peer)
               .text(" ")
-              .bytes(e.bytes);
+              .bytes(e.bytes());
           break;
         case EventKind::kRecv:
         case EventKind::kIrecv:
@@ -86,7 +86,7 @@ std::string write_trace(const AppTrace& trace) {
             line.text("any");
           else
             line.number(e.peer);
-          line.text(" ").bytes(e.bytes);
+          line.text(" ").bytes(e.bytes());
           break;
         case EventKind::kWaitAll:
           line.text(" waitall");

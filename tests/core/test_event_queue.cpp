@@ -1,8 +1,8 @@
-// core::EventQueue — the indexed finish-time heap both event loops run on.
-// Pins the (time, tie) pop order, O(log n) re-keying through stable
+// core::EventQueue — the indexed 4-ary finish-time heap both event loops
+// run on. Pins the (time, tie) pop order, O(log n) re-keying through stable
 // handles, stale-handle detection across slot recycling, and the heap
-// invariant under a randomized mutation storm checked against a sorted
-// reference model.
+// invariant under randomized mutation storms, several heap levels deep and
+// with long runs of equal times, checked against a sorted reference model.
 #include "core/event_queue.hpp"
 
 #include <algorithm>
@@ -130,63 +130,97 @@ TEST(EventQueue, NullHandleIsNeverLive) {
 }
 
 TEST(EventQueue, RandomizedMutationsMatchReferenceModel) {
-  // Storm of push/update/erase/pop checked against a sorted reference; the
+  // Storms of push/update/erase/pop checked against a sorted reference; the
   // heap invariant and slot index are re-verified after every mutation.
-  // Each payload equals its tie key, so the popped payloads pin the tie
-  // order too.
-  EventQueue<int> q;
-  Rng rng(20260729);
-  std::map<EventHandle, std::pair<double, uint64_t>> live;
-  std::set<std::tuple<double, uint64_t, EventHandle>> ordered;
-  uint64_t next_tie = 0;
-  int next_payload = 0;
-  std::map<EventHandle, int> payloads;
-  for (int step = 0; step < 4000; ++step) {
-    const double roll = rng.uniform();
-    if (roll < 0.45 || live.empty()) {
-      const double t = rng.uniform(0.0, 100.0);
-      const EventHandle h = q.push(t, next_tie, next_payload);
-      live[h] = {t, next_tie};
-      ordered.insert({t, next_tie, h});
-      payloads[h] = next_payload;
-      ++next_tie;
-      ++next_payload;
-    } else if (roll < 0.65) {
-      // re-key a random live entry
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.below(live.size())));
-      const double t = rng.uniform(0.0, 100.0);
-      ordered.erase({it->second.first, it->second.second, it->first});
-      q.update(it->first, t);
-      it->second.first = t;
-      ordered.insert({t, it->second.second, it->first});
-    } else if (roll < 0.8) {
-      // erase a random live entry
-      auto it = live.begin();
-      std::advance(it, static_cast<long>(rng.below(live.size())));
-      q.erase(it->first);
-      ordered.erase({it->second.first, it->second.second, it->first});
-      payloads.erase(it->first);
-      live.erase(it);
-    } else {
+  //
+  // Each case first grows the queue to `grow_to` live entries (341 fill the
+  // 4-ary heap's root and the four levels below it), then runs its storm,
+  // then drains. Times are drawn from `distinct_times` values (0 for a
+  // continuous draw): the short lists make long runs of equal times, where
+  // the tie keys alone decide the order. Tie keys are an odd multiple of
+  // the insertion count, a bijection on 64 bits, so they are unique and
+  // their order is not insertion order.
+  struct Case {
+    uint64_t seed;
+    size_t grow_to;
+    uint64_t distinct_times;
+    int steps;
+  };
+  const Case cases[] = {
+      {20260729, 0, 0, 4000},  // small, continuous times
+      {11, 400, 0, 6000},      // five levels, continuous times
+      {12, 400, 3, 6000},      // five levels, three distinct times
+      {13, 1200, 1, 4000},     // six levels, one time: pure tie order
+      {14, 700, 16, 6000},     // five to six levels, sixteen times
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "seed " << c.seed);
+    EventQueue<int> q;
+    Rng rng(c.seed);
+    const auto draw_time = [&] {
+      return c.distinct_times == 0
+                 ? rng.uniform(0.0, 100.0)
+                 : static_cast<double>(rng.below(c.distinct_times));
+    };
+    std::map<EventHandle, std::pair<double, uint64_t>> live;
+    std::set<std::tuple<double, uint64_t, EventHandle>> ordered;
+    std::map<EventHandle, int> payloads;
+    int pushed = 0;
+    size_t max_live = 0;
+    const auto push = [&] {
+      const double t = draw_time();
+      const uint64_t tie =
+          static_cast<uint64_t>(pushed) * 0x9e3779b97f4a7c15ULL;
+      const EventHandle h = q.push(t, tie, pushed);
+      live[h] = {t, tie};
+      ordered.insert({t, tie, h});
+      payloads[h] = pushed;
+      ++pushed;
+    };
+    const auto pop = [&] {
       const auto expect = *ordered.begin();
-      ASSERT_DOUBLE_EQ(q.top_time(), std::get<0>(expect));
+      ASSERT_EQ(q.top_time(), std::get<0>(expect));
       ASSERT_EQ(q.pop(), payloads[std::get<2>(expect)]);
       ordered.erase(ordered.begin());
       payloads.erase(std::get<2>(expect));
       live.erase(std::get<2>(expect));
+    };
+    for (int step = 0; step < c.steps; ++step) {
+      const double roll = rng.uniform();
+      if (live.size() < c.grow_to || roll < 0.40 || live.empty()) {
+        push();
+      } else if (roll < 0.60) {
+        // re-key a random live entry, possibly to its own time
+        auto it = live.begin();
+        std::advance(it, static_cast<long>(rng.below(live.size())));
+        const double t = draw_time();
+        ordered.erase({it->second.first, it->second.second, it->first});
+        q.update(it->first, t);
+        it->second.first = t;
+        ordered.insert({t, it->second.second, it->first});
+      } else if (roll < 0.80) {
+        // erase a random live entry
+        auto it = live.begin();
+        std::advance(it, static_cast<long>(rng.below(live.size())));
+        q.erase(it->first);
+        ordered.erase({it->second.first, it->second.second, it->first});
+        payloads.erase(it->first);
+        live.erase(it);
+      } else {
+        pop();
+      }
+      ASSERT_TRUE(q.check_heap()) << "heap invariant broken at step " << step;
+      ASSERT_EQ(q.size(), live.size());
+      max_live = std::max(max_live, live.size());
     }
-    ASSERT_TRUE(q.check_heap()) << "heap invariant broken at step " << step;
-    ASSERT_EQ(q.size(), live.size());
+    EXPECT_GE(max_live, c.grow_to);
+    // Drain: the full remaining order must match the model.
+    while (!ordered.empty()) {
+      pop();
+      ASSERT_TRUE(q.check_heap());
+    }
+    EXPECT_TRUE(q.empty());
   }
-  // Drain: the full remaining order must match the model.
-  while (!ordered.empty()) {
-    const auto expect = *ordered.begin();
-    ASSERT_EQ(q.pop(), payloads[std::get<2>(expect)]);
-    ordered.erase(ordered.begin());
-    payloads.erase(std::get<2>(expect));
-  }
-  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ TEST(HplTrace, ComputeTimeMatchesFlopModel) {
   double compute_total = 0.0;
   for (sim::TaskId t = 0; t < trace.num_tasks(); ++t)
     for (const auto& e : trace.program(t))
-      if (e.kind == sim::EventKind::kCompute) compute_total += e.seconds;
+      if (e.kind == sim::EventKind::kCompute) compute_total += e.seconds();
   // Panel + update flops summed over iterations, then scaled: updates are
   // counted once per task (each task updates 1/P of the trailing matrix).
   double expected = 0.0;

@@ -10,7 +10,7 @@ namespace {
 TEST(Events, Factories) {
   const auto c = Event::compute(1.5);
   EXPECT_EQ(c.kind, EventKind::kCompute);
-  EXPECT_DOUBLE_EQ(c.seconds, 1.5);
+  EXPECT_DOUBLE_EQ(c.seconds(), 1.5);
   const auto s = Event::send(3, 1e6);
   EXPECT_EQ(s.kind, EventKind::kSend);
   EXPECT_EQ(s.peer, 3);
@@ -21,6 +21,45 @@ TEST(Events, Factories) {
   EXPECT_THROW(Event::recv(-3, 1.0), Error);
 }
 
+// Each factory's kind, peer and value, read back through the 16-byte layout
+// (one value field that seconds() and bytes() both name). Values are exact
+// binary fractions, so the comparisons are exact.
+TEST(Events, FactoriesReadBackKindPeerAndValue) {
+  struct Case {
+    Event event;
+    EventKind kind;
+    TaskId peer;
+    double value;  // seconds for kCompute, bytes otherwise
+  };
+  const Case cases[] = {
+      {Event::compute(2.5), EventKind::kCompute, 0, 2.5},
+      {Event::compute(0.0), EventKind::kCompute, 0, 0.0},
+      {Event::send(7, 65536.0), EventKind::kSend, 7, 65536.0},
+      {Event::recv(3, 0.5), EventKind::kRecv, 3, 0.5},
+      {Event::recv_any(1e6), EventKind::kRecv, kAnySource, 1e6},
+      {Event::isend(2147483647, 1.25), EventKind::kIsend, 2147483647, 1.25},
+      {Event::irecv(kAnySource, 4096.0), EventKind::kIrecv, kAnySource,
+       4096.0},
+      {Event::irecv(0, 0.0), EventKind::kIrecv, 0, 0.0},
+      {Event::wait_all(), EventKind::kWaitAll, 0, 0.0},
+      {Event::barrier(), EventKind::kBarrier, 0, 0.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.kind));
+    EXPECT_EQ(c.event.kind, c.kind);
+    EXPECT_EQ(c.event.peer, c.peer);
+    if (c.kind == EventKind::kCompute)
+      EXPECT_EQ(c.event.seconds(), c.value);
+    else
+      EXPECT_EQ(c.event.bytes(), c.value);
+  }
+  // A default event is a zero-length compute.
+  const Event d;
+  EXPECT_EQ(d.kind, EventKind::kCompute);
+  EXPECT_EQ(d.peer, 0);
+  EXPECT_EQ(d.seconds(), 0.0);
+}
+
 TEST(AppTrace, PushAndTotals) {
   AppTrace trace(2);
   trace.push(0, Event::compute(1.0));
@@ -28,8 +67,8 @@ TEST(AppTrace, PushAndTotals) {
   trace.push(1, Event::recv(0, 100.0));
   trace.push(1, Event::compute(2.0));
   EXPECT_EQ(trace.total_events(), 4u);
-  EXPECT_DOUBLE_EQ(trace.program(0)[0].seconds, 1.0);
-  EXPECT_DOUBLE_EQ(trace.program(1)[1].seconds, 2.0);
+  EXPECT_DOUBLE_EQ(trace.program(0)[0].seconds(), 1.0);
+  EXPECT_DOUBLE_EQ(trace.program(1)[1].seconds(), 2.0);
   EXPECT_DOUBLE_EQ(trace.total_bytes_sent(), 100.0);
 }
 

@@ -132,14 +132,14 @@ std::vector<Pin> trace_field_pins(const std::string& what) {
 TEST(NumberGrammarPins, TraceComputeDuration) {
   check_pins(trace_field_pins("duration"), [](const std::string& text) {
     const auto trace = sim::read_trace("tasks 1\n0 compute " + text + "\n");
-    return trace.program(0).at(0).seconds;
+    return trace.program(0).at(0).seconds();
   });
 }
 
 TEST(NumberGrammarPins, TraceMessageSize) {
   check_pins(trace_field_pins("size"), [](const std::string& text) {
     const auto trace = sim::read_trace("tasks 2\n0 send 1 " + text + "\n");
-    return trace.program(0).at(0).bytes;
+    return trace.program(0).at(0).bytes();
   });
 }
 
