@@ -10,7 +10,7 @@
 // slot index, so a sift compares nodes of the heap array alone; the slot
 // array holds what only handles need (generation, heap position, payload).
 // Four children per node halve the depth of a binary heap, and the four
-// keys a sift-down compares sit in one or two cache lines.
+// keys a sift-down compares are adjacent in the node array.
 //
 // Determinism contract: the heap order is the strict lexicographic order on
 // (time, tie). Callers must make ties unique (the engine uses the comm's
